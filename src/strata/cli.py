@@ -7,7 +7,7 @@ randomized search budget ran out before a decision.
 
 Reports embed a hash of the canonicalized input (comments and whitespace
 do not affect it), and with a fixed seed the machine-readable output is
-byte-identical across runs regardless of worker threads.
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from .exactlin import GF, QQ, Field
@@ -107,7 +106,7 @@ def _dims_set(text_dims) -> str:
     return "{" + ",".join(str(d) for d in text_dims) + "}"
 
 
-def _run(args, threads: int):
+def _run(args):
     verb = args.verb
     if verb == "kronecker-demo":
         if args.input is not None:
@@ -260,9 +259,7 @@ def _run(args, threads: int):
         return report, lines, 0
 
     if verb == "jh-verify":
-        report = verify_jordan_holder(
-            quiver, args.bound, seed=args.seed, field=field, threads=threads
-        )
+        report = verify_jordan_holder(quiver, args.bound, seed=args.seed, field=field)
         report.update(base)
         expected = sorted(
             f.division_ring_dim for f in endo_rings_of_simples(quiver, field)
@@ -311,25 +308,10 @@ def main(argv=None) -> int:
                         help="work over F_p instead of the file's field")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit one machine-readable JSON document")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: STRATA_THREADS or 1)")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        env = os.environ.get("STRATA_THREADS", "")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            print(f"error: STRATA_THREADS={env!r} is not an integer", file=sys.stderr)
-            return 2
-    if threads < 1:
-        print("error: thread count must be at least 1", file=sys.stderr)
-        return 2
-
     try:
-        report, lines, code = _run(args, threads)
+        report, lines, code = _run(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .repcat import (
     cokernel_rep,
     decompose,
     direct_sum,
+    distinct_summands,
     end_dim,
     ext1_dim,
     hom_dim,
@@ -139,12 +140,7 @@ def is_tilting_module(T: Rep) -> bool:
         return T.quiver.n == 0
     if ext1_dim(T, T) != 0:
         return False
-    parts = decompose(T)
-    distinct = []
-    for p in parts:
-        if not any(is_isomorphic(p, d) for d in distinct):
-            distinct.append(p)
-    return len(distinct) == T.quiver.n
+    return len(distinct_summands(decompose(T))) == T.quiver.n
 
 
 def tilting_coresolution(T: Rep) -> ShortExactSeq:
@@ -159,11 +155,7 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
     f = T.field
     if not is_tilting_module(T):
         raise ValueError("coresolution is only defined for tilting modules")
-    parts = decompose(T)
-    distinct = []
-    for p in parts:
-        if not any(is_isomorphic(p, d) for d in distinct):
-            distinct.append(p)
+    distinct = distinct_summands(decompose(T))
     A = direct_sum([projective(q, f, v) for v in q.vertices()])
     targets = []
     blocks_per_vertex = [[] for _ in q.vertices()]

@@ -16,11 +16,17 @@ is not projective, the Bongartz complement M (the middle term of the
 universal extension of X against A = (+)_v P_v) decomposes into the n - 1
 projectives of B, and the quiver of B is read off from rad/rad^2 of the
 Hom category of its summands.
+
+B depends on X alone, and a Jordan-Hoelder check peels the same few
+modules over and over, so `perp_algebra` and `transport_into_perp` keep
+bounded memos of their results (which are immutable). Exceptions are not
+memoized: a bad input raises on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactlin import Field, Mat
 from .quiver import Arrow, Quiver
@@ -32,6 +38,7 @@ from .repcat import (
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
+    distinct_summands,
     end_dim,
     ext1_dim,
     ext1_space,
@@ -42,6 +49,11 @@ from .repcat import (
     projective,
     zero_rep,
 )
+
+# One jh-verify run meets few distinct inputs (79 perpendicular categories
+# on A_4 at bound 4); the bounds only keep a long-lived process from growing.
+_PERP_MEMO_SIZE = 512
+_TRANSPORT_MEMO_SIZE = 8192
 
 
 def _column_basis(m: Mat) -> Mat:
@@ -121,6 +133,31 @@ def free_module(quiver: Quiver, field: Field) -> Rep:
     return direct_sum([projective(quiver, field, v) for v in quiver.vertices()])
 
 
+def _bongartz_parts(X: Rep):
+    """(c, [E_1, ..., E_n]) with E_v the universal extension of P_v by X.
+
+    Ext^1(X, -) is additive, so the universal extension of X against
+    A = (+)_v P_v is the direct sum of the E_v (E_v = P_v when
+    Ext^1(X, P_v) = 0), and c = ext1_dim(X, A). When c > 0 each E_v is
+    checked to lie in the perpendicular category of X.
+    """
+    q = X.quiver
+    f = X.field
+    c = 0
+    parts = []
+    for v in q.vertices():
+        cv, ses = universal_extension(X, projective(q, f, v))
+        c += cv
+        parts.append(ses.middle)
+    if c > 0:
+        for E in parts:
+            if hom_dim(X, E) != 0 or ext1_dim(X, E) != 0:
+                raise AssertionError(
+                    "Bongartz middle term escaped the perpendicular category"
+                )
+    return c, parts
+
+
 def bongartz_complement(X: Rep) -> Rep:
     """The middle term M of the universal extension of X against A.
 
@@ -128,17 +165,13 @@ def bongartz_complement(X: Rep) -> Rep:
     defined for non-projective X (a projective X has no extensions against
     A, and its perpendicular category comes from vertex deletion instead).
     """
-    A = free_module(X.quiver, X.field)
-    c, ses = universal_extension(X, A)
+    c, parts = _bongartz_parts(X)
     if c == 0:
         raise ValueError(
             "X is projective (no extensions against the free module); "
             "use the vertex-deletion branch of perp_algebra"
         )
-    M = ses.middle
-    if hom_dim(X, M) != 0 or ext1_dim(X, M) != 0:
-        raise AssertionError("Bongartz middle term escaped the perpendicular category")
-    return M
+    return direct_sum(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +310,7 @@ def _stack_rank(field: Field, maps) -> int:
     return Mat.from_rows(field, [list(x.flatten()) for x in maps]).rank()
 
 
+@lru_cache(maxsize=_PERP_MEMO_SIZE)
 def perp_algebra(X: Rep) -> PerpPresentation:
     """Present the perpendicular category of an exceptional module.
 
@@ -284,14 +318,15 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     subquiver's projectives as ambient representations vanishing there.
     Non-projective X: the distinct summands of the Bongartz complement are
     the projectives, with the quiver read off their Hom category. Either
-    way the algebra has exactly n - 1 vertices.
+    way the algebra has exactly n - 1 vertices. Equal inputs get the same
+    presentation object back.
     """
     if end_dim(X) != 1 or ext1_dim(X, X) != 0:
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field
-    A = free_module(q, f)
-    if ext1_dim(X, A) == 0:
+    c, extensions = _bongartz_parts(X)
+    if c == 0:
         # projective branch: locate the vertex by dimension vector (the
         # projectives of an acyclic quiver have pairwise distinct ones)
         at = None
@@ -319,12 +354,12 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             projectives_in_ambient=projs,
             radical_generators=tuple(gens),
         )
-    M = bongartz_complement(X)
-    parts = decompose(M)
-    distinct = []
-    for p in parts:
-        if not any(is_isomorphic(p, d) for d in distinct):
-            distinct.append(p)
+    # the complement's summands, ordered as decompose orders them
+    parts = sorted(
+        (p for E in extensions for p in decompose(E)),
+        key=lambda r: (r.total_dim, r.dims),
+    )
+    distinct = distinct_summands(parts)
     if len(distinct) != q.n - 1:
         raise AssertionError(
             f"Bongartz complement has {len(distinct)} distinct summands, "
@@ -333,8 +368,6 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     for d in distinct:
         if end_dim(d) != 1:
             raise AssertionError("Bongartz summand is not exceptional")
-        if hom_dim(X, d) != 0 or ext1_dim(X, d) != 0:
-            raise AssertionError("Bongartz summand escaped the perpendicular category")
     quiver, gens = hom_category_presentation(distinct, f)
     return PerpPresentation(
         source=X,
@@ -368,6 +401,7 @@ def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
     return Rep(q, f, dims, maps)
 
 
+@lru_cache(maxsize=_TRANSPORT_MEMO_SIZE)
 def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     """Re-express a perpendicular module over the perpendicular algebra.
 
@@ -377,7 +411,8 @@ def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
 
         dim Y = sum_j z_j dim M_j - sum_{a: j->j'} z_j dim M_{j'}
 
-    with z_j = dim Hom(M_j, Y).
+    with z_j = dim Hom(M_j, Y). PerpPresentation compares by identity, so
+    the memo hits for the presentations `perp_algebra` hands out again.
     """
     X = pres.source
     if hom_dim(X, Y) != 0 or ext1_dim(X, Y) != 0:

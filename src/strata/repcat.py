@@ -279,10 +279,6 @@ def identity_map(M: Rep) -> RepMap:
     return RepMap(M, M, [Mat.identity(M.field, d) for d in M.dims])
 
 
-def zero_map(M: Rep, N: Rep) -> RepMap:
-    return RepMap(M, N, [Mat.zeros(M.field, N.dim(v), M.dim(v)) for v in M.quiver.vertices()])
-
-
 def _hom_system(M: Rep, N: Rep):
     """The matrix of Phi plus its row indexing (arrow, i, j)."""
     if M.quiver != N.quiver or M.field != N.field:
@@ -908,6 +904,27 @@ def decompose(M: Rep, seed: int = 0, tries: int = 64):
     out = []
     _decompose_into(M, random.Random(seed), tries, out)
     out.sort(key=lambda r: (r.total_dim, r.dims))
+    return out
+
+
+def distinct_summands(parts):
+    """One representative per isomorphism class of the summands of a rigid module.
+
+    Keeps the first summand of each dimension vector, in order. Deciding
+    isomorphism by dimension vector is exact here. Let X, Y be
+    indecomposable summands of a rigid module with the same dimension
+    vector d. Then Ext^1(X, Y) = 0 = Ext^1(Y, X), so dim Hom(X, Y) equals
+    the Euler form <d, d> = dim End(X) > 0. A nonzero map X -> Y with
+    Ext^1(Y, X) = 0 is mono or epi (Happel-Ringel lemma); with equal
+    dimension vectors it is an isomorphism. Callers must only pass
+    indecomposable summands of a rigid module.
+    """
+    seen = set()
+    out = []
+    for p in parts:
+        if p.dims not in seen:
+            seen.add(p.dims)
+            out.append(p)
     return out
 
 

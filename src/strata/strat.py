@@ -27,6 +27,7 @@ from .repcat import (
     Rep,
     decompose,
     direct_sum,
+    distinct_summands,
     end_dim,
     ext1_dim,
     hom_dim,
@@ -374,32 +375,22 @@ def _hom_category_image(cpres: PerpPresentation, m: Rep, j: int) -> Rep:
     return z
 
 
-def verify_jordan_holder(
-    q: Quiver, bound: int, seed: int = 0, field: Field = QQ, threads: int = 1
-) -> dict:
+def verify_jordan_holder(q: Quiver, bound: int, seed: int = 0, field: Field = QQ) -> dict:
     """Stratify along every complete exceptional sequence and compare factors.
 
     The composition-series statement: every chain has length n and factor
     multiset equal to the endomorphism rings of the n simples. Roots the
     enumeration could not settle are reported as warnings, never silently
-    dropped. Each stratification is an independent pure computation, so
-    threads > 1 farms them out; the report is assembled in sequence order
-    either way.
+    dropped.
     """
     seqs, unresolved = enumerate_complete_exceptional_sequences(
         q, field, bound, seed=seed
     )
     expected = sorted(f.division_ring_dim for f in endo_rings_of_simples(q, field))
-    if threads > 1 and len(seqs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(lambda s: stratify_along_sequence(q, s), seqs))
-    else:
-        built = [stratify_along_sequence(q, s) for s in seqs]
     chains = []
     all_ok = True
-    for chain in built:
+    for s in seqs:
+        chain = stratify_along_sequence(q, s)
         ok = chain.length == q.n and sorted(chain.factor_dims()) == expected
         all_ok = all_ok and ok
         chains.append(chain.report())
@@ -427,12 +418,7 @@ def verify_ringel_tilting(q: Quiver, T: Rep) -> dict:
     if not is_tilting_module(T):
         raise ValueError("module is not tilting")
     coresolution_ok = tilting_coresolution(T).verify()
-    parts = decompose(T)
-    distinct = []
-    for p in parts:
-        if not any(is_isomorphic(p, d) for d in distinct):
-            distinct.append(p)
-    summand_dims = sorted(end_dim(d) for d in distinct)
+    summand_dims = sorted(end_dim(d) for d in distinct_summands(decompose(T)))
     simple_dims = sorted(
         f.division_ring_dim for f in endo_rings_of_simples(q, T.field)
     )

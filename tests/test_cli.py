@@ -1,7 +1,7 @@
 """End-to-end command-line tests via subprocess."""
 
+import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -41,15 +41,11 @@ dims 1 0
 """
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "strata.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -254,23 +250,29 @@ def test_machine_output_is_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
-def test_thread_count_does_not_change_output(tmp_path):
-    path = write(tmp_path, "a3.quiver", A3)
-    one = run_cli("jh-verify", path, "--bound", "3", "--json", "--threads", "1")
-    two = run_cli("jh-verify", path, "--bound", "3", "--json", "--threads", "2")
-    assert one.returncode == two.returncode == 0
-    assert one.stdout == two.stdout
+# SHA-256 of `jh-verify --json --seed 1` stdout, pinned so that changes to
+# the perpendicular-category machinery cannot alter the report bytes.
+JH_GOLDENS = [
+    ("a4.quiver",
+     "field Q\nvertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\n",
+     ["--bound", "4"],
+     "f1bd5f884d2257187f02c9572367176b23eed945e4efde23bf8eb15d2281668b"),
+    ("d4.quiver",
+     "field Q\nvertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n",
+     ["--prime", "3", "--bound", "5"],
+     "a4d761ec52f1b89def78944e98ccbb6166de102b026a16538b129bfba98eefca"),
+    ("kr.quiver", KRONECKER, ["--bound", "5"],
+     "ce51b58fb3e28112fc62840fd5b8dfa245bd5fbd5fd7b792b3689ebd22c80d29"),
+]
 
 
-def test_threads_env_fallback(tmp_path):
-    path = write(tmp_path, "a2.quiver", A2)
-    r = run_cli("jh-verify", path, "--bound", "2", "--json",
-                env_extra={"STRATA_THREADS": "2"})
-    assert r.returncode == 0
-    plain = run_cli("jh-verify", path, "--bound", "2", "--json")
-    assert r.stdout == plain.stdout
-    bad = run_cli("jh-verify", path, env_extra={"STRATA_THREADS": "soon"})
-    assert bad.returncode == 2
+@pytest.mark.parametrize("name,text,flags,digest", JH_GOLDENS,
+                         ids=[g[0] for g in JH_GOLDENS])
+def test_jh_verify_json_golden(tmp_path, name, text, flags, digest):
+    path = write(tmp_path, name, text)
+    r = run_cli("jh-verify", path, "--json", "--seed", "1", *flags)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == digest
 
 
 def test_hash_ignores_comments_and_whitespace(tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from strata.exactlin import GF, QQ, Mat
-from strata.quiver import Quiver, kronecker_quiver, linear_quiver
+from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import (
     Rep,
     decompose,
@@ -35,6 +35,7 @@ from helpers import random_rep
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
 KR = kronecker_quiver()
+D4 = Quiver(4, (Arrow("a", 1, 4), Arrow("b", 2, 4), Arrow("c", 3, 4)))
 
 
 def kronecker_regular(field, lam):
@@ -187,10 +188,60 @@ def test_perp_of_kronecker_simple():
 
 
 def test_perp_rejects_non_exceptional():
-    with pytest.raises(ValueError, match="exceptional"):
-        perp_algebra(kronecker_regular(QQ, 1))
-    with pytest.raises(ValueError, match="exceptional"):
-        perp_algebra(direct_sum([simple(A2, QQ, 1), simple(A2, QQ, 2)]))
+    # twice each: a rejected input must not be memoized
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceptional"):
+            perp_algebra(kronecker_regular(QQ, 1))
+        with pytest.raises(ValueError, match="exceptional"):
+            perp_algebra(direct_sum([simple(A2, QQ, 1), simple(A2, QQ, 2)]))
+
+
+def test_perp_and_transport_memos_return_the_same_objects():
+    x = simple(A3, QQ, 1)
+    pres = perp_algebra(x)
+    assert perp_algebra(Rep(A3, QQ, x.dims, x.maps)) is pres
+    y = projective(A3, QQ, 3)
+    z = transport_into_perp(pres, y)
+    assert transport_into_perp(pres, Rep(A3, QQ, y.dims, y.maps)) is z
+
+
+# (quiver, field, bound, dimension vectors left out). Decomposing the whole
+# Bongartz complement of the Kronecker exceptional (3, 2) takes about two
+# minutes, so the oracle leaves that one module out.
+WHOLE_COMPLEMENT_CASES = [
+    (A3, QQ, 3, ()),
+    (D4, GF(3), 5, ()),
+    (KR, QQ, 5, ((3, 2),)),
+]
+
+
+@pytest.mark.parametrize("q,field,bound,left_out", WHOLE_COMPLEMENT_CASES,
+                         ids=["A3", "D4-F3", "Kronecker"])
+def test_perp_algebra_matches_whole_complement(q, field, bound, left_out):
+    """Oracle: decompose the universal extension against the whole free
+    module and dedup by isomorphism; perp_algebra must store the same
+    summands in the same order, and its quiver must count their Homs."""
+    from strata.exceptional import enumerate_exceptional
+
+    A = free_module(q, field)
+    for x in enumerate_exceptional(q, field, bound).reps:
+        if x.dims in left_out:
+            continue
+        c, ses = universal_extension(x, A)
+        pres = perp_algebra(x)
+        if c == 0:
+            assert pres.branch == "projective"
+            continue
+        old = []
+        for p in decompose(ses.middle):
+            if not any(is_isomorphic(p, d) for d in old):
+                old.append(p)
+        assert [p.dims for p in pres.projectives_in_ambient] == [d.dims for d in old]
+        bq = pres.algebra_quiver
+        for j in bq.vertices():
+            counts = bq.path_counts_from(j)
+            for jp in bq.vertices():
+                assert counts[jp - 1] == hom_dim(old[jp - 1], old[j - 1]), (x.dims, j, jp)
 
 
 def test_perp_algebra_has_one_vertex_fewer():
@@ -224,8 +275,9 @@ def test_transport_restriction_branch():
 
 def test_transport_rejects_non_perpendicular():
     pres = perp_algebra(simple(A3, QQ, 1))
-    with pytest.raises(ValueError, match="perpendicular"):
-        transport_into_perp(pres, projective(A3, QQ, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="perpendicular"):
+            transport_into_perp(pres, projective(A3, QQ, 2))
 
 
 def test_lift_then_transport_round_trip():

@@ -170,6 +170,17 @@ def test_verify_jordan_holder_kronecker_low_bound():
     assert report["pass"] is True
 
 
+def test_verify_jordan_holder_d5_sequence_count():
+    """D_5 has n! h^n / |W| = 5! 8^5 / (2^4 5!) = 2048 complete sequences,
+    all of whose roots have total dimension at most h - 1 = 7."""
+    d5 = Quiver(5, (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 4),
+                    Arrow("d", 3, 5)))
+    report = verify_jordan_holder(d5, 7, field=GF(3))
+    assert report["sequence_count"] == 2048
+    assert report["pass"] is True
+    assert report["warnings"] == []
+
+
 def test_verify_jordan_holder_over_prime_field():
     report = verify_jordan_holder(A2, 2, field=GF(3))
     assert report["sequence_count"] == 3
