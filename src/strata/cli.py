@@ -108,6 +108,8 @@ def _dims_set(text_dims) -> str:
 
 def _run(args):
     verb = args.verb
+    if args.bound < 1:
+        raise UsageError(f"--bound must be at least 1, got {args.bound}")
     if verb == "kronecker-demo":
         if args.input is not None:
             raise UsageError("kronecker-demo takes no input file")

@@ -1,18 +1,22 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Matrices are immutable, row-major and remember their field. Everything is
-computed exactly: rational work is fraction-free Bareiss elimination on
-denominator-cleared integer rows (back-substitution in Fractions), prime
-field work is Gaussian elimination with modular inverses. The pivot rule is
-deterministic (first nonzero entry in column order), so ranks, kernels and
-solutions are reproducible across runs and platforms.
+computed exactly by one sparse Gauss-Jordan elimination on rows kept as
+{column: int} dicts: over the rationals each row is cleared of
+denominators and divided by the gcd of its entries after every update, so
+the integers stay small; over F_p each pivot is scaled to 1. Kernels and
+solutions are read straight off the reduced rows, one Fraction per output
+entry. A row's pivot is its smallest column, so the pivot columns, the
+reduced-echelon kernel basis and the solution with free variables at zero
+do not depend on the elimination order: results are reproducible across
+runs and platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _PRIME_LIMIT = 2 ** 31
 
@@ -107,9 +111,6 @@ class Field:
             return 1 / a
         return pow(a, self.characteristic - 2, self.characteristic)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -140,83 +141,105 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-def _clear_denominators(row):
-    """Scale a row of Fractions to integers (does not change row space)."""
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (lcm // x.denominator) for x in row]
+def _cleared(values):
+    """(ints, d) with values[i] == ints[i] / d, for a sequence of Fractions."""
+    nums = [x.numerator for x in values]
+    den = lcm(*[values[i].denominator for i, x in enumerate(nums) if x])
+    if den != 1:
+        nums = [x * (den // y.denominator) for x, y in zip(nums, values)]
+    return nums, den
 
 
-def _echelon_bareiss(rows, pivot_cols_limit):
-    """Fraction-free forward elimination on integer rows.
+def _sparse_rows(field: Field, rows):
+    """Rows of field elements as {col: int} dicts of their nonzero entries.
 
-    Returns (rows, pivots) where pivots is the list of pivot column indices
-    in order; rows is in (non-reduced) echelon form. Only columns below
-    pivot_cols_limit may host pivots.
+    Over the rationals each row is scaled to coprime integers, which does
+    not change the row space.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(min(n, pivot_cols_limit) if pivot_cols_limit is not None else n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    out = []
+    for r in rows:
+        if field.is_rational:
+            row = {j: x for j, x in enumerate(_cleared(r)[0]) if x}
+            if row:
+                _make_primitive(row)
+        else:
+            row = {j: x for j, x in enumerate(r) if x}
+        out.append(row)
+    return out
 
 
-def _echelon_mod(rows, p, pivot_cols_limit):
-    """Forward elimination mod p with unit pivots."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(min(n, pivot_cols_limit) if pivot_cols_limit is not None else n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] % p != 0:
-                pr = i
-                break
-        if pr is None:
+def _make_primitive(row):
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _eliminate(v, r, c, p):
+    """Clear column c of row v with pivot row r, in place.
+
+    Over F_p (p > 0) the pivot r[c] is 1; over the rationals v is scaled by
+    an integer first and made primitive afterwards.
+    """
+    b = v[c]
+    if p:
+        for j, x in r.items():
+            y = (v.get(j, 0) - b * x) % p
+            if y:
+                v[j] = y
+            else:
+                del v[j]
+        return
+    a = r[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, x in r.items():
+        y = v.get(j, 0) - b * x
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+    if v:
+        _make_primitive(v)
+
+
+def _reduce(rows, p, full, limit=None):
+    """Sparse Gauss-Jordan elimination of integer rows over QQ (p = 0) or F_p.
+
+    Rows are {col: int} dicts and are consumed. A row's pivot is its
+    smallest column, so the pivot columns are the leading columns of the
+    row space whatever the order of the rows. Returns {pivot column: row};
+    with full=True every row is zero at every other pivot column (reduced
+    echelon form up to row scaling), otherwise only below its own pivot.
+    Returns None as soon as a row has no entry left before column `limit`.
+    """
+    piv = {}
+    for v in rows:
+        if full:
+            for c in [c for c in v if c in piv]:
+                _eliminate(v, piv[c], c, p)
+        else:
+            while v and (c := min(v)) in piv:
+                _eliminate(v, piv[c], c, p)
+        if not v:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(r + 1, m):
-            f = rows[i][c] % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+        c = min(v)
+        if limit is not None and c >= limit:
+            return None
+        if p and v[c] != 1:
+            inv = pow(v[c], p - 2, p)
+            for j in v:
+                v[j] = v[j] * inv % p
+        if full:
+            for r in piv.values():
+                if c in r:
+                    _eliminate(r, v, c, p)
+        piv[c] = v
+    return piv
 
 
 class Mat:
@@ -237,19 +260,33 @@ class Mat:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
 
+    @classmethod
+    def _make(cls, field: Field, rows: int, cols: int, entries: tuple) -> "Mat":
+        """Internal constructor for a tuple of entries already in canonical form."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._make(field, rows, cols, (field.zero,) * (rows * cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
         ent = [field.zero] * (n * n)
         for i in range(n):
             ent[i * n + i] = field.one
-        return cls(field, n, n, ent)
+        return cls._make(field, n, n, tuple(ent))
 
     @classmethod
     def from_rows(cls, field: Field, row_lists) -> "Mat":
@@ -306,11 +343,11 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         f = self.field
-        return Mat(
+        return Mat._make(
             f,
             self.rows,
             self.cols,
-            [f.add(a, b) for a, b in zip(self.entries, other.entries)],
+            tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def sub(self, other: "Mat") -> "Mat":
@@ -318,21 +355,21 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sub")
         f = self.field
-        return Mat(
+        return Mat._make(
             f,
             self.rows,
             self.cols,
-            [f.sub(a, b) for a, b in zip(self.entries, other.entries)],
+            tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def neg(self) -> "Mat":
         f = self.field
-        return Mat(f, self.rows, self.cols, [f.neg(a) for a in self.entries])
+        return Mat._make(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
 
     def scale(self, c) -> "Mat":
         f = self.field
         c = f.coerce(c)
-        return Mat(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])
+        return Mat._make(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
     def mul(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
@@ -341,30 +378,32 @@ class Mat:
                 f"shape mismatch in mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        p = f.characteristic
-        out = [f.zero] * (self.rows * other.cols)
+        n, k = self.cols, other.cols
+        if f.is_rational:
+            (a, da), (b, db) = _cleared(self.entries), _cleared(other.entries)
+        else:
+            a, da, b, db = self.entries, 1, other.entries, 1
+        b_rows = [[(j, x) for j, x in enumerate(b[t * k : (t + 1) * k]) if x] for t in range(n)]
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                if p:
-                    for j in range(other.cols):
-                        out[rbase + j] = (out[rbase + j] + a * other.entries[obase + j]) % p
-                else:
-                    for j in range(other.cols):
-                        out[rbase + j] = out[rbase + j] + a * other.entries[obase + j]
-        return Mat(f, self.rows, other.cols, out)
+            acc = [0] * k
+            for t, x in enumerate(a[i * n : (i + 1) * n]):
+                if x:
+                    for j, y in b_rows[t]:
+                        acc[j] += x * y
+            out.extend(acc)
+        p = f.characteristic
+        if p:
+            ent = tuple(s % p for s in out)
+        else:
+            zero, den = f.zero, da * db
+            ent = tuple(Fraction(s, den) if s else zero for s in out)
+        return Mat._make(f, self.rows, k, ent)
 
     def transpose(self) -> "Mat":
-        out = []
-        for j in range(self.cols):
-            for i in range(self.rows):
-                out.append(self.entries[i * self.cols + j])
-        return Mat(self.field, self.cols, self.rows, out)
+        c = self.cols
+        ent = tuple(x for j in range(c) for x in self.entries[j::c])
+        return Mat._make(self.field, c, self.rows, ent)
 
     def hstack(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
@@ -374,13 +413,13 @@ class Mat:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return Mat(self.field, self.rows, self.cols + other.cols, out)
+        return Mat._make(self.field, self.rows, self.cols + other.cols, tuple(out))
 
     def vstack(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Mat(
+        return Mat._make(
             self.field, self.rows + other.rows, self.cols, self.entries + other.entries
         )
 
@@ -389,18 +428,13 @@ class Mat:
 
     # --- elimination-backed operations ---
 
-    def _echelon(self, pivot_cols_limit=None):
-        """Echelon form usable for back-substitution: (rows, pivots)."""
-        if self.rows == 0 or self.cols == 0:
-            return [], []
-        if self.field.is_rational:
-            rows = [_clear_denominators(list(self.row(i))) for i in range(self.rows)]
-            return _echelon_bareiss(rows, pivot_cols_limit)
-        rows = [list(self.row(i)) for i in range(self.rows)]
-        return _echelon_mod(rows, self.field.characteristic, pivot_cols_limit)
+    def _echelon(self, full=False):
+        """{pivot column: integer row} of the rows; see `_reduce` for `full`."""
+        rows = _sparse_rows(self.field, (self.row(i) for i in range(self.rows)))
+        return _reduce(rows, self.field.characteristic, full)
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._echelon())
 
     def cokernel_dim(self) -> int:
         """Dimension of the cokernel of this matrix as a linear map."""
@@ -414,27 +448,18 @@ class Mat:
         """
         f = self.field
         n = self.cols
-        if n == 0:
-            return []
-        if self.rows == 0:
-            return [Mat.column(f, [f.one if i == j else f.zero for i in range(n)]) for j in range(n)]
-        rows, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        basis = []
+        piv = self._echelon(full=True)
+        free = [j for j in range(n) if j not in piv]
+        vecs = {fc: [f.zero] * n for fc in free}
         for fc in free:
-            x = [f.zero] * n
-            x[fc] = f.one
-            for r in range(len(pivots) - 1, -1, -1):
-                c = pivots[r]
-                s = f.zero
-                row = rows[r]
-                for j in range(c + 1, n):
-                    if x[j] != 0 and row[j] != 0:
-                        s = f.add(s, f.mul(f.coerce(row[j]), x[j]))
-                x[c] = f.neg(f.div(s, f.coerce(row[c])))
-            basis.append(Mat.column(f, x))
-        return basis
+            vecs[fc][fc] = f.one
+        p = f.characteristic
+        for c, row in piv.items():
+            a = row[c]
+            for j, x in row.items():
+                if j != c:
+                    vecs[j][c] = (-x) % p if p else Fraction(-x, a)
+        return [Mat._make(f, n, 1, tuple(vecs[fc])) for fc in free]
 
     def solve(self, b: "Mat"):
         """One exact solution of self @ x = b, or None if inconsistent.
@@ -444,8 +469,7 @@ class Mat:
         self._check_same_field(b)
         if b.rows != self.rows or b.cols != 1:
             raise ValueError("solve expects a column vector matching the row count")
-        sol = self.solve_matrix(b)
-        return sol
+        return self.solve_matrix(b)
 
     def solve_matrix(self, B: "Mat"):
         """Solve self @ X = B columnwise; None if any column is inconsistent."""
@@ -453,30 +477,19 @@ class Mat:
         if B.rows != self.rows:
             raise ValueError("row mismatch in solve")
         f = self.field
-        n = self.cols
-        aug = self.hstack(B)
-        rows, pivots = aug._echelon(pivot_cols_limit=n)
-        # consistency: no nonzero residue in the B block below the pivots
-        for i in range(len(pivots), len(rows)):
-            if any(x != 0 for x in rows[i][n:]):
-                return None
-        cols_out = []
-        for bc in range(B.cols):
-            x = [f.zero] * n
-            for r in range(len(pivots) - 1, -1, -1):
-                c = pivots[r]
-                row = rows[r]
-                s = f.coerce(row[n + bc])
-                for j in range(c + 1, n):
-                    if x[j] != 0 and row[j] != 0:
-                        s = f.sub(s, f.mul(f.coerce(row[j]), x[j]))
-                x[c] = f.div(s, f.coerce(row[c]))
-            cols_out.append(x)
-        out = []
-        for i in range(n):
-            for xcol in cols_out:
-                out.append(xcol[i])
-        return Mat(f, n, B.cols, out)
+        p = f.characteristic
+        n, k = self.cols, B.cols
+        rows = _sparse_rows(f, (self.row(i) + B.row(i) for i in range(self.rows)))
+        piv = _reduce(rows, p, True, limit=n)
+        if piv is None:
+            return None
+        out = [f.zero] * (n * k)
+        for c, row in piv.items():
+            a = row[c]
+            for j, x in row.items():
+                if j >= n:
+                    out[c * k + j - n] = x if p else Fraction(x, a)
+        return Mat._make(f, n, k, tuple(out))
 
     def column_space_pivot_rows(self):
         """Row indices where the column space has its echelon pivots.
@@ -484,7 +497,7 @@ class Mat:
         The complementary rows index a basis of the cokernel: unit vectors
         there complete the column space to the full target.
         """
-        return tuple(self.transpose()._echelon()[1])
+        return tuple(sorted(self.transpose()._echelon()))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -58,7 +58,7 @@ _TRANSPORT_MEMO_SIZE = 8192
 
 def _column_basis(m: Mat) -> Mat:
     """The pivot columns of m: a deterministic basis of its column space."""
-    _, pivots = m._echelon()
+    pivots = sorted(m._echelon())
     f = m.field
     ent = []
     for i in range(m.rows):

@@ -308,7 +308,7 @@ def _hom_system(M: Rep, N: Rep):
         # coefficient of f_u[s, j] is -N_a[i, s]
         for s in range(N.dim(u)):
             ent[base + col_off[u - 1] + s * M.dim(u) + j] = f.neg(Na.entry(i, s))
-    A = Mat(f, len(row_index), total_cols, ent)
+    A = Mat._make(f, len(row_index), total_cols, tuple(ent))
     return A, row_index, col_off
 
 
@@ -322,9 +322,7 @@ def hom_space(M: Rep, N: Rep):
         for v in M.quiver.vertices():
             rows, cols = N.dim(v), M.dim(v)
             off = col_off[v - 1]
-            blocks.append(
-                Mat(f, rows, cols, [x.entry(off + k, 0) for k in range(rows * cols)])
-            )
+            blocks.append(Mat._make(f, rows, cols, x.entries[off : off + rows * cols]))
         out.append(RepMap(M, N, blocks))
     return out
 
@@ -463,10 +461,8 @@ def kernel_rep(f: RepMap):
     bases = []
     for v in M.quiver.vertices():
         cols = f.block(v).kernel_basis()
-        b = Mat.zeros(fld, M.dim(v), 0)
-        for c in cols:
-            b = b.hstack(c)
-        bases.append(b)
+        ent = [c.entries[i] for i in range(M.dim(v)) for c in cols]
+        bases.append(Mat(fld, M.dim(v), len(cols), ent))
     kdims = [b.cols for b in bases]
     kmaps = []
     for ai, a in enumerate(M.quiver.arrows):
@@ -1039,6 +1035,8 @@ def parse_rep_blocks(field: Field, quiver: Quiver, rep_lines):
                     dims = [int(x) for x in t[1:]]
                 except ValueError:
                     raise ParseError("dimensions must be integers", lno) from None
+                if any(d < 0 for d in dims):
+                    raise ParseError("dimensions must be non-negative", lno)
             elif t[0] == "map":
                 if dims is None:
                     raise ParseError("map before dims", lno)

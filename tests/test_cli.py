@@ -299,6 +299,15 @@ def test_prime_flag_rejects_composite(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_bound_below_one_is_usage_error(tmp_path, capsys, bound):
+    path = write(tmp_path, "a2.quiver", A2)
+    assert cli.main(["exc-enum", path, "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound must be at least 1" in captured.err
+
+
 def test_unknown_verb_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from strata.exactlin import GF, QQ, Field, Mat
 
@@ -171,3 +174,137 @@ def test_bareiss_avoids_fraction_blowup():
     assert 0 <= r <= 12
     kb = m.kernel_basis()
     assert r + len(kb) == 12
+
+
+# --- property tests against sympy and a naive dense reference ---
+
+FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+@st.composite
+def _block(draw, field, rows, cols):
+    """rows * cols field elements drawn from fractions a/d, |a| <= 4, d <= 3."""
+    p = field.characteristic
+    dens = [d for d in (1, 2, 3) if p == 0 or d % p]
+    entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(dens))
+    ent = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    if draw(st.booleans()):  # sparse: keep about a quarter of the entries
+        keep = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+        ent = [x if k == 0 else 0 for x, k in zip(ent, keep)]
+    return [field.coerce(x) for x in ent]
+
+
+@st.composite
+def matrices(draw):
+    """(field, rows, cols, entries) up to 8x8: dense, sparse, or a product of
+    two sparse factors through at most 4 dimensions (low rank)."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 4))
+        a, b = draw(_block(field, rows, k)), draw(_block(field, k, cols))
+        return field, rows, cols, _naive_mul(field, a, b, rows, k, cols)
+    return field, rows, cols, draw(_block(field, rows, cols))
+
+
+def _naive_mul(field, a, b, rows, inner, cols):
+    p = field.characteristic
+    out = [sum((Fraction(a[i * inner + t]) * b[t * cols + j] for t in range(inner)), Fraction(0))
+           for i in range(rows) for j in range(cols)]
+    return [int(x) % p for x in out] if p else out
+
+
+def _naive_rank(field, rows):
+    """Dense row reduction on Fractions, or on ints mod p."""
+    p = field.characteristic
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        piv = rows[rank]
+        inv = pow(piv[c], p - 2, p) if p else 1 / piv[c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(rows[i], piv)]
+        rank += 1
+    return rank
+
+
+def _sympy_reduced(field, rows, cols, ent):
+    """(rank, pivot columns, reduced-echelon kernel basis) computed by sympy."""
+    if field.is_rational:
+        m = sympy.Matrix(rows, cols, ent)
+        kernel = [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in m.nullspace()]
+        return m.rank(), tuple(m.rref()[1]), kernel
+    p = field.characteristic
+    gf = sympy.GF(p)
+    dm = DomainMatrix(
+        [[gf(x) for x in ent[i * cols:(i + 1) * cols]] for i in range(rows)], (rows, cols), gf
+    )
+    reduced, pivots = dm.rref()
+    red = reduced.to_Matrix()
+    kernel = []
+    for fc in (j for j in range(cols) if j not in pivots):
+        x = [0] * cols
+        x[fc] = 1
+        for r, c in enumerate(pivots):
+            x[c] = int(-red[r, fc]) % p
+        kernel.append(tuple(x))
+    return len(pivots), tuple(pivots), kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_sympy(drawn):
+    field, rows, cols, ent = drawn
+    m = Mat(field, rows, cols, ent)
+    rank, pivots, kernel = _sympy_reduced(field, rows, cols, ent)
+    assert m.rank() == rank
+    basis = m.kernel_basis()
+    assert [b.col(0) for b in basis] == kernel
+    free = [j for j in range(cols) if j not in pivots]
+    for fc, b in zip(free, basis):
+        assert [b.entry(j, 0) for j in free] == [field.one if j == fc else field.zero for j in free]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(0, 3), st.booleans(), st.data())
+def test_solve_matrix_matches_sympy(drawn, k, consistent, data):
+    field, rows, cols, ent = drawn
+    if consistent:
+        rhs = _naive_mul(field, ent, data.draw(_block(field, cols, k)), rows, cols, k)
+    else:
+        rhs = data.draw(_block(field, rows, k))
+    x = Mat(field, rows, cols, ent).solve_matrix(Mat(field, rows, k, rhs))
+    rank, pivots, _ = _sympy_reduced(field, rows, cols, ent)
+    aug = [y for i in range(rows) for y in ent[i * cols:(i + 1) * cols] + rhs[i * k:(i + 1) * k]]
+    solvable = _sympy_reduced(field, rows, cols + k, aug)[0] == rank
+    assert (x is not None) == solvable
+    if x is None:
+        return
+    assert (x.rows, x.cols) == (cols, k)
+    assert _naive_mul(field, ent, x.entries, rows, cols, k) == rhs
+    free = [j for j in range(cols) if j not in pivots]
+    assert all(x.entry(j, c) == 0 for j in free for c in range(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_column_space_pivot_rows_match_naive(drawn):
+    field, rows, cols, ent = drawn
+    row_lists = [ent[i * cols:(i + 1) * cols] for i in range(rows)]
+    want = tuple(i for i in range(rows)
+                 if _naive_rank(field, row_lists[:i + 1]) > _naive_rank(field, row_lists[:i]))
+    assert Mat(field, rows, cols, ent).column_space_pivot_rows() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_mul_matches_naive(field, rows, inner, cols, data):
+    a = data.draw(_block(field, rows, inner))
+    b = data.draw(_block(field, inner, cols))
+    got = Mat(field, rows, inner, a).mul(Mat(field, inner, cols, b))
+    assert list(got.entries) == _naive_mul(field, a, b, rows, inner, cols)

@@ -318,6 +318,9 @@ def test_parse_rep_blocks_errors():
     assert bad("rep\ndims 1 1\nmap a 1 2\n").line == 5  # entry count
     assert bad("rep\ndims 1 1\n").line == 3  # missing map line
     assert bad("rep\ndims 1 1\nmap a 1\nmap a 1\n").line == 6  # duplicate
+    negative = bad("rep\ndims -1 2\n")
+    assert negative.line == 4
+    assert "dimensions must be non-negative" in str(negative)
 
 
 def test_zero_rep_edge_cases():
