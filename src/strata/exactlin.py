@@ -51,19 +51,23 @@ class Field:
     """The scalar field: the rationals if characteristic 0, else F_p.
 
     Scalars are plain `Fraction` values over the rationals and plain ints in
-    [0, p) over a prime field; `coerce` normalizes anything else.
+    [0, p) over a prime field; `coerce` normalizes anything else. `zero` and
+    `one` are attributes made once per Field and shared by every caller,
+    which is safe because scalars are immutable.
     """
 
     characteristic: int = 0
 
     def __post_init__(self):
         p = self.characteristic
-        if p == 0:
-            return
         if p >= _PRIME_LIMIT:
             raise ValueError(f"prime field characteristic {p} exceeds 2^31")
-        if not _is_prime(p):
+        if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
+        # set here rather than cached on first use: a later write to the
+        # instance dict slows every other attribute read of the Field
+        object.__setattr__(self, "zero", Fraction(0) if p == 0 else 0)
+        object.__setattr__(self, "one", Fraction(1) if p == 0 else 1)
 
     @property
     def is_rational(self) -> bool:
@@ -83,14 +87,6 @@ class Field:
         if isinstance(x, int):
             return x % self.characteristic
         raise TypeError(f"cannot coerce {x!r} into F_{self.characteristic}")
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
 
     def add(self, a, b):
         return a + b if self.characteristic == 0 else (a + b) % self.characteristic

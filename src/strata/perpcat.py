@@ -34,6 +34,7 @@ from .repcat import (
     Rep,
     RepMap,
     ShortExactSeq,
+    _span_dim,
     cokernel_rep,
     coordinates_in_hom_basis,
     decompose,
@@ -261,7 +262,7 @@ def _rad_square_span(parts, hom_tables, j: int, jp: int):
     return span
 
 
-def hom_category_presentation(parts, field: Field):
+def hom_category_presentation(parts):
     """Quiver and arrow generators of the Hom category of ordered summands.
 
     Vertex t stands for parts[t-1]; an arrow j -> j' carries a generator in
@@ -282,9 +283,9 @@ def hom_category_presentation(parts, field: Field):
                 continue
             span = _rad_square_span(parts, hom_tables, j - 1, jp - 1)
             picked = []
-            have = _stack_rank(field, span)
+            have = _span_dim(span)
             for f in basis:
-                r = _stack_rank(field, span + picked + [f])
+                r = _span_dim(span + picked + [f])
                 if r > have:
                     picked.append(f)
                     have = r
@@ -302,12 +303,6 @@ def hom_category_presentation(parts, field: Field):
                     f"{counts[jp - 1]} paths {j}->{jp} against Hom dimension {want}"
                 )
     return quiver, tuple(generators)
-
-
-def _stack_rank(field: Field, maps) -> int:
-    if not maps:
-        return 0
-    return Mat.from_rows(field, [list(x.flatten()) for x in maps]).rank()
 
 
 @lru_cache(maxsize=_PERP_MEMO_SIZE)
@@ -368,7 +363,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     for d in distinct:
         if end_dim(d) != 1:
             raise AssertionError("Bongartz summand is not exceptional")
-    quiver, gens = hom_category_presentation(distinct, f)
+    quiver, gens = hom_category_presentation(distinct)
     return PerpPresentation(
         source=X,
         branch="bongartz",

@@ -11,10 +11,15 @@ has kernel Hom(M, N) and cokernel Ext^1(M, N); the path algebra of an
 acyclic quiver is hereditary, so there is nothing past Ext^1.
 
 Decomposition splits along coprime factors of minimal polynomials of
-endomorphisms and never guesses: a module is reported indecomposable only
-with a certificate (local endomorphism ring exhibited via a nilpotent
-ideal, or an exhaustive idempotent search over a small prime field), and
-`decompose` raises UndecidedError otherwise.
+endomorphisms and never guesses. A module is reported indecomposable only
+when its endomorphism ring is shown to be local: a nilpotent two-sided
+ideal R is exhibited with End/R of dimension 1, or of dimension deg f for
+an irreducible f whose power f^e is the minimal polynomial of some
+endomorphism theta met in the split search (then k[theta] fills End/R,
+which is a field). When no endomorphism splits and no certificate holds,
+a right identity of a left ideal {e : e_v(w) = 0} of End is a splitting
+idempotent if one exists, and over a small prime field an exhaustive
+search settles the rest; `decompose` raises UndecidedError otherwise.
 """
 
 from __future__ import annotations
@@ -424,36 +429,6 @@ def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> ShortExactSeq:
     return ShortExactSeq(sub=N, middle=E, quotient=M, include=include, project=project)
 
 
-def summand_inclusion(summands, i: int) -> RepMap:
-    """Inclusion of the i-th summand into direct_sum(summands)."""
-    total = direct_sum(summands)
-    f = total.field
-    blocks = []
-    for v in total.quiver.vertices():
-        off = sum(r.dim(v) for r in summands[:i])
-        d = summands[i].dim(v)
-        ent = [f.zero] * (total.dim(v) * d)
-        for k in range(d):
-            ent[(off + k) * d + k] = f.one
-        blocks.append(Mat(f, total.dim(v), d, ent))
-    return RepMap(summands[i], total, blocks)
-
-
-def summand_projection(summands, i: int) -> RepMap:
-    """Projection of direct_sum(summands) onto its i-th summand."""
-    total = direct_sum(summands)
-    f = total.field
-    blocks = []
-    for v in total.quiver.vertices():
-        off = sum(r.dim(v) for r in summands[:i])
-        d = summands[i].dim(v)
-        ent = [f.zero] * (d * total.dim(v))
-        for k in range(d):
-            ent[k * total.dim(v) + off + k] = f.one
-        blocks.append(Mat(f, d, total.dim(v), ent))
-    return RepMap(total, summands[i], blocks)
-
-
 def kernel_rep(f: RepMap):
     """The kernel subrepresentation: returns (K, inclusion K -> source)."""
     M = f.source
@@ -677,20 +652,10 @@ def _independent_subset(maps):
 
 def _nilpotent_ideal_certificate(basis, ideal):
     """Check span(ideal) is a nilpotent two-sided ideal of span(basis)."""
-    if not ideal:
-        return True
-    fld = ideal[0].source.field
-    vecs = [list(m.flatten()) for m in ideal]
-    length = len(vecs[0])
-    ent = []
-    for i in range(length):
-        for v in vecs:
-            ent.append(v[i])
-    membership = Mat(fld, length, len(vecs), ent)
     for r in ideal:
         for b in basis:
             for prod in (r.after(b), b.after(r)):
-                if membership.solve(Mat.column(fld, list(prod.flatten()))) is None:
+                if coordinates_in_hom_basis(prod, ideal) is None:
                     return False
     current = _independent_subset(ideal)
     while current:
@@ -713,89 +678,58 @@ def _pair_trace(x: RepMap, y: RepMap):
     return total
 
 
-def _is_irreducible(field: Field, coeffs) -> bool:
-    factors = _factor_poly(field, coeffs)
-    return len(factors) == 1 and factors[0][1] == 1
+def _radical_candidates(M: Rep, basis):
+    """Spans that may be the radical of End(M), each to be certified.
 
-
-def _quotient_field_certificate(M, basis, rad_elems, rng, tries):
-    """Certify End/rad is a field: commutative with a primitive element."""
+    First the kernel of the trace form, which is the radical in
+    characteristic 0. Then, when every basis element b has minimal
+    polynomial (t - lam)^e, the span of the b - lam; over a small prime the
+    trace form can be degenerate on a local ring with residue field k.
+    """
     fld = M.field
-    d = len(basis)
-    rad_vecs = [list(m.flatten()) for m in rad_elems]
-    basis_vecs = [list(m.flatten()) for m in basis]
-    length = len(basis_vecs[0])
-    if rad_elems:
-        rc_rows = [[vec[i] for vec in rad_vecs] for i in range(length)]
-        rad_span = Mat.from_rows(fld, rc_rows)
-    else:
-        rad_span = Mat(fld, length, 0, [])
-
-    def in_radical(m):
-        if not rad_elems:
-            return m.is_zero()
-        return rad_span.solve(Mat.column(fld, list(m.flatten()))) is not None
-
-    # complement basis: those End basis elements whose classes stay independent
-    comp = []
+    gram = Mat.from_rows(fld, [[_pair_trace(x, y) for y in basis] for x in basis])
+    yield [_combo(basis, list(c.entries)) for c in gram.kernel_basis()]
+    shifted = []
     for b in basis:
-        trial_vecs = rad_vecs + [list(x.flatten()) for x in comp] + [list(b.flatten())]
-        rows = [[vec[i] for vec in trial_vecs] for i in range(length)]
-        if Mat.from_rows(fld, rows).rank() == len(trial_vecs):
-            comp.append(b)
-    qdim = d - len(rad_elems)
-    if len(comp) != qdim:
-        return False
-    for x in comp:
-        for y in comp:
-            if not in_radical(x.after(y).sub(y.after(x))):
-                return False
-    # coordinates in End/rad: solve against [rad | comp], keep the comp part
-    all_vecs = rad_vecs + [list(x.flatten()) for x in comp]
-    rows = [[vec[i] for vec in all_vecs] for i in range(length)]
-    full = Mat.from_rows(fld, rows)
+        factors = _factor_poly(fld, _minpoly_of_endo(b))
+        if len(factors) != 1 or len(factors[0][0]) != 2:
+            return
+        shifted.append(b.sub(identity_map(M).scale(fld.neg(factors[0][0][0]))))
+    yield _independent_subset(shifted)
 
-    def reduce_coords(m):
-        sol = full.solve(Mat.column(fld, list(m.flatten())))
-        if sol is None:
-            raise AssertionError("endomorphism outside its own algebra")
-        return [sol.entry(len(rad_elems) + i, 0) for i in range(qdim)]
 
-    def lift(coords):
-        return _combo(comp, coords)
+def _left_ideal_idempotent(M: Rep, basis):
+    """A splitting idempotent read off a left ideal of End(M), or None.
 
-    candidates = list(comp)
-    for _ in range(tries):
-        if fld.is_rational:
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(qdim)]
-        else:
-            coeffs = [rng.randrange(fld.characteristic) for _ in range(qdim)]
-        if any(c != 0 for c in coeffs):
-            candidates.append(_combo(comp, coeffs))
-    ident = identity_map(M)
-    for theta in candidates:
-        coords = [reduce_coords(ident)]
-        cur = lift(coords[0])
-        minpoly = None
-        for k in range(1, qdim + 1):
-            cur = lift(reduce_coords(cur.after(theta)))
-            ck = reduce_coords(cur)
-            ent = []
-            for i in range(qdim):
-                for prev in coords:
-                    ent.append(prev[i])
-            A = Mat(fld, qdim, k, ent)
-            x = A.solve(Mat.column(fld, ck))
-            if x is not None:
-                mp = [fld.neg(x.entry(i, 0)) for i in range(k)]
-                mp.append(fld.one)
-                minpoly = mp
-                break
-            coords.append(ck)
-        if minpoly is not None and len(minpoly) - 1 == qdim:
-            if _is_irreducible(fld, minpoly):
-                return True
-    return False
+    For a unit vector w of some M_v, L = {e : e_v(w) = 0} is a proper left
+    ideal. An x in L with l x = l for every l in L is a nontrivial
+    idempotent: x x = x since x is in L, x != 0 since L != 0, and x != 1
+    since x_v(w) = 0. Such an x exists when L is generated by an
+    idempotent, as for every w when End(M) is a full matrix ring (a
+    repeated summand with End = k), where random endomorphisms often have
+    irreducible minimal polynomials over Q and split nothing.
+    """
+    fld = M.field
+    for v in M.quiver.vertices():
+        for k in range(M.dim(v)):
+            # e_v(w) for the k-th unit vector w is column k of e's block at v
+            evals = Mat.from_rows(
+                fld, [[b.block(v).entry(i, k) for b in basis] for i in range(M.dim(v))]
+            )
+            ideal = [_combo(basis, list(c.entries)) for c in evals.kernel_basis()]
+            if not ideal:
+                continue
+            # x = sum_j c_j ideal[j]; one equation per entry of l_i x = l_i
+            prods = [[li.after(lj).flatten() for lj in ideal] for li in ideal]
+            rows, rhs = [], []
+            for li, row_prods in zip(ideal, prods):
+                for pos, value in enumerate(li.flatten()):
+                    rows.append([p[pos] for p in row_prods])
+                    rhs.append(value)
+            sol = Mat.from_rows(fld, rows).solve(Mat.column(fld, rhs))
+            if sol is not None:
+                return _combo(ideal, list(sol.entries))
+    return None
 
 
 def _exhaustive_idempotent(M, basis):
@@ -821,38 +755,22 @@ def _exhaustive_idempotent(M, basis):
 _EXHAUSTIVE_LIMIT = 2 ** 20
 
 
-def _certify_or_split(M, basis, rng, tries):
-    """True (certified indecomposable), a splitting idempotent, or None."""
-    fld = M.field
+def _certify_or_split(M, basis, top):
+    """True (certified indecomposable), a splitting idempotent, or None.
+
+    `top` is the largest degree of an irreducible f such that some
+    endomorphism theta has minimal polynomial f^e. If R is a nilpotent
+    ideal and dim End/R is 1 or deg f, then k[theta] fills End/R, which is
+    therefore the field k[t]/(f): R is the radical and End is local.
+    """
     d = len(basis)
-    gram = Mat.from_rows(
-        fld, [[_pair_trace(basis[i], basis[j]) for j in range(d)] for i in range(d)]
-    )
-    rad_coords = gram.kernel_basis()
-    rad = [_combo(basis, [c.entry(i, 0) for i in range(d)]) for c in rad_coords]
-    if _nilpotent_ideal_certificate(basis, rad):
-        if d - len(rad) == 1:
+    for rad in _radical_candidates(M, basis):
+        if d - len(rad) in (1, top) and _nilpotent_ideal_certificate(basis, rad):
             return True
-        if _quotient_field_certificate(M, basis, rad, rng, tries):
-            return True
-    else:
-        # trace form failed (possible over small primes); fall back to the
-        # scalar-plus-nilpotent pattern before giving up
-        shifted = []
-        for b in basis:
-            mp = _minpoly_of_endo(b)
-            factors = _factor_poly(fld, mp)
-            if len(factors) != 1 or len(factors[0][0]) != 2:
-                shifted = None
-                break
-            lam = fld.neg(factors[0][0][0])
-            shifted.append(b.sub(identity_map(M).scale(lam)))
-        if shifted is not None:
-            shifted = [s for s in shifted if not s.is_zero()]
-            if _span_dim(shifted) == d - 1 and _nilpotent_ideal_certificate(
-                basis, _independent_subset(shifted)
-            ):
-                return True
+    idem = _left_ideal_idempotent(M, basis)
+    if idem is not None:
+        return idem
+    fld = M.field
     if not fld.is_rational and fld.characteristic ** d <= _EXHAUSTIVE_LIMIT:
         return _exhaustive_idempotent(M, basis)
     return None
@@ -865,17 +783,19 @@ def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list):
     if len(basis) == 1:
         out.append(M)
         return
+    top = 1
     for e in _candidate_endos(basis, rng, M.field, tries):
         mp = _minpoly_of_endo(e)
         if len(mp) <= 2:
             continue
         factors = _factor_poly(M.field, mp)
-        if len(factors) < 2:
+        if len(factors) == 1:
+            top = max(top, len(factors[0][0]) - 1)
             continue
         for part in _split_along_endo(M, e, factors):
             _decompose_into(part, rng, tries, out)
         return
-    verdict = _certify_or_split(M, basis, rng, tries)
+    verdict = _certify_or_split(M, basis, top)
     if verdict is True:
         out.append(M)
         return

@@ -31,7 +31,6 @@ from .repcat import (
     end_dim,
     ext1_dim,
     hom_dim,
-    is_isomorphic,
     projective,
     simple,
 )
@@ -168,24 +167,19 @@ def endo_rings_of_simples(q: Quiver, field: Field = QQ) -> tuple:
 def standard_stratification(q: Quiver, field: Field = QQ) -> Chain:
     """Peel the smallest-labeled sink, stratum by stratum.
 
-    At a sink v the simple S_v is projective, so every step runs the
-    vertex-deletion branch of the perpendicular algebra and the factors are
-    the endomorphism rings of the peeled simples.
+    This is the chain of the sequence of simples (S_{v_n}, ..., S_{v_1}),
+    where v_1 is the smallest-labeled sink of q and v_{i+1} that of q with
+    v_1, ..., v_i deleted. At a sink v the simple S_v is projective, so
+    every step runs the vertex-deletion branch of the perpendicular
+    algebra and the factors are the endomorphism rings of the simples.
     """
-    algebras = [q]
-    factors = []
-    generators = []
+    order = []
     cur = q
-    while cur.n > 1:
+    while cur.n > 0:
         v = cur.smallest_labeled_sink()
-        x = projective(cur, field, v)
-        factors.append(FactorDescriptor(end_dim(x), f"End(S_{cur.label(v)})"))
-        generators.append(x)
-        cur = perp_algebra(x).algebra_quiver
-        algebras.append(cur)
-    s = simple(cur, field, 1)
-    factors.append(FactorDescriptor(end_dim(s), f"End(S_{cur.label(1)})"))
-    return Chain(tuple(algebras), tuple(factors), tuple(generators))
+        order.append(q.labels.index(cur.label(v)) + 1)
+        cur = cur.delete_vertex(v)
+    return stratify_along_sequence(q, [simple(q, field, v) for v in reversed(order)])
 
 
 def stratify_along_sequence(q: Quiver, sequence) -> Chain:
@@ -235,18 +229,16 @@ def _summand_presentation(x: Rep) -> tuple:
     The generator must be a multiplicity-free rigid sum of exceptionals
     whose summands order into an exceptional sequence.
     """
-    parts = decompose(x)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if is_isomorphic(parts[i], parts[j]):
-                raise ValueError("cut generator has a repeated summand")
     if ext1_dim(x, x) != 0:
         raise ValueError("cut generator is not rigid")
+    parts = decompose(x)
+    if len(distinct_summands(parts)) != len(parts):
+        raise ValueError("cut generator has a repeated summand")
     ordered = order_into_exceptional_sequence(parts)
     if ordered is None:
         raise ValueError("cut summands do not order into an exceptional sequence")
     members = tuple(ordered)
-    cq, gens = hom_category_presentation(list(members), x.field)
+    cq, gens = hom_category_presentation(list(members))
     cpres = PerpPresentation(
         source=x,
         branch="summands",

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from strata.exactlin import GF, QQ, Mat
 from strata.quiver import ParseError, kronecker_quiver, linear_quiver, parse_quiver_text
@@ -17,14 +18,11 @@ from strata.repcat import (
     extension_from_cocycle,
     hom_dim,
     hom_space,
-    identity_map,
     is_isomorphic,
     kernel_rep,
     parse_rep_blocks,
     projective,
     simple,
-    summand_inclusion,
-    summand_projection,
     zero_rep,
 )
 
@@ -161,13 +159,6 @@ def test_kernel_and_cokernel():
     assert is_isomorphic(k, s2)
 
 
-def test_summand_maps_compose_to_identity():
-    parts = [projective(A3, QQ, 1), simple(A3, QQ, 2)]
-    inc = summand_inclusion(parts, 1)
-    proj = summand_projection(parts, 1)
-    assert proj.after(inc) == identity_map(parts[1])
-
-
 def test_coordinates_round_trip():
     p1 = projective(K2, QQ, 1)
     m = direct_sum([p1, p1])
@@ -206,17 +197,52 @@ def test_decompose_indecomposable_with_nilpotent_end():
     assert parts[0].dims == (2, 2)
 
 
-def test_decompose_field_endomorphism_ring():
-    # the second arrow acts by a companion matrix of t^2 + 1: the rep is
-    # indecomposable over Q with End a quadratic field, but splits mod 5
-    comp = Mat(QQ, 2, 2, [0, -1, 1, 0])
-    m = Rep(K2, QQ, (2, 2), {"a": Mat.identity(QQ, 2), "b": comp})
-    assert end_dim(m) == 2
-    assert len(decompose(m)) == 1
-    f5 = GF(5)
-    m5 = Rep(K2, f5, (2, 2), {"a": Mat.identity(f5, 2), "b": Mat(f5, 2, 2, [0, -1, 1, 0])})
-    parts = decompose(m5)
-    assert [r.dims for r in parts] == [(1, 1), (1, 1)]
+_T = sympy.Symbol("t")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+@pytest.mark.parametrize(
+    "poly",
+    [
+        _T**2 + 1,
+        _T**2 + 2,
+        _T**2 + _T + 1,
+        _T**3 - 2,
+        (_T**2 + 1) ** 2,
+        (_T**2 + 1) * (_T - 1),
+    ],
+    ids=str,
+)
+def test_decompose_field_endomorphism_ring(field, poly):
+    # the Kronecker module (I, C_f), C_f the companion matrix of f, has
+    # End = k[t]/(f): one summand of dims (deg g^e, deg g^e) per distinct
+    # irreducible power g^e exactly dividing f
+    p = field.characteristic
+    coeffs = [field.coerce(int(c)) for c in sympy.Poly(poly, _T).all_coeffs()[::-1]]
+    n = len(coeffs) - 1
+    comp = Mat(
+        field,
+        n,
+        n,
+        [
+            field.neg(coeffs[i]) if j == n - 1 else field.one if i == j + 1 else field.zero
+            for i in range(n)
+            for j in range(n)
+        ],
+    )
+    m = Rep(K2, field, (n, n), {"a": Mat.identity(field, n), "b": comp})
+    assert end_dim(m) == n
+    ref = sympy.Poly(poly, _T, modulus=p) if p else sympy.Poly(poly, _T, domain="QQ")
+    degrees = sorted(g.degree() * e for g, e in ref.factor_list()[1])
+    assert [r.dims for r in decompose(m)] == [(d, d) for d in degrees]
+
+
+def test_decompose_repeated_summand_over_rationals():
+    # a base change of P1 + P1 + P1 whose random endomorphisms have
+    # irreducible minimal polynomials; the left-ideal idempotent splits it
+    p1 = projective(K2, QQ, 1)
+    m = conjugate_rep(random.Random(6), direct_sum([p1, p1, p1]), span=3)
+    assert [r.dims for r in decompose(m)] == [(1, 2)] * 3
 
 
 def test_decompose_sum_is_isomorphic_to_original():

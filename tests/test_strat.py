@@ -295,6 +295,19 @@ def test_flatten_rejects_mismatched_subtree_algebra():
         flatten_to_chain(bad)
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([projective(A2, QQ, 1)] * 2, "repeated summand"),
+        ([simple(A2, QQ, 1), simple(A2, QQ, 2)], "not rigid"),
+    ],
+)
+def test_flatten_rejects_bad_cut_generator(parts, message):
+    leaf = Leaf(ONE, FactorDescriptor(1, "End(S_1)"))
+    with pytest.raises(ValueError, match=message):
+        flatten_to_chain(Node(A2, direct_sum(parts), leaf, leaf))
+
+
 def test_assemble_tree_is_deterministic():
     seqs, _ = enumerate_complete_exceptional_sequences(A3, QQ, 3)
 
