@@ -309,9 +309,6 @@ class Mat:
     def col(self, j: int):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)

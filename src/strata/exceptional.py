@@ -34,7 +34,6 @@ from .repcat import (
     ext1_dim,
     hom_dim,
     hom_space,
-    is_isomorphic,
     kernel_rep,
     projective,
 )
@@ -98,7 +97,9 @@ def order_into_exceptional_sequence(summands):
     Puts an edge X -> Y whenever Hom(X, Y) or Ext^1(X, Y) is nonzero (X
     must then come before Y) and sorts topologically, breaking ties by
     smallest input index. Returns None when the constraint graph has a
-    cycle; raises when a summand is not exceptional.
+    cycle; raises when a summand is not exceptional. A topological order
+    leaves no nonzero Hom or Ext^1 from a later member to an earlier one,
+    so the result is an exceptional sequence without a further check.
     """
     xs = list(summands)
     for x in xs:
@@ -128,10 +129,7 @@ def order_into_exceptional_sequence(summands):
                 ready.append(j)
     if len(order) != m:
         return None
-    seq = ExcSequence(tuple(xs[i] for i in order))
-    if not seq.verify():
-        return None
-    return seq
+    return ExcSequence(tuple(xs[i] for i in order))
 
 
 def is_tilting_module(T: Rep) -> bool:
@@ -149,7 +147,9 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
     A = (+)_v P_v maps into add T through the universal map u: A -> T_0,
     where T_0 collects one copy of a distinct summand per Hom-basis element
     from A. The kernel of u must vanish and its cokernel must decompose
-    into add T again; either failure raises.
+    into add T again; either failure raises. A cokernel summand lies in
+    add T exactly when it is exceptional with the dimension vector of a
+    summand of T.
     """
     q = T.quiver
     f = T.field
@@ -179,8 +179,9 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
         raise ValueError("universal map into add T is not injective")
     C, proj = cokernel_rep(u)
     if C.total_dim != 0:
+        summand_dims = {d.dims for d in distinct}
         for p in decompose(C):
-            if not any(is_isomorphic(p, d) for d in distinct):
+            if p.dims not in summand_dims or not is_exceptional(p):
                 raise ValueError(
                     f"cokernel summand with dimension vector {p.dims} "
                     f"is outside add T"

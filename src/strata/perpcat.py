@@ -9,13 +9,15 @@ intertwiners realizing the arrows of its quiver, and modules travel in and
 out through Hom functors (`transport_into_perp`) and projective
 presentations (`lift_from_perp`).
 
-Two branches produce the presentation. When X = P_v the perpendicular
-category consists of the representations vanishing at v, so the quiver is
-the induced subquiver and the intertwiners are path concatenations. When X
-is not projective, the Bongartz complement M (the middle term of the
-universal extension of X against A = (+)_v P_v) decomposes into the n - 1
-projectives of B, and the quiver of B is read off from rad/rad^2 of the
-Hom category of its summands.
+Two branches produce the presentation, chosen by dimension vector: an
+exceptional module is determined by its dimension vector, and the P_v of
+an acyclic quiver have pairwise distinct ones, so X is isomorphic to P_v
+exactly when dim X = dim P_v. Then the perpendicular category consists of
+the representations vanishing at v, so the quiver is the induced subquiver
+and the intertwiners are path concatenations. Otherwise the Bongartz
+complement M (the middle term of the universal extension of X against
+A = (+)_v P_v) decomposes into the n - 1 projectives of B, and the quiver
+of B is read off from rad/rad^2 of the Hom category of its summands.
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` keep
@@ -35,6 +37,7 @@ from .repcat import (
     RepMap,
     ShortExactSeq,
     _span_dim,
+    _subrep,
     cokernel_rep,
     coordinates_in_hom_basis,
     decompose,
@@ -46,7 +49,6 @@ from .repcat import (
     extension_from_cocycle,
     hom_dim,
     hom_space,
-    is_isomorphic,
     projective,
     zero_rep,
 )
@@ -86,16 +88,7 @@ def trace(X: Rep, M: Rep):
         for h in maps:
             stacked = stacked.hstack(h.block(v))
         bases.append(_column_basis(stacked))
-    tdims = [b.cols for b in bases]
-    tmaps = []
-    for ai, a in enumerate(M.quiver.arrows):
-        moved = M.maps[ai].mul(bases[a.source - 1])
-        x = bases[a.target - 1].solve_matrix(moved)
-        if x is None:
-            raise AssertionError("trace is not arrow-stable")
-        tmaps.append(x)
-    T = Rep(M.quiver, f, tdims, tmaps)
-    return T, RepMap(T, M, bases)
+    return _subrep(M, bases, "trace is not arrow-stable")
 
 
 def universal_extension(X: Rep, R: Rep):
@@ -309,29 +302,20 @@ def hom_category_presentation(parts):
 def perp_algebra(X: Rep) -> PerpPresentation:
     """Present the perpendicular category of an exceptional module.
 
-    Projective X: delete its vertex (labels inherited) and embed the
-    subquiver's projectives as ambient representations vanishing there.
-    Non-projective X: the distinct summands of the Bongartz complement are
-    the projectives, with the quiver read off their Hom category. Either
-    way the algebra has exactly n - 1 vertices. Equal inputs get the same
-    presentation object back.
+    X is projective exactly when dim X = dim P_v for some vertex v (X is
+    exceptional, hence determined by its dimension vector). Then delete v
+    (labels inherited) and embed the subquiver's projectives as ambient
+    representations vanishing there. Otherwise the distinct summands of the
+    Bongartz complement are the projectives, with the quiver read off their
+    Hom category. Either way the algebra has exactly n - 1 vertices. Equal
+    inputs get the same presentation object back.
     """
     if end_dim(X) != 1 or ext1_dim(X, X) != 0:
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field
-    c, extensions = _bongartz_parts(X)
-    if c == 0:
-        # projective branch: locate the vertex by dimension vector (the
-        # projectives of an acyclic quiver have pairwise distinct ones)
-        at = None
-        for v in q.vertices():
-            if projective(q, f, v).dims == X.dims:
-                at = v
-                break
-        if at is None or not is_isomorphic(X, projective(q, f, at)):
-            raise AssertionError("rigid module with no extensions against A "
-                                 "is not any P_v")
+    at = next((v for v in q.vertices() if projective(q, f, v).dims == X.dims), None)
+    if at is not None:
         subq = q.delete_vertex(at)
         projs = tuple(
             _inflate_rep(projective(subq, f, j), q, at) for j in subq.vertices()
@@ -349,6 +333,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             projectives_in_ambient=projs,
             radical_generators=tuple(gens),
         )
+    _, extensions = _bongartz_parts(X)
     # the complement's summands, ordered as decompose orders them
     parts = sorted(
         (p for E in extensions for p in decompose(E)),

@@ -17,9 +17,15 @@ ideal R is exhibited with End/R of dimension 1, or of dimension deg f for
 an irreducible f whose power f^e is the minimal polynomial of some
 endomorphism theta met in the split search (then k[theta] fills End/R,
 which is a field). When no endomorphism splits and no certificate holds,
-a right identity of a left ideal {e : e_v(w) = 0} of End is a splitting
-idempotent if one exists, and over a small prime field an exhaustive
-search settles the rest; `decompose` raises UndecidedError otherwise.
+a right identity of a left ideal {e : e phi = 0} of End, for phi a unit
+vector of some M_v or a map from a summand split off elsewhere, is a
+splitting idempotent if one exists, and over a small prime field an
+exhaustive search settles the rest; `decompose` raises UndecidedError
+otherwise.
+
+Isomorphism is decided by Krull-Schmidt: decompose both sides and match
+indecomposable summands, which is exact because their endomorphism rings
+are local.
 """
 
 from __future__ import annotations
@@ -429,6 +435,23 @@ def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> ShortExactSeq:
     return ShortExactSeq(sub=N, middle=E, quotient=M, include=include, project=project)
 
 
+def _subrep(M: Rep, bases, unstable: str):
+    """The subrepresentation spanned by the columns of bases[v - 1] at each v.
+
+    Returns (S, inclusion S -> M); raises AssertionError(unstable) when
+    some arrow map moves a span outside the span at its target.
+    """
+    maps = []
+    for ai, a in enumerate(M.quiver.arrows):
+        moved = M.maps[ai].mul(bases[a.source - 1])
+        x = bases[a.target - 1].solve_matrix(moved)
+        if x is None:
+            raise AssertionError(unstable)
+        maps.append(x)
+    S = Rep(M.quiver, M.field, [b.cols for b in bases], maps)
+    return S, RepMap(S, M, bases)
+
+
 def kernel_rep(f: RepMap):
     """The kernel subrepresentation: returns (K, inclusion K -> source)."""
     M = f.source
@@ -438,17 +461,7 @@ def kernel_rep(f: RepMap):
         cols = f.block(v).kernel_basis()
         ent = [c.entries[i] for i in range(M.dim(v)) for c in cols]
         bases.append(Mat(fld, M.dim(v), len(cols), ent))
-    kdims = [b.cols for b in bases]
-    kmaps = []
-    for ai, a in enumerate(M.quiver.arrows):
-        target_basis = bases[a.target - 1]
-        moved = M.maps[ai].mul(bases[a.source - 1])
-        x = target_basis.solve_matrix(moved)
-        if x is None:
-            raise AssertionError("kernel is not an invariant subspace")
-        kmaps.append(x)
-    K = Rep(M.quiver, fld, kdims, kmaps)
-    return K, RepMap(K, M, bases)
+    return _subrep(M, bases, "kernel is not an invariant subspace")
 
 
 def cokernel_rep(f: RepMap):
@@ -501,17 +514,14 @@ def coordinates_in_hom_basis(f: RepMap, basis):
     if not basis:
         return [] if f.is_zero() else None
     fld = f.source.field
-    vecs = [b.flatten() for b in basis]
-    length = len(vecs[0])
-    ent = []
-    for i in range(length):
-        for v in vecs:
-            ent.append(v[i])
-    A = Mat(fld, length, len(vecs), ent)
+    cols = [b.flatten() for b in basis]
+    # one column per basis map; RepMap entries are already canonical
+    ent = tuple(x for row in zip(*cols) for x in row)
+    A = Mat._make(fld, len(cols[0]), len(cols), ent)
     x = A.solve(Mat.column(fld, list(f.flatten())))
     if x is None:
         return None
-    return [x.entry(i, 0) for i in range(len(vecs))]
+    return [x.entry(i, 0) for i in range(len(cols))]
 
 
 # --- decomposition into indecomposables ---
@@ -544,25 +554,14 @@ def _minpoly_of_endo(e: RepMap):
     M = e.source
     f = M.field
     powers = [identity_map(M)]
-    vecs = [powers[0].flatten()]
-    length = len(vecs[0])
     while True:
         nxt = powers[-1].after(e)
-        k = len(powers)
-        ent = []
-        for i in range(length):
-            for v in vecs:
-                ent.append(v[i])
-        A = Mat(f, length, k, ent)
-        x = A.solve(Mat.column(f, list(nxt.flatten())))
+        x = coordinates_in_hom_basis(nxt, powers)
         if x is not None:
-            coeffs = [f.neg(x.entry(i, 0)) for i in range(k)]
-            coeffs.append(f.one)
-            return coeffs
-        powers.append(nxt)
-        vecs.append(nxt.flatten())
-        if k > M.total_dim:
+            return [f.neg(c) for c in x] + [f.one]
+        if len(powers) > M.total_dim:
             raise AssertionError("minimal polynomial search ran past the dimension")
+        powers.append(nxt)
 
 
 _T = sympy.Symbol("t")
@@ -698,37 +697,51 @@ def _radical_candidates(M: Rep, basis):
     yield _independent_subset(shifted)
 
 
-def _left_ideal_idempotent(M: Rep, basis):
-    """A splitting idempotent read off a left ideal of End(M), or None.
+def _annihilator_conditions(M: Rep, basis, known):
+    """Linear conditions on the coefficients of e = sum c_j basis[j].
 
-    For a unit vector w of some M_v, L = {e : e_v(w) = 0} is a proper left
-    ideal. An x in L with l x = l for every l in L is a nontrivial
-    idempotent: x x = x since x is in L, x != 0 since L != 0, and x != 1
-    since x_v(w) = 0. Such an x exists when L is generated by an
-    idempotent, as for every w when End(M) is a full matrix ring (a
-    repeated summand with End = k), where random endomorphisms often have
-    irreducible minimal polynomials over Q and split nothing.
+    First e_v(w) = 0 for each unit vector w of each M_v, then e phi = 0 for
+    each basis map phi: Y -> M of each module Y in known.
     """
-    fld = M.field
     for v in M.quiver.vertices():
         for k in range(M.dim(v)):
             # e_v(w) for the k-th unit vector w is column k of e's block at v
-            evals = Mat.from_rows(
-                fld, [[b.block(v).entry(i, k) for b in basis] for i in range(M.dim(v))]
-            )
-            ideal = [_combo(basis, list(c.entries)) for c in evals.kernel_basis()]
-            if not ideal:
-                continue
-            # x = sum_j c_j ideal[j]; one equation per entry of l_i x = l_i
-            prods = [[li.after(lj).flatten() for lj in ideal] for li in ideal]
-            rows, rhs = [], []
-            for li, row_prods in zip(ideal, prods):
-                for pos, value in enumerate(li.flatten()):
-                    rows.append([p[pos] for p in row_prods])
-                    rhs.append(value)
-            sol = Mat.from_rows(fld, rows).solve(Mat.column(fld, rhs))
-            if sol is not None:
-                return _combo(ideal, list(sol.entries))
+            yield [[b.block(v).entry(i, k) for b in basis] for i in range(M.dim(v))]
+    for Y in known:
+        for phi in hom_space(Y, M):
+            yield [list(row) for row in zip(*(b.after(phi).flatten() for b in basis))]
+
+
+def _left_ideal_idempotent(M: Rep, basis, known):
+    """A splitting idempotent read off a left ideal of End(M), or None.
+
+    For a nonzero map phi into M, L = {e : e phi = 0} is a proper left
+    ideal. An x in L with l x = l for every l in L is a nontrivial
+    idempotent: x x = x since x is in L, x != 0 since L != 0, and x != 1
+    since x phi = 0. Such an x exists when L is generated by an idempotent,
+    as it is when End(M) is a full matrix ring (M = X^m with End(X) = k),
+    where random endomorphisms often have irreducible minimal polynomials
+    over Q and split nothing. There L != 0 when phi factors through one copy
+    of X: a unit vector of M_v (a map from P_v) does when dim X_v = 1, and
+    a nonzero map from X always does, so after the unit vectors the
+    summands split off elsewhere are tried as sources.
+    """
+    fld = M.field
+    for conditions in _annihilator_conditions(M, basis, known):
+        evals = Mat.from_rows(fld, conditions)
+        ideal = [_combo(basis, list(c.entries)) for c in evals.kernel_basis()]
+        if not ideal:
+            continue
+        # x = sum_j c_j ideal[j]; one equation per entry of l_i x = l_i
+        prods = [[li.after(lj).flatten() for lj in ideal] for li in ideal]
+        rows, rhs = [], []
+        for li, row_prods in zip(ideal, prods):
+            for pos, value in enumerate(li.flatten()):
+                rows.append([p[pos] for p in row_prods])
+                rhs.append(value)
+        sol = Mat.from_rows(fld, rows).solve(Mat.column(fld, rhs))
+        if sol is not None:
+            return _combo(ideal, list(sol.entries))
     return None
 
 
@@ -755,7 +768,7 @@ def _exhaustive_idempotent(M, basis):
 _EXHAUSTIVE_LIMIT = 2 ** 20
 
 
-def _certify_or_split(M, basis, top):
+def _certify_or_split(M, basis, top, known):
     """True (certified indecomposable), a splitting idempotent, or None.
 
     `top` is the largest degree of an irreducible f such that some
@@ -767,7 +780,7 @@ def _certify_or_split(M, basis, top):
     for rad in _radical_candidates(M, basis):
         if d - len(rad) in (1, top) and _nilpotent_ideal_certificate(basis, rad):
             return True
-    idem = _left_ideal_idempotent(M, basis)
+    idem = _left_ideal_idempotent(M, basis, known)
     if idem is not None:
         return idem
     fld = M.field
@@ -776,7 +789,8 @@ def _certify_or_split(M, basis, top):
     return None
 
 
-def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list):
+def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list, pending: list):
+    """Append the summands of M to out; pending lists parts not yet split."""
     if M.total_dim == 0:
         return
     basis = hom_space(M, M)
@@ -789,25 +803,23 @@ def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list):
         if len(mp) <= 2:
             continue
         factors = _factor_poly(M.field, mp)
-        if len(factors) == 1:
-            top = max(top, len(factors[0][0]) - 1)
-            continue
-        for part in _split_along_endo(M, e, factors):
-            _decompose_into(part, rng, tries, out)
-        return
-    verdict = _certify_or_split(M, basis, top)
-    if verdict is True:
-        out.append(M)
-        return
-    if isinstance(verdict, RepMap):
-        factors = _factor_poly(M.field, _minpoly_of_endo(verdict))
-        for part in _split_along_endo(M, verdict, factors):
-            _decompose_into(part, rng, tries, out)
-        return
-    raise UndecidedError(
-        f"cannot certify indecomposability at dimension vector {M.dims} "
-        f"(endomorphism ring dimension {len(basis)})"
-    )
+        if len(factors) > 1:
+            break
+        top = max(top, len(factors[0][0]) - 1)
+    else:
+        e = _certify_or_split(M, basis, top, out + pending)
+        if e is True:
+            out.append(M)
+            return
+        if e is None:
+            raise UndecidedError(
+                f"cannot certify indecomposability at dimension vector {M.dims} "
+                f"(endomorphism ring dimension {len(basis)})"
+            )
+        factors = _factor_poly(M.field, _minpoly_of_endo(e))
+    parts = _split_along_endo(M, e, factors)
+    for i, part in enumerate(parts):
+        _decompose_into(part, rng, tries, out, parts[i + 1 :] + pending)
 
 
 def decompose(M: Rep, seed: int = 0, tries: int = 64):
@@ -818,7 +830,7 @@ def decompose(M: Rep, seed: int = 0, tries: int = 64):
     splitting and no indecomposability certificate is found.
     """
     out = []
-    _decompose_into(M, random.Random(seed), tries, out)
+    _decompose_into(M, random.Random(seed), tries, out, [])
     out.sort(key=lambda r: (r.total_dim, r.dims))
     return out
 
@@ -848,7 +860,12 @@ def distinct_summands(parts):
 
 
 def _indec_isomorphic(X: Rep, Y: Rep) -> bool:
-    """Exact test for indecomposables: some composite of basis maps is a unit."""
+    """Exact test for indecomposables: some composite of basis maps is a unit.
+
+    If X and Y are isomorphic, the identity of X is a combination of the
+    composites g.f of basis maps f: X -> Y and g: Y -> X. End(X) is local,
+    so were every composite in its radical, the identity would be too.
+    """
     if X.dims != Y.dims:
         return False
     fwd = hom_space(X, Y)
@@ -860,60 +877,29 @@ def _indec_isomorphic(X: Rep, Y: Rep) -> bool:
     return False
 
 
-def is_isomorphic(M: Rep, N: Rep, seed: int = 0, tries: int = 64) -> bool:
-    """Exact isomorphism test.
+def is_isomorphic(M: Rep, N: Rep) -> bool:
+    """Exact isomorphism test by Krull-Schmidt.
 
-    Fast path: a randomized search for an invertible element of Hom(M, N)
-    (exhaustive over small prime fields, hence decisive there). Fallback:
-    decompose both sides and match indecomposable summands pairwise, which
-    is deterministic and exact but may raise UndecidedError.
+    Modules with different dimension vectors are not isomorphic. Otherwise
+    both sides are decomposed and their indecomposable summands matched one
+    to one with `_indec_isomorphic`; like `decompose`, this may raise
+    UndecidedError. The pipeline itself never calls this: the modules it
+    compares are exceptional, and an exceptional module is determined by
+    its dimension vector.
     """
     if M.quiver != N.quiver or M.field != N.field:
         raise ValueError("representations live over different quivers or fields")
     if M.dims != N.dims:
         return False
-    if M.total_dim == 0:
-        return True
-    basis = hom_space(M, N)
-    if not basis:
-        return False
-    for f in basis:
-        if f.is_isomorphism():
-            return True
-    fld = M.field
-    d = len(basis)
-    if not fld.is_rational and fld.characteristic ** d <= 4096:
-        for coeffs in itertools.product(range(fld.characteristic), repeat=d):
-            if all(c == 0 for c in coeffs):
-                continue
-            if _combo(basis, list(coeffs)).is_isomorphism():
-                return True
-        return False
-    rng = random.Random(seed)
-    for _ in range(tries):
-        if fld.is_rational:
-            coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(d)]
-        else:
-            coeffs = [rng.randrange(fld.characteristic) for _ in range(d)]
-        if all(c == 0 for c in coeffs):
-            continue
-        if _combo(basis, coeffs).is_isomorphism():
-            return True
-    ms = decompose(M, seed=seed, tries=tries)
-    ns = decompose(N, seed=seed, tries=tries)
-    if len(ms) != len(ns):
-        return False
-    unmatched = list(range(len(ns)))
-    for x in ms:
-        hit = None
-        for k in unmatched:
-            if _indec_isomorphic(x, ns[k]):
-                hit = k
+    unmatched = decompose(N)
+    for x in decompose(M):
+        for k, y in enumerate(unmatched):
+            if _indec_isomorphic(x, y):
+                del unmatched[k]
                 break
-        if hit is None:
+        else:
             return False
-        unmatched.remove(hit)
-    return True
+    return not unmatched
 
 
 # --- text format for representations ---

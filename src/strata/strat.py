@@ -438,8 +438,6 @@ def kronecker_demo(p: int) -> dict:
     report records why stratifications cannot pass through them.
     """
     field = GF(p)
-    from .quiver import kronecker_quiver
-
     kq = kronecker_quiver()
     regs = []
     names = []

@@ -29,7 +29,7 @@ from strata.perpcat import (
     universal_extension,
 )
 
-from helpers import random_rep
+from helpers import conjugate_rep, random_rep
 
 
 A2 = linear_quiver(2)
@@ -153,6 +153,25 @@ def test_perp_of_sink_projective():
     assert pres.algebra_quiver.arrows == ()
     assert pres.algebra_quiver.label(1) == "1"
     assert [p.dims for p in pres.projectives_in_ambient] == [(1, 0)]
+
+
+@pytest.mark.parametrize("q,field,vertices", [(A3, QQ, (1, 2)), (D4, GF(3), (1, 2, 3))],
+                         ids=["A3", "D4-F3"])
+def test_perp_of_base_changed_projective(q, field, vertices):
+    """The projective branch is chosen by dimension vector, so a base-changed
+    P_v gets the same algebra as P_v itself."""
+    rng = random.Random(4)
+    for v in vertices:
+        p = projective(q, field, v)
+        x = conjugate_rep(rng, p)
+        while x == p:
+            x = conjugate_rep(rng, p)
+        pres, want = perp_algebra(x), perp_algebra(p)
+        assert pres.branch == "projective"
+        assert pres.algebra_quiver == want.algebra_quiver
+        assert [m.dims for m in pres.projectives_in_ambient] == [
+            m.dims for m in want.projectives_in_ambient
+        ]
 
 
 def test_perp_of_a2_regular_simple():

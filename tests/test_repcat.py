@@ -4,7 +4,14 @@ import pytest
 import sympy
 
 from strata.exactlin import GF, QQ, Mat
-from strata.quiver import ParseError, kronecker_quiver, linear_quiver, parse_quiver_text
+from strata.quiver import (
+    Arrow,
+    ParseError,
+    Quiver,
+    kronecker_quiver,
+    linear_quiver,
+    parse_quiver_text,
+)
 from strata.repcat import (
     Rep,
     RepMap,
@@ -245,6 +252,20 @@ def test_decompose_repeated_summand_over_rationals():
     assert [r.dims for r in decompose(m)] == [(1, 2)] * 3
 
 
+def test_decompose_repeated_summand_wide_at_every_vertex():
+    # End(X) = k and X is 2-dimensional at every vertex, so no unit vector
+    # lies in one copy of X; once one copy splits off, maps from it give
+    # the left ideal that splits the remaining X + X
+    q = Quiver(3, [Arrow("a0", 1, 2), Arrow("a1", 1, 3), Arrow("a2", 2, 3), Arrow("a3", 1, 2)])
+    maps = {"a0": [0, 2, 2, -1], "a1": [1, -2, 0, -1], "a2": [1, 2, -2, 0], "a3": [1, 0, -1, 1]}
+    x = Rep(q, QQ, (2, 2, 2), {a: Mat(QQ, 2, 2, e) for a, e in maps.items()})
+    assert end_dim(x) == 1
+    m = conjugate_rep(random.Random(1), direct_sum([x, x, x]), span=3)
+    parts = decompose(m)
+    assert [p.dims for p in parts] == [(2, 2, 2)] * 3
+    assert all(is_isomorphic(p, x) for p in parts)
+
+
 def test_decompose_sum_is_isomorphic_to_original():
     rng = random.Random(11)
     for field in (QQ, GF(5)):
@@ -272,8 +293,7 @@ def test_is_isomorphic_negatives():
     r0 = Rep(K2, QQ, (1, 1), {"a": Mat(QQ, 1, 1, [1]), "b": Mat(QQ, 1, 1, [0])})
     r1 = Rep(K2, QQ, (1, 1), {"a": Mat(QQ, 1, 1, [1]), "b": Mat(QQ, 1, 1, [1])})
     assert not is_isomorphic(r0, r1)
-    # same dimension vector, different module structure: forces the
-    # decompose-and-match fallback
+    # same dimension vector, different summands
     p1, s2q = projective(A2, QQ, 1), simple(A2, QQ, 2)
     lhs = direct_sum([p1, s2q])
     rhs = direct_sum([simple(A2, QQ, 1), s2q, s2q])
@@ -287,6 +307,23 @@ def test_is_isomorphic_exhaustive_small_prime():
     rhs = direct_sum([simple(A2, f2, 1), simple(A2, f2, 2), simple(A2, f2, 2)])
     assert not is_isomorphic(lhs, rhs)
     assert is_isomorphic(lhs, direct_sum([simple(A2, f2, 2), projective(A2, f2, 1)]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_is_isomorphic_matches_summands(field):
+    # R_lam = (1, 1; a = 1, b = lam): R_0 + R_1 and R_0 + R_2 have the same
+    # summand dimension vectors but are not isomorphic
+    r = [
+        Rep(K2, field, (1, 1), {"a": Mat(field, 1, 1, [1]), "b": Mat(field, 1, 1, [lam])})
+        for lam in range(3)
+    ]
+    lhs = direct_sum([r[0], r[1]])
+    rhs = direct_sum([r[0], r[2]])
+    assert [p.dims for p in decompose(lhs)] == [p.dims for p in decompose(rhs)]
+    assert not is_isomorphic(lhs, rhs)
+    copy = conjugate_rep(random.Random(5), lhs)
+    assert copy != lhs
+    assert is_isomorphic(lhs, copy)
 
 
 def test_interval_hom_rule():
