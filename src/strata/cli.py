@@ -2,12 +2,13 @@
 
 One verb per public operation. Exit status encodes the outcome: 0 for
 success or a passing verification, 1 for a failed mathematical check, 2
-for usage and parse errors (parse messages cite line numbers), 3 when a
-randomized search budget ran out before a decision.
+for usage and parse errors (parse messages cite line numbers), 3 when
+`decompose` could not settle a split.
 
 Reports embed a hash of the canonicalized input (comments and whitespace
-do not affect it), and with a fixed seed the machine-readable output is
-byte-identical across runs.
+do not affect it) and echo the seed, and the machine-readable output is
+byte-identical across runs. The seed only drives the candidate draws of
+`decompose` and `bongartz`; enumeration is deterministic.
 """
 
 from __future__ import annotations
@@ -161,37 +162,29 @@ def _run(args):
         return {**base, "summands": dims}, lines, 0
 
     if verb == "exc-enum":
-        res = enumerate_exceptional(quiver, field, args.bound, seed=args.seed)
+        res = enumerate_exceptional(quiver, field, args.bound)
         report = {
             **base,
             "bound": args.bound,
             "exceptionals": [list(r.dims) for r in res.reps],
-            "unresolved_roots": [list(d) for d in res.unresolved_roots],
         }
         lines = head + [f"{len(res.reps)} exceptional module(s) up to bound {args.bound}"]
         lines += [f"  dim {tuple(r.dims)}" for r in res.reps]
-        for d in res.unresolved_roots:
-            lines.append(f"  unresolved root {tuple(d)}")
-        return report, lines, 3 if res.unresolved_roots else 0
+        return report, lines, 0
 
     if verb == "seq-enum":
-        seqs, unresolved = enumerate_complete_exceptional_sequences(
-            quiver, field, args.bound, seed=args.seed
-        )
+        seqs = enumerate_complete_exceptional_sequences(quiver, field, args.bound)
         report = {
             **base,
             "bound": args.bound,
             "sequence_count": len(seqs),
             "sequences": [[list(x.dims) for x in s] for s in seqs],
-            "unresolved_roots": [list(d) for d in unresolved],
         }
         lines = head + [f"{len(seqs)} complete exceptional sequence(s)"]
         lines += [
             "  " + " ".join(str(tuple(x.dims)) for x in s) for s in seqs
         ]
-        for d in unresolved:
-            lines.append(f"  unresolved root {tuple(d)}")
-        return report, lines, 3 if unresolved else 0
+        return report, lines, 0
 
     if verb == "tilting-check":
         if not reps:
@@ -261,7 +254,7 @@ def _run(args):
         return report, lines, 0
 
     if verb == "jh-verify":
-        report = verify_jordan_holder(quiver, args.bound, seed=args.seed, field=field)
+        report = verify_jordan_holder(quiver, args.bound, field=field)
         report.update(base)
         expected = sorted(
             f.division_ring_dim for f in endo_rings_of_simples(quiver, field)
@@ -305,7 +298,8 @@ def main(argv=None) -> int:
     parser.add_argument("--bound", type=int, default=4,
                         help="total-dimension cap for enumeration (default 4)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches (default 0)")
+                        help="seed for the candidate draws of decompose and "
+                        "bongartz; echoed in every report (default 0)")
     parser.add_argument("--prime", type=int, default=None,
                         help="work over F_p instead of the file's field")
     parser.add_argument("--json", action="store_true", dest="as_json",

@@ -7,35 +7,38 @@ dim End(X) = 1 together with Ext^1(X, X) = 0. A sequence (X_1, ..., X_r)
 is exceptional when every member is and Hom(X_j, X_i) = 0 = Ext^1(X_j, X_i)
 whenever i < j; complete means r equals the number of vertices.
 
-Enumeration works dimension vector by dimension vector: candidate vectors
-are the connected roots of the Euler form up to a total-dimension bound,
-and for each root a seeded search looks for the (unique up to isomorphism)
-exceptional module. Roots where the search stays empty-handed within its
-budget are reported rather than silently dropped.
+Enumeration closes the simples under mutation of exceptional pairs, up to a
+total-dimension bound. It is deterministic and complete: by Ringel
+(Exceptional modules are tree modules, 1998) every non-simple exceptional
+module is reached from an exceptional pair of smaller dimension by
+mutations of increasing dimension.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .exactlin import Field, Mat
+from .perpcat import universal_extension
 from .quiver import Quiver
 from .repcat import (
     Rep,
     ShortExactSeq,
     RepMap,
+    _hom_system,
     cokernel_rep,
     decompose,
     direct_sum,
     distinct_summands,
-    end_dim,
     ext1_dim,
-    hom_dim,
+    ext1_space,
+    extension_from_cocycle,
     hom_space,
     kernel_rep,
+    orthogonal,
     projective,
+    simple,
 )
 
 
@@ -45,13 +48,16 @@ def is_exceptional(X: Rep) -> bool:
     dim End(X) = 1 already forces indecomposability, and conversely an
     indecomposable rigid module over these ground fields has endomorphism
     ring equal to the ground field, so the test never needs a decomposition.
+    Both dimensions come from one rank r of the Hom system of (X, X): End
+    is cols - r and Ext^1 is rows - r.
     """
-    return end_dim(X) == 1 and ext1_dim(X, X) == 0
+    A, _, _ = _hom_system(X, X)
+    return A.rows == A.cols - 1 and A.rank() == A.rows
 
 
 def _pair_ok(earlier: Rep, later: Rep) -> bool:
     """Sequence condition for the ordered pair (earlier, later)."""
-    return hom_dim(later, earlier) == 0 and ext1_dim(later, earlier) == 0
+    return orthogonal(later, earlier)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def order_into_exceptional_sequence(summands):
         for b in range(m):
             if a == b:
                 continue
-            if hom_dim(xs[a], xs[b]) != 0 or ext1_dim(xs[a], xs[b]) != 0:
+            if not orthogonal(xs[a], xs[b]):
                 succ[a].add(b)
                 indeg[b] += 1
     order = []
@@ -157,22 +163,11 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
         raise ValueError("coresolution is only defined for tilting modules")
     distinct = distinct_summands(decompose(T))
     A = direct_sum([projective(q, f, v) for v in q.vertices()])
-    targets = []
-    blocks_per_vertex = [[] for _ in q.vertices()]
-    for d in distinct:
-        for h in hom_space(A, d):
-            targets.append(d)
-            for vi in range(q.n):
-                blocks_per_vertex[vi].append(h.blocks[vi])
-    if not targets:
+    maps = [(d, h) for d in distinct for h in hom_space(A, d)]
+    if not maps:
         raise ValueError("no maps from the free module into add T")
-    T0 = direct_sum(targets)
-    blocks = []
-    for vi in range(q.n):
-        stacked = blocks_per_vertex[vi][0]
-        for b in blocks_per_vertex[vi][1:]:
-            stacked = stacked.vstack(b)
-        blocks.append(stacked)
+    T0 = direct_sum([d for d, _ in maps])
+    blocks = [reduce(Mat.vstack, [h.block(v) for _, h in maps]) for v in q.vertices()]
     u = RepMap(A, T0, blocks)
     K, _ = kernel_rep(u)
     if K.total_dim != 0:
@@ -191,10 +186,12 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exceptional modules found, plus roots the search could not settle."""
+    """The exceptional modules up to a bound, sorted by (total_dim, dims)."""
 
     reps: tuple
-    unresolved_roots: tuple
+    # The mutation closure is complete up to its bound, so no root is ever
+    # left unsettled; the constant stays because bench/spans.py reads it.
+    unresolved_roots = ()
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -203,139 +200,131 @@ class EnumerationResult:
         return iter(self.reps)
 
 
-def _connected_support(q: Quiver, d) -> bool:
-    supp = [v for v in q.vertices() if d[v - 1] > 0]
-    if not supp:
-        return False
-    seen = {supp[0]}
-    frontier = [supp[0]]
-    adj = {v: set() for v in supp}
-    for a in q.arrows:
-        if a.source in adj and a.target in adj:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(supp)
+def _signed(v):
+    """v when v >= 0, -v when v <= 0, None when its signs are mixed."""
+    if all(x >= 0 for x in v):
+        return tuple(v)
+    if all(x <= 0 for x in v):
+        return tuple(-x for x in v)
+    return None
 
 
-def _real_roots(q: Quiver, bound: int):
-    """Dimension vectors d with sum(d) <= bound, <d, d> = 1, connected support."""
-    n = q.n
-    out = []
-    for total in range(1, bound + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            d = []
-            prev = -1
-            for c in cuts:
-                d.append(c - prev - 1)
-                prev = c
-            d.append(total + n - 2 - prev)
-            if sum(d) != total:
-                continue
-            if q.euler_form(d, d) != 1:
-                continue
-            if not _connected_support(q, d):
-                continue
-            out.append(tuple(d))
-    return out
+def _mutation_dims(q: Quiver, dE, dF):
+    """Dimension vectors of (L_E F, R_F E) for an exceptional pair (E, F).
 
-
-def _random_rep_with_dims(q: Quiver, field: Field, dims, rng) -> Rep:
-    maps = {}
-    for a in q.arrows:
-        rows, cols = dims[a.target - 1], dims[a.source - 1]
-        if field.is_rational:
-            ent = [field.coerce(rng.randint(-3, 3)) for _ in range(rows * cols)]
-        else:
-            p = field.characteristic
-            ent = [field.coerce(rng.randrange(p)) for _ in range(rows * cols)]
-        maps[a.name] = Mat(field, rows, cols, ent)
-    return Rep(q, field, dims, maps)
-
-
-_EXHAUSTIVE_REP_LIMIT = 2**20
-
-
-def _all_reps_with_dims(q: Quiver, field: Field, dims):
-    """Every representation with the given dimension vector, or None.
-
-    Only available over a prime field small enough that the full scan stays
-    under the exhaustive-search limit.
+    With h = <dE, dF> they are |dF - h dE| and |h dF - dE|; an entry is
+    None when that vector has mixed signs, which rules the pair out.
     """
-    shapes = [(dims[a.target - 1], dims[a.source - 1]) for a in q.arrows]
-    cells = sum(r * c for r, c in shapes)
-    p = field.characteristic
-    if p == 0 or p**cells > _EXHAUSTIVE_REP_LIMIT:
-        return None
-    vals = [field.coerce(v) for v in range(p)]
+    h = q.euler_form(dE, dF)
+    left = _signed([f - h * e for e, f in zip(dE, dF)])
+    right = _signed([h * f - e for e, f in zip(dE, dF)])
+    return left, right
 
-    def sweep():
-        for combo in itertools.product(vals, repeat=cells):
-            maps = []
-            k = 0
-            for rows, cols in shapes:
-                maps.append(Mat(field, rows, cols, combo[k : k + rows * cols]))
-                k += rows * cols
-            yield Rep(q, field, dims, maps)
 
-    return sweep()
+def _kernel_or_cokernel(phi: RepMap) -> Rep:
+    """The kernel of phi, or its cokernel when phi is injective."""
+    K, _ = kernel_rep(phi)
+    return K if K.total_dim else cokernel_rep(phi)[0]
+
+
+def left_mutation(E: Rep, F: Rep) -> Rep:
+    """L_E F for an exceptional pair (E, F); (L_E F, E) is again one.
+
+    At most one of Hom(E, F), Ext^1(E, F) is nonzero, and the Euler form
+    says which. With Hom(E, F) != 0 the canonical map E (x) Hom(E, F) -> F
+    is mono or epi (Happel-Ringel) and L_E F is its cokernel or kernel;
+    with Ext^1(E, F) != 0 it is the universal extension
+    0 -> F -> L -> E^c -> 0; otherwise it is F.
+    """
+    q = E.quiver
+    h = q.euler_form(E.dims, F.dims)
+    if h > 0:
+        maps = hom_space(E, F)
+        blocks = [reduce(Mat.hstack, [m.block(v) for m in maps]) for v in q.vertices()]
+        return _kernel_or_cokernel(RepMap(direct_sum([E] * len(maps)), F, blocks))
+    if h < 0:
+        return universal_extension(E, F)[1].middle
+    return F
+
+
+def right_mutation(E: Rep, F: Rep) -> Rep:
+    """R_F E for an exceptional pair (E, F); (F, R_F E) is again one.
+
+    Dual to `left_mutation`: the cokernel or kernel of the canonical map
+    E -> F (x) Hom(E, F)*, the universal extension 0 -> F^c -> R -> E -> 0,
+    or E itself.
+    """
+    q = E.quiver
+    h = q.euler_form(E.dims, F.dims)
+    if h > 0:
+        maps = hom_space(E, F)
+        blocks = [reduce(Mat.vstack, [m.block(v) for m in maps]) for v in q.vertices()]
+        return _kernel_or_cokernel(RepMap(E, direct_sum([F] * len(maps)), blocks))
+    if h < 0:
+        cocycles = ext1_space(E, F)
+        stacked = {
+            a.name: reduce(Mat.vstack, [z[a.name] for z in cocycles]) for a in q.arrows
+        }
+        Fc = direct_sum([F] * len(cocycles))
+        return extension_from_cocycle(E, Fc, stacked).middle
+    return E
 
 
 def enumerate_exceptional(
-    quiver: Quiver, field: Field, bound: int, seed: int = 0, budget: int = 256
+    quiver: Quiver, field: Field, bound: int
 ) -> EnumerationResult:
-    """Search for exceptional modules of every real root up to the bound.
+    """Every exceptional module of total dimension at most the bound.
 
-    For each candidate dimension vector a per-root generator seeded from
-    (seed, vector) samples random representations; the first exceptional
-    hit is kept (any two exceptionals sharing a dimension vector are
-    isomorphic). Over F_2 and F_3 a root small enough to scan exhaustively
-    is settled either way; otherwise a fruitless budget leaves the root in
-    unresolved_roots.
+    A semi-naive closure of the simples under both mutations: each round
+    takes every ordered pair of members in which at least one member is new
+    from the round before. `_mutation_dims` predicts the result from the
+    Euler form, so a pair is tested and a module built only for a new
+    vector within the bound, and the module is kept when it is exceptional
+    with that vector (exceptional modules are determined by their dimension
+    vector). The closure is complete: by Ringel (Exceptional modules are
+    tree modules, 1998) a non-simple exceptional module lies in the
+    rank-two category of an exceptional pair of smaller dimension and is
+    reached from that pair by mutations of increasing dimension.
     """
-    found = []
-    unresolved = []
-    for d in _real_roots(quiver, bound):
-        rng = random.Random(f"{seed}|{d}")
-        hit = None
-        for _ in range(budget):
-            cand = _random_rep_with_dims(quiver, field, d, rng)
-            if is_exceptional(cand):
-                hit = cand
-                break
-        if hit is None:
-            sweep = _all_reps_with_dims(quiver, field, d)
-            if sweep is not None:
-                for cand in sweep:
-                    if is_exceptional(cand):
-                        hit = cand
-                        break
-                if hit is None:
+    members = [simple(quiver, field, v) for v in quiver.vertices()] if bound > 0 else []
+    seen = {X.dims for X in members}
+    start = 0
+    while start < len(members):
+        end = len(members)
+        for i in range(end):
+            for j in range(start if i < start else 0, end):
+                if i == j:
                     continue
-            else:
-                unresolved.append(d)
-                continue
-        found.append(hit)
-    found.sort(key=lambda r: (r.total_dim, r.dims))
-    return EnumerationResult(tuple(found), tuple(unresolved))
+                E, F = members[i], members[j]
+                todo = [
+                    (mutate, d)
+                    for mutate, d in zip(
+                        (left_mutation, right_mutation),
+                        _mutation_dims(quiver, E.dims, F.dims),
+                    )
+                    if d is not None and sum(d) <= bound and d not in seen
+                ]
+                if not todo or not orthogonal(F, E):
+                    continue
+                for mutate, d in todo:
+                    if d in seen:
+                        continue
+                    X = mutate(E, F)
+                    if X.dims == d and is_exceptional(X):
+                        members.append(X)
+                        seen.add(d)
+        start = end
+    members.sort(key=lambda r: (r.total_dim, r.dims))
+    return EnumerationResult(tuple(members))
 
 
-def enumerate_complete_exceptional_sequences(
-    quiver: Quiver, field: Field, bound: int, seed: int = 0
-):
+def enumerate_complete_exceptional_sequences(quiver: Quiver, field: Field, bound: int):
     """All complete exceptional sequences with members from the enumeration.
 
     Depth-first over the listed exceptionals with a precomputed pair table;
-    output is lexicographic in enumeration indices, so a fixed seed gives a
-    fixed order. Returns (sequences, unresolved_roots).
+    output is lexicographic in enumeration indices, so the order is fixed.
     """
-    result = enumerate_exceptional(quiver, field, bound, seed=seed)
-    reps = list(result.reps)
+    reps = list(enumerate_exceptional(quiver, field, bound).reps)
     m = len(reps)
     n = quiver.n
     ok = [[_pair_ok(reps[i], reps[j]) for j in range(m)] for i in range(m)]
@@ -352,4 +341,4 @@ def enumerate_complete_exceptional_sequences(
                 extend(prefix + [j])
 
     extend([])
-    return sequences, result.unresolved_roots
+    return sequences

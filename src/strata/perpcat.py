@@ -28,7 +28,7 @@ memoized: a bad input raises on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exactlin import Field, Mat
 from .quiver import Arrow, Quiver
@@ -47,8 +47,8 @@ from .repcat import (
     ext1_dim,
     ext1_space,
     extension_from_cocycle,
-    hom_dim,
     hom_space,
+    orthogonal,
     projective,
     zero_rep,
 )
@@ -110,12 +110,9 @@ def universal_extension(X: Rep, R: Rep):
         }
         return 0, extension_from_cocycle(quot, R, zero_cocycle)
     quot = direct_sum([X] * c)
-    stacked = {}
-    for a in q.arrows:
-        block = cocycles[0][a.name]
-        for z in cocycles[1:]:
-            block = block.hstack(z[a.name])
-        stacked[a.name] = block
+    stacked = {
+        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles]) for a in q.arrows
+    }
     ses = extension_from_cocycle(quot, R, stacked)
     if ext1_dim(X, ses.middle) != 0:
         raise AssertionError("universal extension left extensions behind")
@@ -145,7 +142,7 @@ def _bongartz_parts(X: Rep):
         parts.append(ses.middle)
     if c > 0:
         for E in parts:
-            if hom_dim(X, E) != 0 or ext1_dim(X, E) != 0:
+            if not orthogonal(X, E):
                 raise AssertionError(
                     "Bongartz middle term escaped the perpendicular category"
                 )
@@ -395,7 +392,7 @@ def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     the memo hits for the presentations `perp_algebra` hands out again.
     """
     X = pres.source
-    if hom_dim(X, Y) != 0 or ext1_dim(X, Y) != 0:
+    if not orthogonal(X, Y):
         raise ValueError("module is not perpendicular to the source")
     Z = _transport_unchecked(pres, Y)
     total = sum(

@@ -353,6 +353,21 @@ def ext1_dim(M: Rep, N: Rep) -> int:
     return A.cokernel_dim()
 
 
+def orthogonal(M: Rep, N: Rep) -> bool:
+    """Hom(M, N) = 0 = Ext^1(M, N), decided by one elimination.
+
+    Hom is the kernel of the Hom system and Ext^1 its cokernel, so both
+    vanish exactly when the system is square and of full rank. Its rows
+    minus its columns is -<dim M, dim N>, so a nonzero Euler form answers
+    without eliminating.
+    """
+    q = M.quiver
+    if q == N.quiver and M.field == N.field and q.euler_form(M.dims, N.dims):
+        return False
+    A, _, _ = _hom_system(M, N)
+    return A.rank() == A.cols
+
+
 def ext1_space(M: Rep, N: Rep):
     """A basis of Ext^1(M, N) as unit cocycles.
 

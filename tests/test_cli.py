@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from strata import cli
-from strata.exceptional import EnumerationResult
 
 
 A2 = """\
@@ -29,6 +28,15 @@ field Q
 vertices 2
 arrow a 1 2
 arrow b 1 2
+"""
+
+# the affine quiver A~_2 with arrows 1->2, 2->3, 1->3
+AFFINE_A2 = """\
+field Q
+vertices 3
+arrow a 1 2
+arrow b 2 3
+arrow c 1 3
 """
 
 P1_S1 = A2 + """
@@ -111,9 +119,29 @@ def test_exc_enum_json(tmp_path):
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["exceptionals"] == [[0, 1], [1, 0], [1, 1]]
-    assert doc["unresolved_roots"] == []
     assert doc["bound"] == 2
     assert doc["field"] == "Q"
+
+
+def test_exc_enum_affine_a2_is_settled(tmp_path):
+    """(1, 2, 1) and (2, 1, 2) are real roots without an exceptional module;
+    enumeration leaves no root undecided and exits 0."""
+    path = write(tmp_path, "affine.quiver", AFFINE_A2)
+    r = run_cli("exc-enum", path, "--bound", "5", "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert len(doc["exceptionals"]) == 10
+    assert [1, 2, 1] not in doc["exceptionals"]
+    assert [2, 1, 2] not in doc["exceptionals"]
+    assert "unresolved_roots" not in doc
+
+
+def test_jh_verify_affine_a2_has_no_warning(tmp_path):
+    path = write(tmp_path, "affine.quiver", AFFINE_A2)
+    r = run_cli("jh-verify", path, "--bound", "4")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip().endswith("PASS")
+    assert "warning" not in r.stdout
 
 
 def test_seq_enum_kronecker(tmp_path):
@@ -311,17 +339,3 @@ def test_bound_below_one_is_usage_error(tmp_path, capsys, bound):
 def test_unknown_verb_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
-
-
-def test_unresolved_enumeration_exits_three(tmp_path, monkeypatch, capsys):
-    """Budget exhaustion surfaces as exit status 3 with partial results."""
-    path = write(tmp_path, "a2.quiver", A2)
-    monkeypatch.setattr(
-        cli,
-        "enumerate_exceptional",
-        lambda q, f, bound, seed=0: EnumerationResult((), ((1, 1),)),
-    )
-    code = cli.main(["exc-enum", path, "--json"])
-    out = capsys.readouterr().out
-    assert code == 3
-    assert json.loads(out)["unresolved_roots"] == [[1, 1]]

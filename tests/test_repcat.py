@@ -27,6 +27,7 @@ from strata.repcat import (
     hom_space,
     is_isomorphic,
     kernel_rep,
+    orthogonal,
     parse_rep_blocks,
     projective,
     simple,
@@ -118,6 +119,20 @@ def test_euler_identity_random():
             n = random_rep(rng, q, field, max_dim=3)
             lhs = hom_dim(m, n) - ext1_dim(m, n)
             assert lhs == q.euler_form(m.dims, n.dims)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_orthogonal_matches_hom_and_ext(field):
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(80):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        m = random_rep(rng, q, field, max_dim=2)
+        n = random_rep(rng, q, field, max_dim=2)
+        want = hom_dim(m, n) == 0 and ext1_dim(m, n) == 0
+        assert orthogonal(m, n) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_ext_space_matches_dim_and_realizes():
