@@ -18,8 +18,8 @@ import hashlib
 import json
 import sys
 
-from .exactlin import GF, QQ, Field
-from .quiver import ParseError, Quiver, parse_quiver_text
+from .exactlin import GF, Field
+from .quiver import ParseError, parse_quiver_text
 from .repcat import (
     Rep,
     UndecidedError,

@@ -26,7 +26,6 @@ from .repcat import (
     Rep,
     ShortExactSeq,
     RepMap,
-    _hom_system,
     cokernel_rep,
     decompose,
     direct_sum,
@@ -35,24 +34,12 @@ from .repcat import (
     ext1_space,
     extension_from_cocycle,
     hom_space,
+    is_exceptional,
     kernel_rep,
     orthogonal,
     projective,
     simple,
 )
-
-
-def is_exceptional(X: Rep) -> bool:
-    """True when X is indecomposable, rigid, and has trivial endomorphisms.
-
-    dim End(X) = 1 already forces indecomposability, and conversely an
-    indecomposable rigid module over these ground fields has endomorphism
-    ring equal to the ground field, so the test never needs a decomposition.
-    Both dimensions come from one rank r of the Hom system of (X, X): End
-    is cols - r and Ext^1 is rows - r.
-    """
-    A, _, _ = _hom_system(X, X)
-    return A.rows == A.cols - 1 and A.rank() == A.rows
 
 
 def _pair_ok(earlier: Rep, later: Rep) -> bool:

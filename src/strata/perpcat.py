@@ -35,7 +35,6 @@ from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
     RepMap,
-    ShortExactSeq,
     _span_dim,
     _subrep,
     cokernel_rep,
@@ -48,6 +47,7 @@ from .repcat import (
     ext1_space,
     extension_from_cocycle,
     hom_space,
+    is_exceptional,
     orthogonal,
     projective,
     zero_rep,
@@ -97,7 +97,7 @@ def universal_extension(X: Rep, R: Rep):
     Stacks a full cocycle basis of Ext^1(X, R), so Ext^1(X, M) = 0: every
     self-extension against X has been used up. Returns (c, sequence).
     """
-    if end_dim(X) != 1 or ext1_dim(X, X) != 0:
+    if not is_exceptional(X):
         raise ValueError("universal extension needs an exceptional X")
     q = X.quiver
     f = X.field
@@ -307,7 +307,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     Hom category. Either way the algebra has exactly n - 1 vertices. Equal
     inputs get the same presentation object back.
     """
-    if end_dim(X) != 1 or ext1_dim(X, X) != 0:
+    if not is_exceptional(X):
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field

@@ -23,6 +23,11 @@ splitting idempotent if one exists, and over a small prime field an
 exhaustive search settles the rest; `decompose` raises UndecidedError
 otherwise.
 
+Minimal polynomials of degree 1 and 2 are factored here exactly: over Q
+through the discriminant, over a small prime field by root search. sympy
+is imported only for the rest (degree 3 and more, or a quadratic over a
+large prime field), so importing this module does not load it.
+
 Isomorphism is decided by Krull-Schmidt: decompose both sides and match
 indecomposable summands, which is exact because their endomorphism rings
 are local.
@@ -31,11 +36,10 @@ are local.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 from .exactlin import Field, Mat
 from .quiver import ParseError, Quiver
@@ -368,6 +372,19 @@ def orthogonal(M: Rep, N: Rep) -> bool:
     return A.rank() == A.cols
 
 
+def is_exceptional(X: Rep) -> bool:
+    """True when X is indecomposable, rigid, and has trivial endomorphisms.
+
+    dim End(X) = 1 already forces indecomposability, and conversely an
+    indecomposable rigid module over these ground fields has endomorphism
+    ring equal to the ground field, so the test never needs a decomposition.
+    Both dimensions come from one rank r of the Hom system of (X, X): End
+    is cols - r and Ext^1 is rows - r.
+    """
+    A, _, _ = _hom_system(X, X)
+    return A.rows == A.cols - 1 and A.rank() == A.rows
+
+
 def ext1_space(M: Rep, N: Rep):
     """A basis of Ext^1(M, N) as unit cocycles.
 
@@ -549,17 +566,26 @@ def _combo(maps, coeffs):
     return out
 
 
+def _plus_scalar(m: Mat, c) -> Mat:
+    """m + c I for a square matrix m."""
+    f = m.field
+    ent = list(m.entries)
+    for i in range(0, len(ent), m.cols + 1):
+        ent[i] = f.add(ent[i], c)
+    return Mat._make(f, m.rows, m.cols, tuple(ent))
+
+
 def _eval_poly_on_endo(e: RepMap, coeffs) -> RepMap:
-    """coeffs[k] t^k evaluated at e, blockwise Horner."""
+    """A monic coeffs[k] t^k of degree >= 1 evaluated at e, blockwise Horner.
+
+    Horner starts at the leading term, so t - lam costs no matrix product.
+    """
     M = e.source
-    f = M.field
     blocks = []
-    for v in M.quiver.vertices():
-        n = M.dim(v)
-        x = e.block(v)
-        acc = Mat.zeros(f, n, n)
-        for c in reversed(coeffs):
-            acc = acc.mul(x).add(Mat.identity(f, n).scale(c))
+    for x in e.blocks:
+        acc = _plus_scalar(x, coeffs[-2])
+        for c in reversed(coeffs[:-2]):
+            acc = _plus_scalar(acc.mul(x), c)
         blocks.append(acc)
     return RepMap(M, M, blocks)
 
@@ -569,26 +595,75 @@ def _minpoly_of_endo(e: RepMap):
     M = e.source
     f = M.field
     powers = [identity_map(M)]
+    nxt = e
     while True:
-        nxt = powers[-1].after(e)
         x = coordinates_in_hom_basis(nxt, powers)
         if x is not None:
             return [f.neg(c) for c in x] + [f.one]
         if len(powers) > M.total_dim:
             raise AssertionError("minimal polynomial search ran past the dimension")
         powers.append(nxt)
+        nxt = nxt.after(e)
 
 
-_T = sympy.Symbol("t")
+# over F_p with p below this, a quadratic is factored by trying every root
+_ROOT_SEARCH_LIMIT = 2 ** 10
+
+
+def _quadratic_roots(field: Field, c0, c1):
+    """The roots of t^2 + c1 t + c0 in the field, a double root twice.
+
+    Returns [] when the quadratic is irreducible. Over F_p, p must be below
+    _ROOT_SEARCH_LIMIT.
+    """
+    if field.is_rational:
+        disc = c1 * c1 - 4 * c0
+        if disc < 0:
+            return []
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num != disc.numerator or den * den != disc.denominator:
+            return []
+        s = Fraction(num, den)
+        return [(-c1 - s) / 2, (-c1 + s) / 2]
+    p = field.characteristic
+    r = next((x for x in range(p) if (x * x + c1 * x + c0) % p == 0), None)
+    return [] if r is None else [r, (-c1 - r) % p]
 
 
 def _factor_poly(field: Field, coeffs):
-    """Factor a monic polynomial; returns [(factor_coeffs_low_first, exponent)]."""
+    """Factor a monic polynomial; returns [(factor_coeffs_low_first, exponent)].
+
+    The factors are monic and come in the order of sympy's
+    `Poly.factor_list`, which decides the order in which `decompose` splits.
+    Degrees 1 and 2 are factored here. A linear factor t + c sorts by its
+    primitive integer form d t + n on (d, n) over Q, and by c in [0, p) over
+    F_p; both are (c.denominator, c.numerator). Everything else goes to sympy.
+    """
+    if len(coeffs) == 2:
+        return [(list(coeffs), 1)]
+    if len(coeffs) == 3 and field.characteristic < _ROOT_SEARCH_LIMIT:
+        roots = _quadratic_roots(field, coeffs[0], coeffs[1])
+        if not roots:
+            return [(list(coeffs), 1)]
+        consts = sorted(
+            (field.neg(r) for r in roots), key=lambda c: (c.denominator, c.numerator)
+        )
+        if consts[0] == consts[1]:
+            return [([consts[0], field.one], 2)]
+        return [([c, field.one], 1) for c in consts]
+    return _sympy_factor(field, coeffs)
+
+
+def _sympy_factor(field: Field, coeffs):
+    """`_factor_poly` by sympy's `Poly.factor_list`, for any degree."""
+    import sympy
+
+    t = sympy.Symbol("t")
     if field.is_rational:
-        poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], _T, domain="QQ")
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], t, domain="QQ")
     else:
         poly = sympy.Poly(
-            [int(c) for c in reversed(coeffs)], _T, modulus=field.characteristic
+            [int(c) for c in reversed(coeffs)], t, modulus=field.characteristic
         )
     _, factors = poly.factor_list()
     out = []
@@ -708,7 +783,7 @@ def _radical_candidates(M: Rep, basis):
         factors = _factor_poly(fld, _minpoly_of_endo(b))
         if len(factors) != 1 or len(factors[0][0]) != 2:
             return
-        shifted.append(b.sub(identity_map(M).scale(fld.neg(factors[0][0][0]))))
+        shifted.append(_eval_poly_on_endo(b, factors[0][0]))
     yield _independent_subset(shifted)
 
 

@@ -1,8 +1,13 @@
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from strata import repcat
 from strata.exactlin import GF, QQ, Mat
 from strata.quiver import (
     Arrow,
@@ -257,6 +262,104 @@ def test_decompose_field_endomorphism_ring(field, poly):
     ref = sympy.Poly(poly, _T, modulus=p) if p else sympy.Poly(poly, _T, domain="QQ")
     degrees = sorted(g.degree() * e for g, e in ref.factor_list()[1])
     assert [r.dims for r in decompose(m)] == [(d, d) for d in degrees]
+
+
+FACTOR_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2**31 - 1)]
+
+
+@st.composite
+def monic_polys(draw):
+    """(field, coeffs low first): split, square or random, degree 1 to 4."""
+    field = draw(st.sampled_from(FACTOR_FIELDS))
+    if field.is_rational:
+        scalars = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    else:
+        scalars = st.builds(field.coerce, st.integers(0, field.characteristic - 1))
+    shape = draw(st.sampled_from(["split", "square", "random"]))
+    if shape == "random":
+        coeffs = draw(st.lists(scalars, min_size=1, max_size=4))
+        return field, coeffs + [field.one]
+    a = draw(scalars)
+    b = a if shape == "square" else draw(scalars)
+    return field, [field.mul(a, b), field.neg(field.add(a, b)), field.one]
+
+
+def _factor_list_reference(field, coeffs):
+    """sympy's Poly.factor_list, each factor made monic, low degree first."""
+    p = field.characteristic
+    if p:
+        poly = sympy.Poly([int(c) for c in reversed(coeffs)], _T, modulus=p)
+    else:
+        cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+        poly = sympy.Poly(cs, _T, domain="QQ")
+    out = []
+    for fac, exp in poly.factor_list()[1]:
+        cs = [
+            field.coerce(Fraction(int(c.p), int(c.q)) if not p else int(c))
+            for c in reversed(fac.all_coeffs())
+        ]
+        lead = field.inv(cs[-1])
+        out.append(([field.mul(c, lead) for c in cs], exp))
+    return out
+
+
+@settings(max_examples=600, deadline=None)
+@given(monic_polys())
+def test_factor_poly_matches_sympy_factor_list(drawn):
+    # factors, exponents and order: the order decides which part
+    # decompose splits off first
+    field, coeffs = drawn
+    assert repcat._factor_poly(field, coeffs) == _factor_list_reference(field, coeffs)
+
+
+@pytest.mark.parametrize(
+    "field,coeffs,in_house",
+    [
+        (QQ, [Fraction(3), Fraction(1)], True),
+        (QQ, [Fraction(-1, 4), Fraction(0), Fraction(1)], True),  # split
+        (QQ, [Fraction(1), Fraction(2), Fraction(1)], True),  # square
+        (QQ, [Fraction(2), Fraction(0), Fraction(1)], True),  # irreducible
+        (GF(2), [1, 1, 1], True),
+        (GF(5), [4, 0, 1], True),
+        (GF(7), [1, 5, 1], True),
+        (QQ, [Fraction(-2), Fraction(0), Fraction(0), Fraction(1)], False),
+        (GF(3), [1, 0, 0, 0, 1], False),
+        (GF(2**31 - 1), [2**31 - 2, 0, 1], False),
+    ],
+)
+def test_factor_poly_falls_back_to_sympy_only_past_small_quadratics(
+    monkeypatch, field, coeffs, in_house
+):
+    calls = []
+    fallback = repcat._sympy_factor
+    monkeypatch.setattr(
+        repcat, "_sympy_factor", lambda f, c: calls.append(c) or fallback(f, c)
+    )
+    assert repcat._factor_poly(field, coeffs) == _factor_list_reference(field, coeffs)
+    assert calls == ([] if in_house else [coeffs])
+
+
+def test_import_and_low_degree_decompose_leave_sympy_unloaded(tmp_path):
+    path = tmp_path / "a3.quiver"
+    path.write_text("field Q\nvertices 3\narrow a1 1 2\narrow a2 2 3\n")
+    script = f"""
+import contextlib, io, sys
+import strata.cli
+from strata import GF, QQ, Mat, Rep, decompose, direct_sum, linear_quiver, projective, simple
+assert "sympy" not in sys.modules, "import"
+q = linear_quiver(2)
+for f in (QQ, GF(5)):
+    m = direct_sum([projective(q, f, 1), simple(q, f, 2)])
+    g = Mat(f, 2, 2, [2, 1, 1, 1])
+    m = Rep(q, f, m.dims, [g.mul(m.arrow_map("a1"))])
+    assert [p.dims for p in decompose(m)] == [(0, 1), (1, 1)]
+assert "sympy" not in sys.modules, "decompose"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert strata.cli.main(["jh-verify", {str(path)!r}, "--json"]) == 0
+assert "sympy" not in sys.modules, "jh-verify"
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_decompose_repeated_summand_over_rationals():
