@@ -91,9 +91,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.characteristic == 0 else (a + b) % self.characteristic
 
-    def sub(self, a, b):
-        return a - b if self.characteristic == 0 else (a - b) % self.characteristic
-
     def mul(self, a, b):
         return a * b if self.characteristic == 0 else (a * b) % self.characteristic
 
@@ -342,22 +339,6 @@ class Mat:
             self.cols,
             tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
         )
-
-    def sub(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        f = self.field
-        return Mat._make(
-            f,
-            self.rows,
-            self.cols,
-            tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)),
-        )
-
-    def neg(self) -> "Mat":
-        f = self.field
-        return Mat._make(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
 
     def scale(self, c) -> "Mat":
         f = self.field

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .exactlin import Field, Mat
-from .perpcat import universal_extension
-from .quiver import Quiver
+from .perpcat import free_module, universal_extension
+from .quiver import Quiver, topological_sort
 from .repcat import (
     Rep,
     ShortExactSeq,
@@ -37,14 +37,8 @@ from .repcat import (
     is_exceptional,
     kernel_rep,
     orthogonal,
-    projective,
     simple,
 )
-
-
-def _pair_ok(earlier: Rep, later: Rep) -> bool:
-    """Sequence condition for the ordered pair (earlier, later)."""
-    return orthogonal(later, earlier)
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class ExcSequence:
                 return False
         for i in range(len(self.reps)):
             for j in range(i + 1, len(self.reps)):
-                if not _pair_ok(self.reps[i], self.reps[j]):
+                if not orthogonal(self.reps[j], self.reps[i]):
                     return False
         return True
 
@@ -101,25 +95,13 @@ def order_into_exceptional_sequence(summands):
                 f"summand with dimension vector {x.dims} is not exceptional"
             )
     m = len(xs)
-    succ = [set() for _ in range(m)]
-    indeg = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            if not orthogonal(xs[a], xs[b]):
-                succ[a].add(b)
-                indeg[b] += 1
-    order = []
-    ready = [i for i in range(m) if indeg[i] == 0]
-    while ready:
-        i = min(ready)
-        ready.remove(i)
-        order.append(i)
-        for j in sorted(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
+    edges = [
+        (a, b)
+        for a in range(m)
+        for b in range(m)
+        if a != b and not orthogonal(xs[a], xs[b])
+    ]
+    order = topological_sort(m, edges)
     if len(order) != m:
         return None
     return ExcSequence(tuple(xs[i] for i in order))
@@ -149,7 +131,7 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
     if not is_tilting_module(T):
         raise ValueError("coresolution is only defined for tilting modules")
     distinct = distinct_summands(decompose(T))
-    A = direct_sum([projective(q, f, v) for v in q.vertices()])
+    A = free_module(q, f)
     maps = [(d, h) for d in distinct for h in hom_space(A, d)]
     if not maps:
         raise ValueError("no maps from the free module into add T")
@@ -314,7 +296,7 @@ def enumerate_complete_exceptional_sequences(quiver: Quiver, field: Field, bound
     reps = list(enumerate_exceptional(quiver, field, bound).reps)
     m = len(reps)
     n = quiver.n
-    ok = [[_pair_ok(reps[i], reps[j]) for j in range(m)] for i in range(m)]
+    ok = [[orthogonal(reps[j], reps[i]) for j in range(m)] for i in range(m)]
     sequences = []
 
     def extend(prefix):

@@ -35,7 +35,6 @@ from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
     RepMap,
-    _span_dim,
     _subrep,
     cokernel_rep,
     coordinates_in_hom_basis,
@@ -61,7 +60,7 @@ _TRANSPORT_MEMO_SIZE = 8192
 
 def _column_basis(m: Mat) -> Mat:
     """The pivot columns of m: a deterministic basis of its column space."""
-    pivots = sorted(m._echelon())
+    pivots = m.transpose().column_space_pivot_rows()
     f = m.field
     ent = []
     for i in range(m.rows):
@@ -272,16 +271,12 @@ def hom_category_presentation(parts):
             if not basis:
                 continue
             span = _rad_square_span(parts, hom_tables, j - 1, jp - 1)
-            picked = []
-            have = _span_dim(span)
-            for f in basis:
-                r = _span_dim(span + picked + [f])
-                if r > have:
-                    picked.append(f)
-                    have = r
-            for g in picked:
-                arrows.append(Arrow(f"r{len(arrows) + 1}", j, jp))
-                generators.append(g)
+            # keep the basis maps independent of rad^2 and of the ones before
+            rows = [g.flatten() for g in span + basis]
+            for i in Mat.from_rows(parts[0].field, rows).column_space_pivot_rows():
+                if i >= len(span):
+                    arrows.append(Arrow(f"r{len(arrows) + 1}", j, jp))
+                    generators.append(basis[i - len(span)])
     quiver = Quiver(m, arrows)
     for j in range(1, m + 1):
         counts = quiver.path_counts_from(j)
@@ -311,7 +306,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field
-    at = next((v for v in q.vertices() if projective(q, f, v).dims == X.dims), None)
+    at = next((v for v in q.vertices() if q.path_counts_from(v) == X.dims), None)
     if at is not None:
         subq = q.delete_vertex(at)
         projs = tuple(

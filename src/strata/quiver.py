@@ -15,10 +15,14 @@ the quiver text format used by the CLI:
 Everything after the quiver header, from the first line reading `rep`
 onwards, describes representations; parsing those blocks belongs to the
 representation layer, so `parse_quiver_text` hands them back untouched.
+
+`topological_sort` is the one ordering routine: acyclicity, the vertex
+order of a quiver and the order of an exceptional sequence all come from it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .exactlin import Field, GF, QQ
@@ -39,23 +43,33 @@ class Arrow:
     target: int
 
 
-def is_acyclic(vertex_count: int, arrows) -> bool:
-    """Kahn's algorithm on the arrow multiset."""
-    indeg = {v: 0 for v in range(1, vertex_count + 1)}
-    out = {v: [] for v in range(1, vertex_count + 1)}
-    for a in arrows:
-        indeg[a.target] += 1
-        out[a.source].append(a.target)
-    queue = [v for v in range(1, vertex_count + 1) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+def topological_sort(count: int, edges):
+    """Kahn's algorithm on vertices 0..count-1, smallest ready vertex first.
+
+    edges is a multiset of (source, target) pairs. The order is the
+    lexicographically smallest topological one; it is shorter than count
+    exactly when the graph has a cycle.
+    """
+    indeg = [0] * count
+    out = [[] for _ in range(count)]
+    for a, b in edges:
+        indeg[b] += 1
+        out[a].append(b)
+    ready = [v for v in range(count) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    return seen == vertex_count
+                heapq.heappush(ready, w)
+    return order
+
+
+def is_acyclic(vertex_count: int, arrows) -> bool:
+    edges = [(a.source - 1, a.target - 1) for a in arrows]
+    return len(topological_sort(vertex_count, edges)) == vertex_count
 
 
 def _label_key(label: str):
@@ -171,24 +185,8 @@ class Quiver:
         return Quiver(self.n - 1, arrows, labels)
 
     def topological_order(self):
-        indeg = {v: 0 for v in self.vertices()}
-        for a in self.arrows:
-            indeg[a.target] += 1
-        order = []
-        ready = sorted(v for v in self.vertices() if indeg[v] == 0)
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            changed = False
-            for a in self.arrows:
-                if a.source == v:
-                    indeg[a.target] -= 1
-                    if indeg[a.target] == 0:
-                        ready.append(a.target)
-                        changed = True
-            if changed:
-                ready.sort()
-        return tuple(order)
+        edges = [(a.source - 1, a.target - 1) for a in self.arrows]
+        return tuple(v + 1 for v in topological_sort(self.n, edges))
 
     def path_counts_from(self, v: int):
         """Number of paths v ~> w for every w (trivial path included)."""

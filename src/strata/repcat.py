@@ -276,9 +276,6 @@ class RepMap:
             self.source, self.target, [a.add(b) for a, b in zip(self.blocks, other.blocks)]
         )
 
-    def sub(self, other: "RepMap") -> "RepMap":
-        return self.add(other.scale(self.source.field.neg(self.source.field.one)))
-
     def scale(self, c) -> "RepMap":
         return RepMap(self.source, self.target, [b.scale(c) for b in self.blocks])
 
@@ -697,7 +694,12 @@ def _split_along_endo(M: Rep, e: RepMap, factors):
     return parts
 
 
-def _candidate_endos(basis, rng: random.Random, field: Field, tries: int):
+# random combinations of the Hom basis tried after the basis maps and their
+# products, before the indecomposability certificates
+_RANDOM_CANDIDATES = 64
+
+
+def _candidate_endos(basis, rng: random.Random, field: Field):
     for b in basis:
         yield b
     d = len(basis)
@@ -709,7 +711,7 @@ def _candidate_endos(basis, rng: random.Random, field: Field, tries: int):
                 break
             yield basis[i].after(basis[j])
             count += 1
-    for _ in range(tries):
+    for _ in range(_RANDOM_CANDIDATES):
         if field.is_rational:
             coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
         else:
@@ -719,24 +721,12 @@ def _candidate_endos(basis, rng: random.Random, field: Field, tries: int):
         yield _combo(basis, coeffs)
 
 
-def _span_dim(maps):
-    if not maps:
-        return 0
-    fld = maps[0].source.field
-    rows = [list(m.flatten()) for m in maps]
-    return Mat.from_rows(fld, rows).rank()
-
-
 def _independent_subset(maps):
-    """A subset spanning the same space, greedily by rank growth."""
-    out = []
-    r = 0
-    for m in maps:
-        trial = out + [m]
-        if _span_dim(trial) > r:
-            out = trial
-            r += 1
-    return out
+    """The maps independent of the ones before them, in one elimination."""
+    if not maps:
+        return []
+    rows = Mat.from_rows(maps[0].source.field, [m.flatten() for m in maps])
+    return [maps[i] for i in rows.column_space_pivot_rows()]
 
 
 def _nilpotent_ideal_certificate(basis, ideal):
@@ -751,7 +741,7 @@ def _nilpotent_ideal_certificate(basis, ideal):
         if all(m.is_zero() for m in current):
             return True
         nxt = _independent_subset([x.after(r) for x in current for r in ideal])
-        if _span_dim(nxt) >= _span_dim(current):
+        if len(nxt) >= len(current):
             return False
         current = nxt
     return True
@@ -879,7 +869,7 @@ def _certify_or_split(M, basis, top, known):
     return None
 
 
-def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list, pending: list):
+def _decompose_into(M: Rep, rng: random.Random, out: list, pending: list):
     """Append the summands of M to out; pending lists parts not yet split."""
     if M.total_dim == 0:
         return
@@ -888,7 +878,7 @@ def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list, pending: 
         out.append(M)
         return
     top = 1
-    for e in _candidate_endos(basis, rng, M.field, tries):
+    for e in _candidate_endos(basis, rng, M.field):
         mp = _minpoly_of_endo(e)
         if len(mp) <= 2:
             continue
@@ -909,10 +899,10 @@ def _decompose_into(M: Rep, rng: random.Random, tries: int, out: list, pending: 
         factors = _factor_poly(M.field, _minpoly_of_endo(e))
     parts = _split_along_endo(M, e, factors)
     for i, part in enumerate(parts):
-        _decompose_into(part, rng, tries, out, parts[i + 1 :] + pending)
+        _decompose_into(part, rng, out, parts[i + 1 :] + pending)
 
 
-def decompose(M: Rep, seed: int = 0, tries: int = 64):
+def decompose(M: Rep, seed: int = 0):
     """Split M into indecomposable summands (with multiplicity).
 
     The output order is deterministic: sorted by total dimension, then by
@@ -920,7 +910,7 @@ def decompose(M: Rep, seed: int = 0, tries: int = 64):
     splitting and no indecomposability certificate is found.
     """
     out = []
-    _decompose_into(M, random.Random(seed), tries, out, [])
+    _decompose_into(M, random.Random(seed), out, [])
     out.sort(key=lambda r: (r.total_dim, r.dims))
     return out
 
@@ -975,7 +965,8 @@ def is_isomorphic(M: Rep, N: Rep) -> bool:
     to one with `_indec_isomorphic`; like `decompose`, this may raise
     UndecidedError. The pipeline itself never calls this: the modules it
     compares are exceptional, and an exceptional module is determined by
-    its dimension vector.
+    its dimension vector. It stays as public API, and the benchmark's
+    layer trace (bench/spans.py) times it.
     """
     if M.quiver != N.quiver or M.field != N.field:
         raise ValueError("representations live over different quivers or fields")

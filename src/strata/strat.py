@@ -198,29 +198,13 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     for x in members:
         if x.quiver != q:
             raise ValueError("sequence member lives over the wrong quiver")
-    algebras = [q]
-    factors = []
-    generators = []
-    current = members
-    while len(current) > 1:
-        x = current[-1]
-        factors.append(FactorDescriptor(end_dim(x), _source_label(algebras[-1], x)))
-        generators.append(x)
-        pres = perp_algebra(x)
-        moved = []
-        for i, y in enumerate(current[:-1]):
-            try:
-                moved.append(transport_into_perp(pres, y))
-            except ValueError as e:
-                raise ValueError(
-                    f"member {i + 1} is not left-perpendicular to member "
-                    f"{len(current)}: {e}"
-                ) from e
-        current = moved
-        algebras.append(pres.algebra_quiver)
-    last = current[0]
-    factors.append(FactorDescriptor(end_dim(last), _source_label(algebras[-1], last)))
-    return Chain(tuple(algebras), tuple(factors), tuple(generators))
+    pres_list, peeled, (last,) = _iterated_perp(members[1:], members[:1])
+    algebras = (q,) + tuple(pres.algebra_quiver for pres in pres_list)
+    factors = tuple(
+        FactorDescriptor(end_dim(x), _source_label(a, x))
+        for a, x in zip(algebras, peeled + [last])
+    )
+    return Chain(algebras, factors, tuple(peeled))
 
 
 def _summand_presentation(x: Rep) -> tuple:
@@ -253,17 +237,30 @@ def _iterated_perp(members, others):
     """Perpendicular presentations of an exceptional sequence, one at a time.
 
     Peels members from the right; others ride along through every
-    transport. Returns (presentations outer to inner, transported others).
+    transport, numbered before the members in error messages. Returns
+    (presentations outer to inner, the peeled members as transported when
+    peeled, transported others).
     """
     work = list(members)
     side = list(others)
     pres_list = []
+    peeled = []
     while work:
-        pres = perp_algebra(work[-1])
-        side = [transport_into_perp(pres, y) for y in side]
-        work = [transport_into_perp(pres, y) for y in work[:-1]]
+        x = work.pop()
+        pres = perp_algebra(x)
+        moved = []
+        for i, y in enumerate(side + work):
+            try:
+                moved.append(transport_into_perp(pres, y))
+            except ValueError as e:
+                raise ValueError(
+                    f"member {i + 1} is not left-perpendicular to member "
+                    f"{len(side) + len(work) + 1}: {e}"
+                ) from e
+        side, work = moved[: len(side)], moved[len(side) :]
         pres_list.append(pres)
-    return pres_list, side
+        peeled.append(x)
+    return pres_list, peeled, side
 
 
 def _flatten_seq(tree: StratTree, field: Field) -> tuple:
@@ -277,7 +274,7 @@ def _flatten_seq(tree: StratTree, field: Field) -> tuple:
         )
     right_seq = _flatten_seq(tree.right, field)
     lifted_right = [lift_from_perp(cpres, z) for z in right_seq]
-    pres_list, _ = _iterated_perp(members, [])
+    pres_list, _, _ = _iterated_perp(members, [])
     if tree.left.algebra != pres_list[-1].algebra_quiver:
         raise ValueError(
             f"left subtree algebra {tree.left.algebra.describe()} does not "
@@ -347,7 +344,7 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
             _hom_category_image(cpres, m, j + 1) for j, m in enumerate(ordered)
         ]
         right = build(cpres.algebra_quiver, right_members)
-        pres_list, head = _iterated_perp(ordered, seq_members[:k])
+        pres_list, _, head = _iterated_perp(ordered, seq_members[:k])
         left = build(pres_list[-1].algebra_quiver, head)
         return Node(quiver, x, left, right)
 

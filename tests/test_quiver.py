@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strata.exactlin import GF, QQ
 from strata.quiver import (
@@ -11,6 +13,7 @@ from strata.quiver import (
     kronecker_quiver,
     linear_quiver,
     parse_quiver_text,
+    topological_sort,
 )
 
 from helpers import random_acyclic_quiver
@@ -35,6 +38,32 @@ def test_is_acyclic():
     assert is_acyclic(2, [Arrow("a", 1, 2)])
     assert not is_acyclic(2, [Arrow("a", 1, 2), Arrow("b", 2, 1)])
     assert is_acyclic(1, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_topological_sort_is_smallest_order(count, data):
+    """Checked against every permutation, on edge multisets with loops."""
+    vertex = st.integers(0, max(count - 1, 0))
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12)) if count else []
+    order = topological_sort(count, edges)
+    position = {v: i for i, v in enumerate(order)}
+    # a vertex is placed only after every edge into it, so edges go forward
+    for a, b in edges:
+        if b in position:
+            assert position.get(a, count) < position[b]
+    smallest = next(
+        (
+            list(p)
+            for p in itertools.permutations(range(count))
+            if all(p.index(a) < p.index(b) for a, b in edges)
+        ),
+        None,
+    )
+    if smallest is None:  # no order at all: the graph has a cycle
+        assert len(order) < count
+    else:
+        assert order == smallest
 
 
 def test_parallel_arrows_allowed():
