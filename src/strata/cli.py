@@ -19,7 +19,7 @@ import json
 import sys
 
 from .exactlin import GF, Field
-from .quiver import ParseError, parse_quiver_text
+from .quiver import parse_quiver_text
 from .repcat import (
     Rep,
     UndecidedError,
@@ -308,19 +308,11 @@ def main(argv=None) -> int:
 
     try:
         report, lines, code = _run(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except UndecidedError as e:
         print(f"undecided: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UsageError, ValueError, OSError) as e:
+        # ValueError covers ParseError and bad input met during a computation
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,9 @@ Two branches produce the presentation, chosen by dimension vector: an
 exceptional module is determined by its dimension vector, and the P_v of
 an acyclic quiver have pairwise distinct ones, so X is isomorphic to P_v
 exactly when dim X = dim P_v. Then the perpendicular category consists of
-the representations vanishing at v, so the quiver is the induced subquiver
-and the intertwiners are path concatenations. Otherwise the Bongartz
+the representations vanishing at v, so the quiver is the induced subquiver,
+the projectives are the path modules of the ambient quiver avoiding v and
+the intertwiners prepend arrows to paths. Otherwise the Bongartz
 complement M (the middle term of the universal extension of X against
 A = (+)_v P_v) decomposes into the n - 1 projectives of B, and the quiver
 of B is read off from rad/rad^2 of the Hom category of its summands.
@@ -29,12 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 from .exactlin import Field, Mat
 from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
     RepMap,
+    _path_module,
+    _path_prepend_map,
     _subrep,
     cokernel_rep,
     coordinates_in_hom_basis,
@@ -46,6 +50,7 @@ from .repcat import (
     ext1_space,
     extension_from_cocycle,
     hom_space,
+    identity_map,
     is_exceptional,
     orthogonal,
     projective,
@@ -180,64 +185,6 @@ class PerpPresentation:
     projectives_in_ambient: tuple
     radical_generators: tuple
 
-    def generator(self, arrow_name: str) -> RepMap:
-        for a, g in zip(self.algebra_quiver.arrows, self.radical_generators):
-            if a.name == arrow_name:
-                return g
-        raise KeyError(f"no arrow named {arrow_name!r}")
-
-
-def _inflate_rep(sub: Rep, ambient: Quiver, v: int) -> Rep:
-    """View a representation of ambient.delete_vertex(v) as an ambient one."""
-    f = sub.field
-    dims = []
-    k = 0
-    for w in ambient.vertices():
-        if w == v:
-            dims.append(0)
-        else:
-            dims.append(sub.dims[k])
-            k += 1
-    maps = {}
-    for a in ambient.arrows:
-        if a.source == v or a.target == v:
-            maps[a.name] = Mat.zeros(f, dims[a.target - 1], dims[a.source - 1])
-        else:
-            maps[a.name] = sub.arrow_map(a.name)
-    return Rep(ambient, f, dims, maps)
-
-
-def _inflate_map(f_sub: RepMap, src: Rep, tgt: Rep, v: int) -> RepMap:
-    blocks = []
-    k = 0
-    for w in src.quiver.vertices():
-        if w == v:
-            blocks.append(Mat.zeros(src.field, 0, 0))
-        else:
-            blocks.append(f_sub.blocks[k])
-            k += 1
-    return RepMap(src, tgt, blocks)
-
-
-def _path_prepend_map(q: Quiver, field: Field, a: Arrow) -> RepMap:
-    """The map P_{a.target} -> P_{a.source} prepending the arrow to paths."""
-    from .repcat import _paths_from
-
-    src = projective(q, field, a.target)
-    tgt = projective(q, field, a.source)
-    paths_src = _paths_from(q, a.target)
-    paths_tgt = _paths_from(q, a.source)
-    index = {w: {p: i for i, p in enumerate(paths_tgt[w])} for w in q.vertices()}
-    blocks = []
-    for w in q.vertices():
-        rows, cols = tgt.dim(w), src.dim(w)
-        ent = [field.zero] * (rows * cols)
-        for j, p in enumerate(paths_src[w]):
-            i = index[w][(a.name,) + p]
-            ent[i * cols + j] = field.one
-        blocks.append(Mat(field, rows, cols, ent))
-    return RepMap(src, tgt, blocks)
-
 
 def _rad_square_span(parts, hom_tables, j: int, jp: int):
     """Composites M_{j'} -> M_t -> M_j through every intermediate t."""
@@ -257,7 +204,7 @@ def hom_category_presentation(parts):
     Vertex t stands for parts[t-1]; an arrow j -> j' carries a generator in
     Hom(parts[j'-1], parts[j-1]) whose class spans rad/rad^2. A path-count
     check certifies the result is hereditary: dim Hom(M_{j'}, M_j) must
-    equal the number of quiver paths j ~> j'.
+    equal the number of quiver paths j ~> j'. Returns None when it fails.
     """
     m = len(parts)
     hom_tables = [[hom_space(parts[s], parts[t]) for t in range(m)] for s in range(m)]
@@ -280,13 +227,8 @@ def hom_category_presentation(parts):
     quiver = Quiver(m, arrows)
     for j in range(1, m + 1):
         counts = quiver.path_counts_from(j)
-        for jp in range(1, m + 1):
-            want = len(hom_tables[jp - 1][j - 1])
-            if counts[jp - 1] != want:
-                raise AssertionError(
-                    f"Hom category is not hereditary as presented: "
-                    f"{counts[jp - 1]} paths {j}->{jp} against Hom dimension {want}"
-                )
+        if any(counts[t] != len(hom_tables[t][j - 1]) for t in range(m)):
+            return None
     return quiver, tuple(generators)
 
 
@@ -295,9 +237,9 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     """Present the perpendicular category of an exceptional module.
 
     X is projective exactly when dim X = dim P_v for some vertex v (X is
-    exceptional, hence determined by its dimension vector). Then delete v
-    (labels inherited) and embed the subquiver's projectives as ambient
-    representations vanishing there. Otherwise the distinct summands of the
+    exceptional, hence determined by its dimension vector). Then the quiver
+    is q with v deleted (labels inherited) and its projectives are the
+    ambient path modules avoiding v. Otherwise the distinct summands of the
     Bongartz complement are the projectives, with the quiver read off their
     Hom category. Either way the algebra has exactly n - 1 vertices. Equal
     inputs get the same presentation object back.
@@ -309,15 +251,12 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     at = next((v for v in q.vertices() if q.path_counts_from(v) == X.dims), None)
     if at is not None:
         subq = q.delete_vertex(at)
-        projs = tuple(
-            _inflate_rep(projective(subq, f, j), q, at) for j in subq.vertices()
-        )
-        gens = []
-        for a in subq.arrows:
-            inner = _path_prepend_map(subq, f, a)
-            gens.append(
-                _inflate_map(inner, projs[a.target - 1], projs[a.source - 1], at)
-            )
+        projs = tuple(_path_module(q, f, w, at) for w in q.vertices() if w != at)
+        gens = [
+            _path_prepend_map(q, f, a, at)
+            for a in q.arrows
+            if at not in (a.source, a.target)
+        ]
         return PerpPresentation(
             source=X,
             branch="projective",
@@ -340,7 +279,10 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     for d in distinct:
         if end_dim(d) != 1:
             raise AssertionError("Bongartz summand is not exceptional")
-    quiver, gens = hom_category_presentation(distinct)
+    presented = hom_category_presentation(distinct)
+    if presented is None:
+        raise AssertionError("Hom category of the Bongartz summands is not hereditary")
+    quiver, gens = presented
     return PerpPresentation(
         source=X,
         branch="bongartz",
@@ -417,59 +359,43 @@ def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:
         raise ValueError("module lives over the wrong algebra quiver")
     bq = pres.algebra_quiver
     f = Z.field
-    ambient = pres.source.quiver
-    tgt_list = []
-    tgt_slot = {}
-    for j in bq.vertices():
-        tgt_slot[j] = len(tgt_list)
-        tgt_list.extend([pres.projectives_in_ambient[j - 1]] * Z.dim(j))
-    src_list = []
-    src_slot = {}
-    for ai, a in enumerate(bq.arrows):
-        src_slot[ai] = len(src_list)
-        src_list.extend([pres.projectives_in_ambient[a.target - 1]] * Z.dim(a.source))
-    if not tgt_list:
-        return zero_rep(ambient, f)
-    tgt_sum = direct_sum(tgt_list)
-    if not src_list:
+    projs = pres.projectives_in_ambient
+    # target slot (j, t): copy t of M_j; source slot (k, i): copy i of
+    # M_{j'} for the arrow k: j -> j'
+    tgt_slots = [(j, t) for j in bq.vertices() for t in range(Z.dim(j))]
+    src_slots = [
+        (k, i) for k, a in enumerate(bq.arrows) for i in range(Z.dim(a.source))
+    ]
+    if not tgt_slots:
+        return zero_rep(pres.source.quiver, f)
+    tgt_sum = direct_sum([projs[j - 1] for j, _ in tgt_slots])
+    if not src_slots:
         return tgt_sum
-    src_sum = direct_sum(src_list)
+    src_projs = [projs[bq.arrows[k].target - 1] for k, _ in src_slots]
+    src_sum = direct_sum(src_projs)
+    row_of = {slot: r for r, slot in enumerate(tgt_slots)}
+    # (row slot, column slot, the ambient map placed there)
+    pieces = []
+    for c, (k, i) in enumerate(src_slots):
+        a = bq.arrows[k]
+        pieces.append((row_of[a.source, i], c, pres.radical_generators[k]))
+        for t in range(Z.dim(a.target)):
+            coeff = f.neg(Z.maps[k].entry(t, i))
+            if coeff != 0:
+                scaled = identity_map(src_projs[c]).scale(coeff)
+                pieces.append((row_of[a.target, t], c, scaled))
     blocks = []
-    for v in ambient.vertices():
-        rows = tgt_sum.dim(v)
-        cols = src_sum.dim(v)
-        ent = [f.zero] * (rows * cols)
-        tgt_off = []
-        off = 0
-        for rep in tgt_list:
-            tgt_off.append(off)
-            off += rep.dim(v)
-        src_off = []
-        off = 0
-        for rep in src_list:
-            src_off.append(off)
-            off += rep.dim(v)
-        for ai, a in enumerate(bq.arrows):
-            r = pres.radical_generators[ai]
-            za = Z.maps[ai]
-            mjp = pres.projectives_in_ambient[a.target - 1]
-            for i in range(Z.dim(a.source)):
-                cbase = src_off[src_slot[ai] + i]
-                # component r_a into the source-vertex slot, copy i
-                rb = r.block(v)
-                rbase = tgt_off[tgt_slot[a.source] + i]
-                for ii in range(rb.rows):
-                    for jj in range(rb.cols):
-                        ent[(rbase + ii) * cols + (cbase + jj)] = rb.entry(ii, jj)
-                # component -Z_a[t, i] id into the target-vertex slots
-                for t in range(Z.dim(a.target)):
-                    coeff = f.neg(za.entry(t, i))
-                    if coeff == 0:
-                        continue
-                    rbase = tgt_off[tgt_slot[a.target] + t]
-                    for ii in range(mjp.dim(v)):
-                        ent[(rbase + ii) * cols + (cbase + ii)] = coeff
-        blocks.append(Mat(f, rows, cols, ent))
+    for v in pres.source.quiver.vertices():
+        row_off = [0, *accumulate(projs[j - 1].dim(v) for j, _ in tgt_slots)]
+        col_off = [0, *accumulate(p.dim(v) for p in src_projs)]
+        cols = col_off[-1]
+        ent = [f.zero] * (row_off[-1] * cols)
+        for r, c, piece in pieces:
+            m = piece.block(v)
+            for ii in range(m.rows):
+                start = (row_off[r] + ii) * cols + col_off[c]
+                ent[start : start + m.cols] = m.row(ii)
+        blocks.append(Mat(f, row_off[-1], cols, ent))
     phi = RepMap(src_sum, tgt_sum, blocks)
     Y, _ = cokernel_rep(phi)
     back = _transport_unchecked(pres, Y)

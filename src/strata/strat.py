@@ -116,7 +116,6 @@ class Leaf:
 
     algebra: Quiver
     factor: FactorDescriptor
-    derived_simple: bool = True
 
     def __post_init__(self):
         if self.algebra.n != 1:
@@ -211,7 +210,8 @@ def _summand_presentation(x: Rep) -> tuple:
     """Ordered distinct summands of a cut generator and their Hom category.
 
     The generator must be a multiplicity-free rigid sum of exceptionals
-    whose summands order into an exceptional sequence.
+    whose summands order into an exceptional sequence and whose Hom
+    category is hereditary.
     """
     if ext1_dim(x, x) != 0:
         raise ValueError("cut generator is not rigid")
@@ -222,7 +222,10 @@ def _summand_presentation(x: Rep) -> tuple:
     if ordered is None:
         raise ValueError("cut summands do not order into an exceptional sequence")
     members = tuple(ordered)
-    cq, gens = hom_category_presentation(list(members))
+    presented = hom_category_presentation(list(members))
+    if presented is None:
+        raise ValueError("cut summands' Hom category is not hereditary")
+    cq, gens = presented
     cpres = PerpPresentation(
         source=x,
         branch="summands",
@@ -310,8 +313,10 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
     """Build a stratification tree from a complete exceptional sequence.
 
     Each node cuts a random suffix of the (transported) sequence whose sum
-    is rigid; the suffix of length one is always available, so the
-    recursion never gets stuck. A fixed seed gives a fixed tree.
+    is rigid and whose summands have a hereditary Hom category; the suffix
+    of length one always qualifies, so the recursion never gets stuck. The
+    j-th ordered summand of a cut is P_j over its Hom category (Yoneda). A
+    fixed seed gives a fixed tree.
     """
     members = list(sequence)
     if len(members) != q.n or q.n == 0:
@@ -335,13 +340,14 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
                 for i in range(len(tail))
                 for j in range(i + 1, len(tail))
             )
-            if rigid:
+            if rigid and hom_category_presentation(tail) is not None:
                 valid.append(k)
         k = rng.choice(valid)
         x = direct_sum(seq_members[k:])
         ordered, cpres = _summand_presentation(x)
         right_members = [
-            _hom_category_image(cpres, m, j + 1) for j, m in enumerate(ordered)
+            projective(cpres.algebra_quiver, x.field, j)
+            for j in cpres.algebra_quiver.vertices()
         ]
         right = build(cpres.algebra_quiver, right_members)
         pres_list, _, head = _iterated_perp(ordered, seq_members[:k])
@@ -349,19 +355,6 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
         return Node(quiver, x, left, right)
 
     return build(q, members)
-
-
-def _hom_category_image(cpres: PerpPresentation, m: Rep, j: int) -> Rep:
-    """Image of the j-th cut summand in the Hom category: P_j over its quiver."""
-    from .perpcat import _transport_unchecked
-
-    z = _transport_unchecked(cpres, m)
-    expected = projective(cpres.algebra_quiver, m.field, j)
-    if z.dims != expected.dims:
-        raise AssertionError(
-            f"summand {j} transported to {z.dims}, want projective {expected.dims}"
-        )
-    return z
 
 
 def verify_jordan_holder(q: Quiver, bound: int, field: Field = QQ) -> dict:

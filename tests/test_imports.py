@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private top-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,62 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced_names(stmt):
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def _dead_private_names(sources):
+    """Private top-level names of {module: source} that no other top-level
+    statement of any module refers to (a self-recursive helper is dead)."""
+    statements = [
+        (module, i, stmt)
+        for module, source in sources.items()
+        for i, stmt in enumerate(ast.parse(source).body)
+    ]
+    refs = {(module, i): _referenced_names(stmt) for module, i, stmt in statements}
+    dead = []
+    for module, i, stmt in statements:
+        for name in _defined_names(stmt):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in r for key, r in refs.items() if key != (module, i)):
+                dead.append(f"{module}:{name}")
+    return sorted(dead)
+
+
+def test_checker_finds_dead_private_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n_SPARE: int = 4\n__all__ = []\n"
+            "def _used():\n    return _LIMIT\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Imported:\n    pass\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b.py": "from .a import _Imported\nimport a\nx = a._attr_only\n_attr_only = 1\n",
+    }
+    assert _dead_private_names(sources) == ["a.py:_SPARE", "a.py:_recursive"]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_private_names(sources) == []

@@ -295,12 +295,27 @@ def test_flatten_rejects_mismatched_subtree_algebra():
     [
         ([projective(A2, QQ, 1)] * 2, "repeated summand"),
         ([simple(A2, QQ, 1), simple(A2, QQ, 2)], "not rigid"),
+        # S_3 -> P_1 -> S_1 composes to zero: End of this tilting sum has a relation
+        ([interval_rep(QQ, 3, 1, 1), interval_rep(QQ, 3, 1, 3),
+          interval_rep(QQ, 3, 3, 3)], "Hom category is not hereditary"),
     ],
 )
 def test_flatten_rejects_bad_cut_generator(parts, message):
     leaf = Leaf(ONE, FactorDescriptor(1, "End(S_1)"))
+    x = direct_sum(parts)
     with pytest.raises(ValueError, match=message):
-        flatten_to_chain(Node(A2, direct_sum(parts), leaf, leaf))
+        flatten_to_chain(Node(x.quiver, x, leaf, leaf))
+
+
+@pytest.mark.parametrize("index", [8, 18, 34, 50, 111])
+def test_assemble_skips_non_hereditary_cuts(index):
+    """These A_4 sequences have a rigid suffix whose Hom category has a zero
+    relation; seed 1 used to draw it as a cut and crash."""
+    seq = enumerate_complete_exceptional_sequences(linear_quiver(4), QQ, 4)[index]
+    tree = assemble_tree(linear_quiver(4), seq, seed=1)
+    chain = flatten_to_chain(tree)
+    assert list(chain.factor_dims()) == [1, 1, 1, 1]
+    assert [f.division_ring_dim for f in tree.leaf_factors()] == [1, 1, 1, 1]
 
 
 def test_assemble_tree_is_deterministic():
