@@ -4,21 +4,22 @@ For an exceptional module X over the path algebra of an acyclic quiver, the
 full subcategory of modules Y with Hom(X, Y) = 0 = Ext^1(X, Y) is again the
 module category of a hereditary algebra B with one vertex fewer. B is never
 built abstractly: a PerpPresentation records the images of its
-indecomposable projectives inside the ambient category together with
-intertwiners realizing the arrows of its quiver, and modules travel in and
-out through Hom functors (`transport_into_perp`) and projective
-presentations (`lift_from_perp`).
+indecomposable projectives inside the ambient category, and modules travel
+in and out through `transport_into_perp` and `lift_from_perp`.
 
 Two branches produce the presentation, chosen by dimension vector: an
 exceptional module is determined by its dimension vector, and the P_v of
 an acyclic quiver have pairwise distinct ones, so X is isomorphic to P_v
-exactly when dim X = dim P_v. Then the perpendicular category consists of
-the representations vanishing at v, so the quiver is the induced subquiver,
-the projectives are the path modules of the ambient quiver avoiding v and
-the intertwiners prepend arrows to paths. Otherwise the Bongartz
-complement M (the middle term of the universal extension of X against
-A = (+)_v P_v) decomposes into the n - 1 projectives of B, and the quiver
-of B is read off from rad/rad^2 of the Hom category of its summands.
+exactly when dim X = dim P_v. Then Hom(P_v, Y) = Y_v and Ext^1(P_v, -) = 0,
+so the perpendicular category is the modules vanishing at v and vertex
+deletion is restriction: B is the path algebra of the induced subquiver,
+transport restricts to it and lift extends by zero (Geigle-Lenzing 1991).
+Otherwise the Bongartz complement M (the middle term of the universal
+extension of X against A = (+)_v P_v) decomposes into the n - 1
+projectives of B, the quiver of B is read off from rad/rad^2 of the Hom
+category of its summands with an intertwiner for each arrow, and modules
+travel through the Hom functor and the cokernel of a lifted projective
+presentation.
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` keep
@@ -37,9 +38,6 @@ from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
     RepMap,
-    _path_module,
-    _path_prepend_map,
-    _subrep,
     cokernel_rep,
     coordinates_in_hom_basis,
     decompose,
@@ -61,38 +59,6 @@ from .repcat import (
 # on A_4 at bound 4); the bounds only keep a long-lived process from growing.
 _PERP_MEMO_SIZE = 512
 _TRANSPORT_MEMO_SIZE = 8192
-
-
-def _column_basis(m: Mat) -> Mat:
-    """The pivot columns of m: a deterministic basis of its column space."""
-    pivots = m.transpose().column_space_pivot_rows()
-    f = m.field
-    ent = []
-    for i in range(m.rows):
-        row = m.row(i)
-        for c in pivots:
-            ent.append(row[c])
-    return Mat(f, m.rows, len(pivots), ent)
-
-
-def trace(X: Rep, M: Rep):
-    """The trace of X in M: the sum of images of all maps X -> M.
-
-    Returns (T, include) where T is the subrepresentation and include its
-    inclusion into M; the trace is arrow-stable because images of
-    intertwiners are.
-    """
-    if X.quiver != M.quiver or X.field != M.field:
-        raise ValueError("trace endpoints live over different quivers or fields")
-    f = M.field
-    maps = hom_space(X, M)
-    bases = []
-    for v in M.quiver.vertices():
-        stacked = Mat.zeros(f, M.dim(v), 0)
-        for h in maps:
-            stacked = stacked.hstack(h.block(v))
-        bases.append(_column_basis(stacked))
-    return _subrep(M, bases, "trace is not arrow-stable")
 
 
 def universal_extension(X: Rep, R: Rep):
@@ -173,10 +139,13 @@ def bongartz_complement(X: Rep) -> Rep:
 class PerpPresentation:
     """The perpendicular category presented inside the ambient one.
 
-    radical_generators is parallel to algebra_quiver.arrows: the generator
-    for an arrow a: j -> j' is an ambient intertwiner
+    projectives_in_ambient[j-1] is the image of P_j of algebra_quiver. Only
+    the Hom-presented branches ("bongartz", and "summands" for a cut
+    generator) carry radical_generators, parallel to algebra_quiver.arrows:
+    the generator for an arrow a: j -> j' is an ambient intertwiner
     projectives_in_ambient[j'-1] -> projectives_in_ambient[j-1], acting on
-    transported modules by precomposition.
+    transported modules by precomposition. The "projective" branch needs
+    none: its modules are restrictions, and its tuple is empty.
     """
 
     source: Rep
@@ -232,37 +201,64 @@ def hom_category_presentation(parts):
     return quiver, tuple(generators)
 
 
+def _deleted_vertex(X: Rep):
+    """The vertex v with dim X = dim P_v, or None.
+
+    The P_v have pairwise distinct dimension vectors, so for an exceptional
+    X this finds v exactly when X is isomorphic to P_v.
+    """
+    q = X.quiver
+    return next((v for v in q.vertices() if q.path_counts_from(v) == X.dims), None)
+
+
+def _restrict(Y: Rep, v: int, subq: Quiver) -> Rep:
+    """Y on subq = Y.quiver with v deleted: drop Y_v and the arrows at v."""
+    maps = [m for a, m in zip(Y.quiver.arrows, Y.maps) if v not in (a.source, a.target)]
+    return Rep(subq, Y.field, Y.dims[: v - 1] + Y.dims[v:], maps)
+
+
+def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
+    """Z, a module over q with v deleted, as a module over q vanishing at v."""
+    f = Z.field
+    dims = Z.dims[: v - 1] + (0,) + Z.dims[v - 1 :]
+    kept = iter(Z.maps)
+    maps = [
+        Mat.zeros(f, dims[a.target - 1], dims[a.source - 1])
+        if v in (a.source, a.target)
+        else next(kept)
+        for a in q.arrows
+    ]
+    return Rep(q, f, dims, maps)
+
+
 @lru_cache(maxsize=_PERP_MEMO_SIZE)
 def perp_algebra(X: Rep) -> PerpPresentation:
     """Present the perpendicular category of an exceptional module.
 
     X is projective exactly when dim X = dim P_v for some vertex v (X is
     exceptional, hence determined by its dimension vector). Then the quiver
-    is q with v deleted (labels inherited) and its projectives are the
-    ambient path modules avoiding v. Otherwise the distinct summands of the
-    Bongartz complement are the projectives, with the quiver read off their
-    Hom category. Either way the algebra has exactly n - 1 vertices. Equal
-    inputs get the same presentation object back.
+    is q with v deleted (labels inherited) and its projectives are extended
+    by zero to q. Otherwise the distinct summands of the Bongartz
+    complement are the projectives, with the quiver and the radical
+    generators read off their Hom category. Either way the algebra has
+    exactly n - 1 vertices. Equal inputs get the same presentation object
+    back.
     """
     if not is_exceptional(X):
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field
-    at = next((v for v in q.vertices() if q.path_counts_from(v) == X.dims), None)
-    if at is not None:
-        subq = q.delete_vertex(at)
-        projs = tuple(_path_module(q, f, w, at) for w in q.vertices() if w != at)
-        gens = [
-            _path_prepend_map(q, f, a, at)
-            for a in q.arrows
-            if at not in (a.source, a.target)
-        ]
+    v = _deleted_vertex(X)
+    if v is not None:
+        subq = q.delete_vertex(v)
         return PerpPresentation(
             source=X,
             branch="projective",
             algebra_quiver=subq,
-            projectives_in_ambient=projs,
-            radical_generators=tuple(gens),
+            projectives_in_ambient=tuple(
+                _extend_by_zero(projective(subq, f, j), q, v) for j in subq.vertices()
+            ),
+            radical_generators=(),
         )
     _, extensions = _bongartz_parts(X)
     # the complement's summands, ordered as decompose orders them
@@ -294,6 +290,8 @@ def perp_algebra(X: Rep) -> PerpPresentation:
 
 def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
     q = pres.algebra_quiver
+    if pres.branch == "projective":
+        return _restrict(Y, _deleted_vertex(pres.source), q)
     f = Y.field
     bases = [hom_space(pj, Y) for pj in pres.projectives_in_ambient]
     dims = [len(b) for b in bases]
@@ -319,9 +317,11 @@ def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
 def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     """Re-express a perpendicular module over the perpendicular algebra.
 
-    Vertex j carries Hom(M_j, Y); arrows act by precomposition with the
-    radical generators. The dimension bookkeeping of the projective
-    presentation is asserted:
+    On the projective branch (X = P_v) Y is perpendicular exactly when
+    Y_v = 0, and the module is its restriction to q with v deleted. On the
+    Hom-presented branches vertex j carries Hom(M_j, Y) and arrows act by
+    precomposition with the radical generators. Either way the dimension
+    bookkeeping of the projective presentation is asserted:
 
         dim Y = sum_j z_j dim M_j - sum_{a: j->j'} z_j dim M_{j'}
 
@@ -329,7 +329,13 @@ def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     the memo hits for the presentations `perp_algebra` hands out again.
     """
     X = pres.source
-    if not orthogonal(X, Y):
+    if Y.quiver != X.quiver or Y.field != X.field:
+        raise ValueError("module lives over another quiver or field than the source")
+    if pres.branch == "projective":
+        perpendicular = Y.dim(_deleted_vertex(X)) == 0
+    else:
+        perpendicular = orthogonal(X, Y)
+    if not perpendicular:
         raise ValueError("module is not perpendicular to the source")
     Z = _transport_unchecked(pres, Y)
     total = sum(
@@ -345,18 +351,8 @@ def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     return Z
 
 
-def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:
-    """Inverse of transport: realize a module of the perpendicular algebra.
-
-    Builds the cokernel of the lifted projective presentation
-
-        (+)_{a: j->j'} M_{j'} (x) k^{z_j}  ->  (+)_j M_j (x) k^{z_j}  ->  Y
-
-    where the map has component r_a into the j-slot and -Z_a (x) id into
-    the j'-slot.
-    """
-    if Z.quiver != pres.algebra_quiver:
-        raise ValueError("module lives over the wrong algebra quiver")
+def _cokernel_lift(pres: PerpPresentation, Z: Rep) -> Rep:
+    """The cokernel of Z's projective presentation, lifted along pres."""
     bq = pres.algebra_quiver
     f = Z.field
     projs = pres.projectives_in_ambient
@@ -397,7 +393,29 @@ def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:
                 ent[start : start + m.cols] = m.row(ii)
         blocks.append(Mat(f, row_off[-1], cols, ent))
     phi = RepMap(src_sum, tgt_sum, blocks)
-    Y, _ = cokernel_rep(phi)
+    return cokernel_rep(phi)[0]
+
+
+def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:
+    """Inverse of transport: realize a module of the perpendicular algebra.
+
+    On the projective branch (X = P_v) this is extension by zero. On the
+    Hom-presented branches it is the cokernel of the lifted projective
+    presentation
+
+        (+)_{a: j->j'} M_{j'} (x) k^{z_j}  ->  (+)_j M_j (x) k^{z_j}  ->  Y
+
+    where the map has component r_a into the j-slot and -Z_a (x) id into
+    the j'-slot. Either way transporting Y back must give dim Z again.
+    """
+    if Z.quiver != pres.algebra_quiver:
+        raise ValueError("module lives over the wrong algebra quiver")
+    if Z.field != pres.source.field:
+        raise ValueError("module lives over another field than the source")
+    if pres.branch == "projective":
+        Y = _extend_by_zero(Z, pres.source.quiver, _deleted_vertex(pres.source))
+    else:
+        Y = _cokernel_lift(pres, Z)
     back = _transport_unchecked(pres, Y)
     if back.dims != Z.dims:
         raise AssertionError(

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import Field, Mat
-from .quiver import Arrow, ParseError, Quiver
+from .quiver import ParseError, Quiver
 
 
 class UndecidedError(RuntimeError):
@@ -133,69 +133,17 @@ def simple(quiver: Quiver, field: Field, v: int) -> Rep:
     return Rep(quiver, field, dims, maps)
 
 
-def _paths_from(quiver: Quiver, v: int, avoid=None):
-    """All paths starting at v, grouped by endpoint, in a stable order.
-
-    Arrows into avoid are skipped, so no path passes through that vertex.
-    """
+def _paths_from(quiver: Quiver, v: int):
+    """All paths starting at v, grouped by endpoint, in a stable order."""
     paths = {w: [] for w in quiver.vertices()}
     paths[v].append(())
     for u in quiver.topological_order():
         for a in quiver.arrows:
-            if a.source != u or a.target == avoid:
+            if a.source != u:
                 continue
             for p in paths[u]:
                 paths[a.target].append(p + (a.name,))
     return paths
-
-
-def _path_matrix(field: Field, src_paths, tgt_paths, extend) -> Mat:
-    """The 0/1 matrix sending the path p of src_paths to extend(p) of tgt_paths."""
-    index = {p: i for i, p in enumerate(tgt_paths)}
-    rows, cols = len(tgt_paths), len(src_paths)
-    ent = [field.zero] * (rows * cols)
-    for j, p in enumerate(src_paths):
-        ent[index[extend(p)] * cols + j] = field.one
-    return Mat(field, rows, cols, ent)
-
-
-def _path_module(quiver: Quiver, field: Field, v: int, avoid=None) -> Rep:
-    """Paths out of v that avoid the vertex avoid; arrows append.
-
-    This is P_v of the quiver with avoid deleted, seen as a representation
-    of the whole quiver that vanishes at avoid (P_v itself when avoid is
-    None).
-    """
-    paths = _paths_from(quiver, v, avoid)
-    dims = [len(paths[w]) for w in quiver.vertices()]
-    maps = []
-    for a in quiver.arrows:
-        if a.target == avoid:
-            maps.append(Mat.zeros(field, 0, dims[a.source - 1]))
-        else:
-            maps.append(_path_matrix(
-                field, paths[a.source], paths[a.target], lambda p: p + (a.name,)
-            ))
-    return Rep(quiver, field, dims, maps)
-
-
-def _path_prepend_map(quiver: Quiver, field: Field, a: Arrow, avoid=None) -> "RepMap":
-    """The map P_{a.target} -> P_{a.source} prepending the arrow to paths.
-
-    With avoid set, the map between the path modules avoiding that vertex;
-    the arrow must not touch it.
-    """
-    paths_src = _paths_from(quiver, a.target, avoid)
-    paths_tgt = _paths_from(quiver, a.source, avoid)
-    blocks = [
-        _path_matrix(field, paths_src[w], paths_tgt[w], lambda p: (a.name,) + p)
-        for w in quiver.vertices()
-    ]
-    return RepMap(
-        _path_module(quiver, field, a.target, avoid),
-        _path_module(quiver, field, a.source, avoid),
-        blocks,
-    )
 
 
 def projective(quiver: Quiver, field: Field, v: int) -> Rep:
@@ -206,7 +154,17 @@ def projective(quiver: Quiver, field: Field, v: int) -> Rep:
     """
     if not (1 <= v <= quiver.n):
         raise ValueError(f"vertex {v} outside 1..{quiver.n}")
-    return _path_module(quiver, field, v)
+    paths = _paths_from(quiver, v)
+    dims = [len(paths[w]) for w in quiver.vertices()]
+    maps = []
+    for a in quiver.arrows:
+        index = {p: i for i, p in enumerate(paths[a.target])}
+        rows, cols = dims[a.target - 1], dims[a.source - 1]
+        ent = [field.zero] * (rows * cols)
+        for j, p in enumerate(paths[a.source]):
+            ent[index[p + (a.name,)] * cols + j] = field.one
+        maps.append(Mat(field, rows, cols, ent))
+    return Rep(quiver, field, dims, maps)
 
 
 def direct_sum(reps) -> Rep:

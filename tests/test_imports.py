@@ -95,3 +95,34 @@ def test_checker_finds_dead_private_names():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _dead_private_names(sources) == []
+
+
+def _bench_wrap_targets(source: str):
+    """(module, name) of FUNCTIONS and the names of ELIMINATION, read from
+    the source of bench/spans.py without importing it."""
+    functions, elimination = [], []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Assign) or not isinstance(stmt.targets[0], ast.Name):
+            continue
+        if stmt.targets[0].id == "FUNCTIONS":
+            functions = [(e.elts[0].id, e.elts[1].value) for e in stmt.value.elts]
+        elif stmt.targets[0].id == "ELIMINATION":
+            elimination = [e.value for e in stmt.value.elts]
+    return functions, elimination
+
+
+def test_benchmark_wrap_targets_exist():
+    """bench/spans.py wraps these by name; a rename must not break --trace 1."""
+    import importlib
+
+    from strata.exactlin import Mat
+
+    source = (PACKAGE.parents[1] / "bench" / "spans.py").read_text()
+    functions, elimination = _bench_wrap_targets(source)
+    assert functions and elimination
+    for module, name in functions:
+        assert callable(getattr(importlib.import_module(f"strata.{module}"), name, None)), (
+            f"strata.{module}.{name}"
+        )
+    for method in elimination:
+        assert callable(getattr(Mat, method, None)), f"Mat.{method}"

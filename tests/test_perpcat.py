@@ -1,4 +1,4 @@
-"""Trace, universal extensions, Bongartz complements, perpendicular algebras."""
+"""Universal extensions, Bongartz complements, perpendicular algebras."""
 
 import random
 
@@ -24,12 +24,11 @@ from strata.perpcat import (
     free_module,
     lift_from_perp,
     perp_algebra,
-    trace,
     transport_into_perp,
     universal_extension,
 )
 
-from helpers import conjugate_rep, random_rep
+from helpers import conjugate_rep, random_acyclic_quiver, random_mat, random_rep
 
 
 A2 = linear_quiver(2)
@@ -48,45 +47,6 @@ def kronecker_regular(field, lam):
             "b": Mat(field, 1, 1, (field.coerce(lam),)),
         },
     )
-
-
-def test_trace_of_module_in_itself():
-    m = projective(A3, QQ, 1)
-    t, inc = trace(m, m)
-    assert t.dims == m.dims
-    assert inc.is_isomorphism()
-
-
-def test_trace_simple_in_projective_vanishes():
-    t, _ = trace(simple(A2, QQ, 1), projective(A2, QQ, 1))
-    assert t.dims == (0, 0)
-
-
-def test_trace_of_p1_in_free_module():
-    """Hom(P_1, P_2) = 0 over A_2, so only the P_1 slot is covered."""
-    a = free_module(A2, QQ)
-    t, inc = trace(projective(A2, QQ, 1), a)
-    assert t.dims == (1, 1)
-    assert not inc.is_isomorphism()
-
-
-def test_trace_of_free_module_covers_everything():
-    rng = random.Random(11)
-    for _ in range(5):
-        m = random_rep(rng, A3, QQ, max_dim=3)
-        t, _ = trace(free_module(A3, QQ), m)
-        assert t.dims == m.dims
-
-
-def test_trace_is_arrow_stable_subrep():
-    rng = random.Random(3)
-    x = projective(KR, QQ, 1)
-    for _ in range(5):
-        m = random_rep(rng, KR, QQ, max_dim=3)
-        t, inc = trace(x, m)
-        # inclusion blocks have full column rank and commute by construction
-        for v in KR.vertices():
-            assert inc.block(v).rank() == t.dim(v)
 
 
 def test_universal_extension_a2():
@@ -286,17 +246,66 @@ def test_transported_projectives_are_projectives():
             )
 
 
+def _restricted(y, v, subq):
+    maps = [m for a, m in zip(y.quiver.arrows, y.maps) if v not in (a.source, a.target)]
+    return Rep(subq, y.field, y.dims[: v - 1] + y.dims[v:], maps)
+
+
+def _random_vanishing_at(rng, q, field, v):
+    dims = [0 if w == v else rng.randint(0, 2) for w in q.vertices()]
+    return Rep(q, field, dims, [
+        random_mat(rng, field, dims[a.target - 1], dims[a.source - 1]) for a in q.arrows
+    ])
+
+
 def test_transport_restriction_branch():
+    """Deleting v: transport is restriction, lift is extension by zero, and
+    transport(lift(z)) is z itself, not merely isomorphic to it."""
     pres = perp_algebra(projective(A2, QQ, 2))
     z = transport_into_perp(pres, simple(A2, QQ, 1))
     assert z.dims == (1,)
+    rng = random.Random(17)
+    for field in (QQ, GF(3)):
+        for _ in range(12):
+            q = random_acyclic_quiver(rng, max_vertices=4)
+            for v in q.vertices():
+                pres = perp_algebra(projective(q, field, v))
+                assert pres.branch == "projective"
+                subq = pres.algebra_quiver
+                assert subq == q.delete_vertex(v)
+                for _ in range(2):
+                    y = _random_vanishing_at(rng, q, field, v)
+                    assert transport_into_perp(pres, y) == _restricted(y, v, subq)
+                    z = random_rep(rng, subq, field, max_dim=2)
+                    lifted = lift_from_perp(pres, z)
+                    assert lifted.dim(v) == 0
+                    assert _restricted(lifted, v, subq) == z
+                    assert all(
+                        m.rows * m.cols == 0
+                        for a, m in zip(q.arrows, lifted.maps)
+                        if v in (a.source, a.target)
+                    )
+                    assert transport_into_perp(pres, lifted) == z
 
 
 def test_transport_rejects_non_perpendicular():
-    pres = perp_algebra(simple(A3, QQ, 1))
+    bongartz = perp_algebra(simple(A3, QQ, 1))
+    deletion = perp_algebra(projective(A3, QQ, 3))
+    cases = [
+        (bongartz, projective(A3, QQ, 2), "perpendicular"),
+        # Y_3 != 0, so Y is not perpendicular to P_3
+        (deletion, simple(A3, QQ, 3), "perpendicular"),
+        (deletion, projective(A3, QQ, 2), "perpendicular"),
+        (bongartz, projective(A3, GF(5), 3), "field"),
+        (deletion, simple(A3, GF(5), 1), "field"),
+        (bongartz, simple(A2, QQ, 1), "quiver"),
+        (deletion, simple(A2, QQ, 1), "quiver"),
+    ]
+    # twice each: a rejected input must not be memoized
     for _ in range(2):
-        with pytest.raises(ValueError, match="perpendicular"):
-            transport_into_perp(pres, projective(A3, QQ, 2))
+        for pres, y, match in cases:
+            with pytest.raises(ValueError, match=match):
+                transport_into_perp(pres, y)
 
 
 def test_lift_then_transport_round_trip():
@@ -348,6 +357,16 @@ def test_lift_of_zero():
     pres = perp_algebra(simple(A3, QQ, 1))
     y = lift_from_perp(pres, zero_rep(pres.algebra_quiver, QQ))
     assert y.total_dim == 0
+
+
+def test_lift_rejects_another_field():
+    """Z must live over the source's field, on both branches and for the
+    zero module too."""
+    for pres in (perp_algebra(simple(A3, QQ, 1)), perp_algebra(projective(A3, QQ, 3))):
+        bq = pres.algebra_quiver
+        for z in (simple(bq, GF(5), 1), zero_rep(bq, GF(5)), projective(bq, GF(5), 1)):
+            with pytest.raises(ValueError, match="field"):
+                lift_from_perp(pres, z)
 
 
 def test_perp_over_prime_field():
