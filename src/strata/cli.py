@@ -37,6 +37,7 @@ from .exceptional import (
 )
 from .perpcat import bongartz_complement, perp_algebra
 from .strat import (
+    KRONECKER_DEMO_MAX_PRIME,
     endo_rings_of_simples,
     kronecker_demo,
     standard_stratification,
@@ -301,7 +302,9 @@ def main(argv=None) -> int:
                         help="seed for the candidate draws of decompose and "
                         "bongartz; echoed in every report (default 0)")
     parser.add_argument("--prime", type=int, default=None,
-                        help="work over F_p instead of the file's field")
+                        help="work over F_p instead of the file's field; "
+                        f"kronecker-demo takes p <= {KRONECKER_DEMO_MAX_PRIME} "
+                        "and defaults to 5")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit one machine-readable JSON document")
     args = parser.parse_args(argv)

@@ -98,11 +98,13 @@ class Field:
         return -a if self.characteristic == 0 else (-a) % self.characteristic
 
     def inv(self, a):
+        p = self.characteristic
+        if p:
+            # a multiple of p is zero in F_p
+            a %= p
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero field element")
-        if self.characteristic == 0:
-            return 1 / a
-        return pow(a, self.characteristic - 2, self.characteristic)
+        return 1 / a if p == 0 else pow(a, p - 2, p)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -116,9 +118,10 @@ class Field:
                 value = Fraction(int(num), int(den))
             else:
                 value = Fraction(int(token))
+            # over F_p a denominator divisible by p has no inverse
+            return self.coerce(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar {token!r}: {exc}") from None
-        return self.coerce(value)
 
     def format(self, x) -> str:
         return str(x)
@@ -235,10 +238,14 @@ def _reduce(rows, p, full, limit=None):
     return piv
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Mat:
     """Immutable matrix with exact entries over a fixed field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    field: Field
+    rows: int
+    cols: int
+    entries: tuple
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -262,9 +269,6 @@ class Mat:
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "entries", entries)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
@@ -305,18 +309,6 @@ class Mat:
 
     def col(self, j: int):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(

@@ -5,7 +5,8 @@ endomorphism ring and no self-extensions; over the ground fields used here
 (the rationals and prime fields) the two conditions collapse to
 dim End(X) = 1 together with Ext^1(X, X) = 0. A sequence (X_1, ..., X_r)
 is exceptional when every member is and Hom(X_j, X_i) = 0 = Ext^1(X_j, X_i)
-whenever i < j; complete means r equals the number of vertices.
+whenever i < j; complete means r equals the number of vertices. A
+sequence is a plain tuple of Reps, checked by `is_exceptional_sequence`.
 
 Enumeration closes the simples under mutation of exceptional pairs, up to a
 total-dimension bound. It is deterministic and complete: by Ringel
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .exactlin import Field, Mat
-from .perpcat import free_module, universal_extension
 from .quiver import Quiver, topological_sort
 from .repcat import (
     Rep,
@@ -33,49 +33,25 @@ from .repcat import (
     ext1_dim,
     ext1_space,
     extension_from_cocycle,
+    free_module,
     hom_space,
     is_exceptional,
     kernel_rep,
     orthogonal,
     simple,
+    universal_extension,
 )
 
 
-@dataclass(frozen=True)
-class ExcSequence:
-    """An ordered tuple of representations; verify() checks the axioms.
-
-    The constructor does not validate, so enumeration code can build
-    candidates cheaply; verify() is the single source of truth.
-    """
-
-    reps: tuple
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def __iter__(self):
-        return iter(self.reps)
-
-    def __getitem__(self, i: int) -> Rep:
-        return self.reps[i]
-
-    def verify(self) -> bool:
-        for x in self.reps:
-            if not is_exceptional(x):
-                return False
-        for i in range(len(self.reps)):
-            for j in range(i + 1, len(self.reps)):
-                if not orthogonal(self.reps[j], self.reps[i]):
-                    return False
-        return True
-
-    def is_complete(self) -> bool:
-        return bool(self.reps) and len(self.reps) == self.reps[0].quiver.n
-
-
 def is_exceptional_sequence(reps) -> bool:
-    return ExcSequence(tuple(reps)).verify()
+    """True when every member is exceptional and each later member is
+    orthogonal to each earlier one (Hom and Ext^1 from it vanish)."""
+    reps = tuple(reps)
+    return all(is_exceptional(x) for x in reps) and all(
+        orthogonal(reps[j], reps[i])
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    )
 
 
 def order_into_exceptional_sequence(summands):
@@ -104,16 +80,25 @@ def order_into_exceptional_sequence(summands):
     order = topological_sort(m, edges)
     if len(order) != m:
         return None
-    return ExcSequence(tuple(xs[i] for i in order))
+    return tuple(xs[i] for i in order)
+
+
+def _tilting_summands(T: Rep):
+    """The distinct indecomposable summands of T when T is tilting, else None.
+
+    Every tilting check shares this one decomposition of T.
+    """
+    if T.total_dim == 0:
+        return () if T.quiver.n == 0 else None
+    if ext1_dim(T, T) != 0:
+        return None
+    distinct = distinct_summands(decompose(T))
+    return distinct if len(distinct) == T.quiver.n else None
 
 
 def is_tilting_module(T: Rep) -> bool:
     """Rigid with exactly n pairwise non-isomorphic indecomposable summands."""
-    if T.total_dim == 0:
-        return T.quiver.n == 0
-    if ext1_dim(T, T) != 0:
-        return False
-    return len(distinct_summands(decompose(T))) == T.quiver.n
+    return _tilting_summands(T) is not None
 
 
 def tilting_coresolution(T: Rep) -> ShortExactSeq:
@@ -126,11 +111,16 @@ def tilting_coresolution(T: Rep) -> ShortExactSeq:
     add T exactly when it is exceptional with the dimension vector of a
     summand of T.
     """
+    distinct = _tilting_summands(T)
+    if distinct is None:
+        raise ValueError("coresolution is only defined for tilting modules")
+    return _coresolution(T, distinct)
+
+
+def _coresolution(T: Rep, distinct) -> ShortExactSeq:
+    """`tilting_coresolution` of T, given the distinct summands of T."""
     q = T.quiver
     f = T.field
-    if not is_tilting_module(T):
-        raise ValueError("coresolution is only defined for tilting modules")
-    distinct = distinct_summands(decompose(T))
     A = free_module(q, f)
     maps = [(d, h) for d in distinct for h in hom_space(A, d)]
     if not maps:
@@ -301,7 +291,7 @@ def enumerate_complete_exceptional_sequences(quiver: Quiver, field: Field, bound
 
     def extend(prefix):
         if len(prefix) == n:
-            sequences.append(ExcSequence(tuple(reps[i] for i in prefix)))
+            sequences.append(tuple(reps[i] for i in prefix))
             return
         for j in range(m):
             if j in prefix:

@@ -15,7 +15,7 @@ so the perpendicular category is the modules vanishing at v and vertex
 deletion is restriction: B is the path algebra of the induced subquiver,
 transport restricts to it and lift extends by zero (Geigle-Lenzing 1991).
 Otherwise the Bongartz complement M (the middle term of the universal
-extension of X against A = (+)_v P_v) decomposes into the n - 1
+extension of X against A = (+)_v P_v; `repcat` builds both) decomposes into the n - 1
 projectives of B, the quiver of B is read off from rad/rad^2 of the Hom
 category of its summands with an intertwiner for each arrow, and modules
 travel through the Hom functor and the cokernel of a lifted projective
@@ -30,10 +30,10 @@ memoized: a bad input raises on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 
-from .exactlin import Field, Mat
+from .exactlin import Mat
 from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
@@ -44,14 +44,12 @@ from .repcat import (
     direct_sum,
     distinct_summands,
     end_dim,
-    ext1_dim,
-    ext1_space,
-    extension_from_cocycle,
     hom_space,
     identity_map,
     is_exceptional,
     orthogonal,
     projective,
+    universal_extension,
     zero_rep,
 )
 
@@ -59,39 +57,6 @@ from .repcat import (
 # on A_4 at bound 4); the bounds only keep a long-lived process from growing.
 _PERP_MEMO_SIZE = 512
 _TRANSPORT_MEMO_SIZE = 8192
-
-
-def universal_extension(X: Rep, R: Rep):
-    """The universal extension 0 -> R -> M -> X^c -> 0 with c = ext1_dim(X, R).
-
-    Stacks a full cocycle basis of Ext^1(X, R), so Ext^1(X, M) = 0: every
-    self-extension against X has been used up. Returns (c, sequence).
-    """
-    if not is_exceptional(X):
-        raise ValueError("universal extension needs an exceptional X")
-    q = X.quiver
-    f = X.field
-    cocycles = ext1_space(X, R)
-    c = len(cocycles)
-    if c == 0:
-        quot = zero_rep(q, f)
-        zero_cocycle = {
-            a.name: Mat.zeros(f, R.dim(a.target), 0) for a in q.arrows
-        }
-        return 0, extension_from_cocycle(quot, R, zero_cocycle)
-    quot = direct_sum([X] * c)
-    stacked = {
-        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles]) for a in q.arrows
-    }
-    ses = extension_from_cocycle(quot, R, stacked)
-    if ext1_dim(X, ses.middle) != 0:
-        raise AssertionError("universal extension left extensions behind")
-    return c, ses
-
-
-def free_module(quiver: Quiver, field: Field) -> Rep:
-    """A = P_1 (+) ... (+) P_n, the algebra as a module over itself."""
-    return direct_sum([projective(quiver, field, v) for v in quiver.vertices()])
 
 
 def _bongartz_parts(X: Rep):

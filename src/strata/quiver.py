@@ -23,7 +23,7 @@ order of a quiver and the order of an exceptional sequence all come from it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .exactlin import Field, GF, QQ
 
@@ -77,10 +77,18 @@ def _label_key(label: str):
     return (0, int(label), "") if label.isdigit() else (1, 0, label)
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Quiver:
-    """A finite acyclic quiver with named arrows and labeled vertices."""
+    """A finite acyclic quiver with named arrows and labeled vertices.
 
-    __slots__ = ("n", "arrows", "labels")
+    The topological order found while rejecting cycles is kept; it is
+    derived from the arrows, so equality and hashing ignore it.
+    """
+
+    n: int
+    arrows: tuple
+    labels: tuple
+    _order: tuple = dataclass_field(compare=False)
 
     def __init__(self, n: int, arrows=(), labels=None):
         if n < 0:
@@ -106,25 +114,13 @@ class Quiver:
                 raise ValueError("label count differs from vertex count")
             if len(set(labels)) != n:
                 raise ValueError("vertex labels must be distinct")
-        if not is_acyclic(n, arrows):
+        order = topological_sort(n, [(a.source - 1, a.target - 1) for a in arrows])
+        if len(order) != n:
             raise ValueError("quiver has an oriented cycle")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quiver is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.n == other.n
-            and self.arrows == other.arrows
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.arrows, self.labels))
+        object.__setattr__(self, "_order", tuple(v + 1 for v in order))
 
     def __repr__(self):
         arr = ", ".join(f"{a.name}:{a.source}->{a.target}" for a in self.arrows)
@@ -185,8 +181,7 @@ class Quiver:
         return Quiver(self.n - 1, arrows, labels)
 
     def topological_order(self):
-        edges = [(a.source - 1, a.target - 1) for a in self.arrows]
-        return tuple(v + 1 for v in topological_sort(self.n, edges))
+        return self._order
 
     def path_counts_from(self, v: int):
         """Number of paths v ~> w for every w (trivial path included)."""

@@ -8,7 +8,13 @@ groups both come from one linear system: the map
     Phi: (f_v)_v  ->  (f_w M_a - N_a f_u)_{a: u -> w}
 
 has kernel Hom(M, N) and cokernel Ext^1(M, N); the path algebra of an
-acyclic quiver is hereditary, so there is nothing past Ext^1.
+acyclic quiver is hereditary, so there is nothing past Ext^1. A cocycle
+basis of Ext^1 gives extensions explicitly, and stacking all of them gives
+the universal extension that the mutations of `exceptional` and the
+Bongartz complements of `perpcat` are built from.
+
+`Rep` and `RepMap` are frozen dataclasses: immutable, compared and hashed
+by content, so they serve as memo keys.
 
 Decomposition splits along coprime factors of minimal polynomials of
 endomorphisms and never guesses. A module is reported indecomposable only
@@ -40,6 +46,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .exactlin import Field, Mat
 from .quiver import ParseError, Quiver
@@ -49,10 +56,14 @@ class UndecidedError(RuntimeError):
     """Indecomposability could be neither refuted nor certified."""
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Rep:
     """A representation of a fixed quiver over a fixed field."""
 
-    __slots__ = ("quiver", "field", "dims", "maps")
+    quiver: Quiver
+    field: Field
+    dims: tuple
+    maps: tuple
 
     def __init__(self, quiver: Quiver, field: Field, dims, maps):
         dims = tuple(int(d) for d in dims)
@@ -84,21 +95,6 @@ class Rep:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rep is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rep)
-            and self.quiver == other.quiver
-            and self.field == other.field
-            and self.dims == other.dims
-            and self.maps == other.maps
-        )
-
-    def __hash__(self):
-        return hash((self.quiver, self.field, self.dims, self.maps))
 
     def __repr__(self):
         return f"Rep(dims={self.dims} over {self.field!r})"
@@ -195,10 +191,13 @@ def direct_sum(reps) -> Rep:
     return Rep(q, f, dims, maps)
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class RepMap:
     """A morphism of representations: one matrix per vertex, commuting."""
 
-    __slots__ = ("source", "target", "blocks")
+    source: Rep
+    target: Rep
+    blocks: tuple
 
     def __init__(self, source: Rep, target: Rep, blocks):
         if source.quiver != target.quiver or source.field != target.field:
@@ -222,20 +221,6 @@ class RepMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepMap is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RepMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.blocks))
 
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
@@ -451,6 +436,39 @@ def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> ShortExactSeq:
     include = RepMap(N, E, inc_blocks)
     project = RepMap(E, M, prj_blocks)
     return ShortExactSeq(sub=N, middle=E, quotient=M, include=include, project=project)
+
+
+def universal_extension(X: Rep, R: Rep):
+    """The universal extension 0 -> R -> M -> X^c -> 0 with c = ext1_dim(X, R).
+
+    Stacks a full cocycle basis of Ext^1(X, R), so Ext^1(X, M) = 0: every
+    self-extension against X has been used up. Returns (c, sequence).
+    """
+    if not is_exceptional(X):
+        raise ValueError("universal extension needs an exceptional X")
+    q = X.quiver
+    f = X.field
+    cocycles = ext1_space(X, R)
+    c = len(cocycles)
+    if c == 0:
+        quot = zero_rep(q, f)
+        zero_cocycle = {
+            a.name: Mat.zeros(f, R.dim(a.target), 0) for a in q.arrows
+        }
+        return 0, extension_from_cocycle(quot, R, zero_cocycle)
+    quot = direct_sum([X] * c)
+    stacked = {
+        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles]) for a in q.arrows
+    }
+    ses = extension_from_cocycle(quot, R, stacked)
+    if ext1_dim(X, ses.middle) != 0:
+        raise AssertionError("universal extension left extensions behind")
+    return c, ses
+
+
+def free_module(quiver: Quiver, field: Field) -> Rep:
+    """A = P_1 (+) ... (+) P_n, the algebra as a module over itself."""
+    return direct_sum([projective(quiver, field, v) for v in quiver.vertices()])
 
 
 def _subrep(M: Rep, bases, unstable: str):

@@ -35,10 +35,10 @@ from .repcat import (
     simple,
 )
 from .exceptional import (
+    _coresolution,
+    _tilting_summands,
     enumerate_complete_exceptional_sequences,
-    is_tilting_module,
     order_into_exceptional_sequence,
-    tilting_coresolution,
 )
 from .perpcat import (
     PerpPresentation,
@@ -218,10 +218,9 @@ def _summand_presentation(x: Rep) -> tuple:
     parts = decompose(x)
     if len(distinct_summands(parts)) != len(parts):
         raise ValueError("cut generator has a repeated summand")
-    ordered = order_into_exceptional_sequence(parts)
-    if ordered is None:
+    members = order_into_exceptional_sequence(parts)
+    if members is None:
         raise ValueError("cut summands do not order into an exceptional sequence")
-    members = tuple(ordered)
     presented = hom_category_presentation(list(members))
     if presented is None:
         raise ValueError("cut summands' Hom category is not hereditary")
@@ -391,10 +390,11 @@ def verify_ringel_tilting(q: Quiver, T: Rep) -> dict:
     """Compare the summand endomorphism rings of a tilting module with the simples'."""
     if T.quiver != q:
         raise ValueError("tilting module lives over the wrong quiver")
-    if not is_tilting_module(T):
+    distinct = _tilting_summands(T)
+    if distinct is None:
         raise ValueError("module is not tilting")
-    coresolution_ok = tilting_coresolution(T).verify()
-    summand_dims = sorted(end_dim(d) for d in distinct_summands(decompose(T)))
+    coresolution_ok = _coresolution(T, distinct).verify()
+    summand_dims = sorted(end_dim(d) for d in distinct)
     simple_dims = sorted(
         f.division_ring_dim for f in endo_rings_of_simples(q, T.field)
     )
@@ -413,14 +413,26 @@ def is_derived_simple(q: Quiver) -> bool:
     return q.n == 1
 
 
+# kronecker_demo runs Hom and Ext on all (p + 1) p ordered pairs, so its
+# cost grows quadratically in p; p = 251 takes about 2.5 s on one 2-core
+# machine.
+KRONECKER_DEMO_MAX_PRIME = 251
+
+
 def kronecker_demo(p: int) -> dict:
     """The regular simples of the Kronecker quiver over F_p, all at once.
 
     The p + 1 modules R_lam = (1, 1; a = 1, b = lam) and R_inf = (1, 1;
     a = 0, b = 1) are pairwise Hom- and Ext-orthogonal, each with a
     one-dimensional space of self-extensions; none is exceptional. The
-    report records why stratifications cannot pass through them.
+    report records why stratifications cannot pass through them. Primes
+    above KRONECKER_DEMO_MAX_PRIME (251) are rejected with a ValueError
+    before any module is built.
     """
+    if p > KRONECKER_DEMO_MAX_PRIME:
+        raise ValueError(
+            f"kronecker-demo takes a prime of at most {KRONECKER_DEMO_MAX_PRIME}, got {p}"
+        )
     field = GF(p)
     kq = kronecker_quiver()
     regs = []

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from strata import cli
+from strata.repcat import UndecidedError
 
 
 A2 = """\
@@ -339,3 +340,35 @@ def test_bound_below_one_is_usage_error(tmp_path, capsys, bound):
 def test_unknown_verb_is_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("header,flags", [
+    ("field Fp 5\nvertices 2\narrow a 1 2\n", []),
+    (A2, ["--prime", "5"]),
+], ids=["file-field", "prime-flag"])
+def test_denominator_divisible_by_p_is_a_parse_error(tmp_path, capsys, header, flags):
+    text = header + "\nrep\ndims 1 1\nmap a 1/5\n\nrep\ndims 1 1\nmap a 1\n"
+    path = write(tmp_path, "bad.quiver", text)
+    assert cli.main(["hom", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 7" in captured.err and "bad scalar '1/5'" in captured.err
+
+
+def test_kronecker_demo_prime_above_cap_is_usage_error(capsys):
+    assert cli.main(["kronecker-demo", "--prime", "257"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 251" in captured.err
+
+
+def test_undecided_decomposition_exits_3(tmp_path, capsys, monkeypatch):
+    def undecided(M, seed=0):
+        raise UndecidedError("no split and no certificate")
+
+    monkeypatch.setattr(cli, "decompose", undecided)
+    path = write(tmp_path, "p1.quiver", A2 + "\nrep\ndims 1 1\nmap a 1\n")
+    assert cli.main(["decompose", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("undecided:")

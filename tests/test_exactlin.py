@@ -35,6 +35,17 @@ def test_field_coercion():
         QQ.parse("x")
 
 
+def test_prime_field_rejects_denominators_divisible_by_p():
+    """A multiple of p is zero in F_p, so it has no inverse."""
+    with pytest.raises(ZeroDivisionError):
+        F5.inv(5)
+    with pytest.raises(ZeroDivisionError):
+        F5.coerce(Fraction(1, 5))
+    for token in ("1/5", "2/10"):
+        with pytest.raises(ValueError, match="bad scalar"):
+            F5.parse(token)
+
+
 def test_rank_hand_reduced():
     # [[1,2],[2,4]]: second row is twice the first, rank 1
     m = Mat.from_rows(QQ, [[1, 2], [2, 4]])

@@ -16,7 +16,6 @@ from strata.repcat import (
 )
 from strata.exceptional import (
     EnumerationResult,
-    ExcSequence,
     enumerate_complete_exceptional_sequences,
     enumerate_exceptional,
     is_exceptional,
@@ -82,13 +81,11 @@ def test_decomposable_is_not_exceptional():
 
 def test_sequence_verify_and_completeness():
     s1, s2 = simple(A2, QQ, 1), simple(A2, QQ, 2)
-    good = ExcSequence((s1, s2))
-    assert good.verify()
-    assert good.is_complete()
-    assert len(good) == 2 and good[0] is s1
+    good = (s1, s2)
+    assert is_exceptional_sequence(good)
+    assert len(good) == A2.n
     # reversed order fails: Ext^1(S_1, S_2) != 0 with S_1 later
-    assert not ExcSequence((s2, s1)).verify()
-    assert not ExcSequence(()).is_complete()
+    assert not is_exceptional_sequence((s2, s1))
     assert is_exceptional_sequence([simple(A3, QQ, 3), projective(A3, QQ, 1)])
 
 
@@ -199,7 +196,7 @@ def test_sequences_a3_against_permutation_oracle():
     seqs = enumerate_complete_exceptional_sequences(A3, QQ, 3)
     assert len(seqs) == 16
     for s in seqs:
-        assert s.verify() and s.is_complete()
+        assert is_exceptional_sequence(s) and len(s) == A3.n
 
 
 def test_a3_interval_ext_table():
@@ -255,7 +252,7 @@ def test_a3_tilting_triples():
     }
     for trip in tiltings:
         ordered = order_into_exceptional_sequence([ivs[t] for t in trip])
-        assert ordered is not None and ordered.is_complete()
+        assert ordered is not None and len(ordered) == A3.n
 
 
 def test_coresolution_of_a2_tilting():
@@ -354,7 +351,7 @@ def braid_orbit(start, bound):
                         continue
                     nxt = seq[:i] + pair + seq[i + 2:]
                     if key(nxt) not in seen:
-                        assert ExcSequence(nxt).verify()
+                        assert is_exceptional_sequence(nxt)
                         seen.add(key(nxt))
                         reached.append(nxt)
         frontier = reached
@@ -372,7 +369,7 @@ def test_braid_orbit_matches_sequence_enumeration(q, field, bound, count):
     (Crawley-Boevey 1993), so the bounded orbit of the simples is the set
     the pair-table search lists."""
     simples = [simple(q, field, v) for v in q.vertices()]
-    orbit = braid_orbit(order_into_exceptional_sequence(simples).reps, bound)
+    orbit = braid_orbit(order_into_exceptional_sequence(simples), bound)
     listed = {tuple(x.dims for x in s)
               for s in enumerate_complete_exceptional_sequences(q, field, bound)}
     assert len(orbit) == count

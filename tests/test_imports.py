@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private top-level name is used somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every private top-level name is used somewhere in the package, and each
+module imports only modules of earlier pipeline layers."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,32 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+# the pipeline, earliest layer first
+LAYERS = ("exactlin", "quiver", "repcat", "exceptional", "perpcat", "strat", "cli")
+
+
+def _package_imports(source: str):
+    """Modules of the package that source imports with a relative import."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                out.update(a.name for a in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_layers_cover_the_package():
+    assert sorted(f"{m}.py" for m in LAYERS) == MODULES
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_follow_pipeline_order(module):
+    earlier = set(LAYERS[: LAYERS.index(module)])
+    assert _package_imports((PACKAGE / f"{module}.py").read_text()) <= earlier
 
 
 def _defined_names(stmt):

@@ -12,20 +12,20 @@ from strata.repcat import (
     direct_sum,
     end_dim,
     ext1_dim,
+    free_module,
     hom_dim,
     is_isomorphic,
     projective,
     simple,
+    universal_extension,
     zero_rep,
 )
 from strata.exceptional import is_exceptional, is_tilting_module
 from strata.perpcat import (
     bongartz_complement,
-    free_module,
     lift_from_perp,
     perp_algebra,
     transport_into_perp,
-    universal_extension,
 )
 
 from helpers import conjugate_rep, random_acyclic_quiver, random_mat, random_rep

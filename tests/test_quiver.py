@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strata import quiver as quiver_module
 from strata.exactlin import GF, QQ
 from strata.quiver import (
     Arrow,
@@ -15,6 +16,7 @@ from strata.quiver import (
     parse_quiver_text,
     topological_sort,
 )
+from strata.repcat import projective
 
 from helpers import random_acyclic_quiver
 
@@ -32,6 +34,24 @@ def test_construction_validation():
         Quiver(2, labels=("x",))
     with pytest.raises(ValueError):
         Quiver(2, labels=("x", "x"))
+
+
+def test_quiver_sorts_its_vertices_once(monkeypatch):
+    calls = []
+    real = quiver_module.topological_sort
+
+    def counting(count, edges):
+        calls.append(count)
+        return real(count, edges)
+
+    monkeypatch.setattr(quiver_module, "topological_sort", counting)
+    q = Quiver(4, [Arrow("a", 1, 2), Arrow("b", 3, 2), Arrow("c", 2, 4)])
+    assert calls == [4]
+    assert q.topological_order() == (1, 3, 2, 4)
+    assert q.path_counts_from(1) == (1, 1, 0, 1)
+    assert q.path_count_total() == 9
+    assert projective(q, QQ, 3).dims == (0, 1, 1, 1)
+    assert calls == [4]
 
 
 def test_is_acyclic():

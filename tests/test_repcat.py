@@ -30,6 +30,7 @@ from strata.repcat import (
     extension_from_cocycle,
     hom_dim,
     hom_space,
+    identity_map,
     is_isomorphic,
     kernel_rep,
     orthogonal,
@@ -55,6 +56,23 @@ def test_rep_validation():
         Rep(A2, QQ, (1, 1), {"b": Mat.zeros(QQ, 1, 1)})  # missing arrow a
     with pytest.raises(ValueError):
         Rep(A2, QQ, (1, 1), [Mat.zeros(GF(5), 1, 1)])  # wrong field
+
+
+@pytest.mark.parametrize("make,attr", [
+    (lambda: Mat(QQ, 1, 2, [1, 2]), "rows"),
+    (lambda: Quiver(2, [Arrow("a", 1, 2)]), "arrows"),
+    (lambda: projective(A2, QQ, 1), "dims"),
+    (lambda: identity_map(projective(A2, QQ, 1)), "blocks"),
+], ids=["Mat", "Quiver", "Rep", "RepMap"])
+def test_value_types(make, attr):
+    """Immutable, equal and hash-equal when built alike, never equal to
+    an object of another type."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, attr, getattr(b, attr))
+    assert a != getattr(a, attr)
+    assert a != (a,) and a != object()
 
 
 def test_simple_and_projective_shapes():

@@ -2,15 +2,18 @@
 
 import pytest
 
+from strata import exceptional, repcat, strat
 from strata.exactlin import GF, QQ
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import decompose, direct_sum, projective, simple
 from strata.exceptional import (
     enumerate_complete_exceptional_sequences,
     order_into_exceptional_sequence,
+    tilting_coresolution,
 )
 from strata.perpcat import perp_algebra
 from strata.strat import (
+    KRONECKER_DEMO_MAX_PRIME,
     Chain,
     FactorDescriptor,
     Leaf,
@@ -216,6 +219,23 @@ def test_verify_ringel_rejects_non_tilting():
         verify_ringel_tilting(A3, simple(A2, QQ, 1))
 
 
+def test_tilting_checks_decompose_t_once(monkeypatch):
+    t = direct_sum([interval_rep(QQ, 3, 1, hi) for hi in (1, 2, 3)])
+    seen = []
+
+    def counting(M, *args, **kwargs):
+        seen.append(M)
+        return repcat.decompose(M, *args, **kwargs)
+
+    for module in (exceptional, strat):
+        monkeypatch.setattr(module, "decompose", counting)
+    assert tilting_coresolution(t).verify()
+    assert sum(M is t for M in seen) == 1
+    seen.clear()
+    assert verify_ringel_tilting(A3, t)["pass"] is True
+    assert sum(M is t for M in seen) == 1
+
+
 def test_is_derived_simple():
     assert is_derived_simple(ONE)
     assert not is_derived_simple(A2)
@@ -238,6 +258,18 @@ def test_kronecker_demo_two():
     assert report["regular_count"] == 3
     assert report["ordered_pairs"] == 6
     assert report["pass"] is True
+
+
+def test_kronecker_demo_rejects_prime_above_cap(monkeypatch):
+    """The check comes before any field or module is built."""
+
+    def no_field(p):
+        raise AssertionError(f"built F_{p}")
+
+    monkeypatch.setattr(strat, "GF", no_field)
+    assert KRONECKER_DEMO_MAX_PRIME == 251
+    with pytest.raises(ValueError, match="at most 251, got 257"):
+        kronecker_demo(257)
 
 
 def test_leaf_validation():
