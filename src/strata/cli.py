@@ -30,10 +30,10 @@ from .repcat import (
     parse_rep_blocks,
 )
 from .exceptional import (
+    _coresolution,
+    _tilting_summands,
     enumerate_complete_exceptional_sequences,
     enumerate_exceptional,
-    is_tilting_module,
-    tilting_coresolution,
 )
 from .perpcat import bongartz_complement, perp_algebra
 from .strat import (
@@ -191,10 +191,11 @@ def _run(args):
         if not reps:
             raise UsageError("tilting-check expects at least one representation block")
         T = direct_sum(reps) if len(reps) > 1 else reps[0]
-        ok = is_tilting_module(T)
+        distinct = _tilting_summands(T)
+        ok = distinct is not None
         report = {**base, "is_tilting": ok}
         if ok:
-            report["coresolution_ok"] = tilting_coresolution(T).verify()
+            report["coresolution_ok"] = _coresolution(T, distinct).verify()
         lines = head + [f"tilting: {'yes' if ok else 'no'}"]
         if ok:
             lines.append(

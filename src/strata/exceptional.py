@@ -26,6 +26,7 @@ from .repcat import (
     Rep,
     ShortExactSeq,
     RepMap,
+    _kernel,
     cokernel_rep,
     decompose,
     direct_sum,
@@ -36,7 +37,6 @@ from .repcat import (
     free_module,
     hom_space,
     is_exceptional,
-    kernel_rep,
     orthogonal,
     simple,
     universal_extension,
@@ -127,10 +127,9 @@ def _coresolution(T: Rep, distinct) -> ShortExactSeq:
         raise ValueError("no maps from the free module into add T")
     T0 = direct_sum([d for d, _ in maps])
     blocks = [reduce(Mat.vstack, [h.block(v) for _, h in maps]) for v in q.vertices()]
-    u = RepMap(A, T0, blocks)
-    K, _ = kernel_rep(u)
-    if K.total_dim != 0:
+    if any(b.rank() != b.cols for b in blocks):
         raise ValueError("universal map into add T is not injective")
+    u = RepMap(A, T0, blocks)
     C, proj = cokernel_rep(u)
     if C.total_dim != 0:
         summand_dims = {d.dims for d in distinct}
@@ -182,7 +181,7 @@ def _mutation_dims(q: Quiver, dE, dF):
 
 def _kernel_or_cokernel(phi: RepMap) -> Rep:
     """The kernel of phi, or its cokernel when phi is injective."""
-    K, _ = kernel_rep(phi)
+    K = _kernel(phi)[0]
     return K if K.total_dim else cokernel_rep(phi)[0]
 
 
@@ -202,7 +201,7 @@ def left_mutation(E: Rep, F: Rep) -> Rep:
         blocks = [reduce(Mat.hstack, [m.block(v) for m in maps]) for v in q.vertices()]
         return _kernel_or_cokernel(RepMap(direct_sum([E] * len(maps)), F, blocks))
     if h < 0:
-        return universal_extension(E, F)[1].middle
+        return universal_extension(E, F)[1]
     return F
 
 
@@ -225,7 +224,7 @@ def right_mutation(E: Rep, F: Rep) -> Rep:
             a.name: reduce(Mat.vstack, [z[a.name] for z in cocycles]) for a in q.arrows
         }
         Fc = direct_sum([F] * len(cocycles))
-        return extension_from_cocycle(E, Fc, stacked).middle
+        return extension_from_cocycle(E, Fc, stacked)
     return E
 
 

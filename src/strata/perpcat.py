@@ -72,9 +72,9 @@ def _bongartz_parts(X: Rep):
     c = 0
     parts = []
     for v in q.vertices():
-        cv, ses = universal_extension(X, projective(q, f, v))
+        cv, E = universal_extension(X, projective(q, f, v))
         c += cv
-        parts.append(ses.middle)
+        parts.append(E)
     if c > 0:
         for E in parts:
             if not orthogonal(X, E):

@@ -385,6 +385,12 @@ def ext1_space(M: Rep, N: Rep):
 
 @dataclass(frozen=True)
 class ShortExactSeq:
+    """0 -> sub -> middle -> quotient -> 0, the type of `tilting_coresolution`.
+
+    Only there do the maps carry information; extensions are returned as
+    their middle terms alone.
+    """
+
     sub: Rep
     middle: Rep
     quotient: Rep
@@ -405,11 +411,12 @@ class ShortExactSeq:
         return True
 
 
-def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> ShortExactSeq:
-    """Realize a cocycle in Ext^1(M, N) as 0 -> N -> E -> M -> 0.
+def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> Rep:
+    """The middle term E of the extension 0 -> N -> E -> M -> 0 of a cocycle.
 
-    The middle term places N first: E_v = N_v (+) M_v with arrow matrices
-    [[N_a, z_a], [0, M_a]].
+    E_v = N_v (+) M_v with arrow matrices [[N_a, z_a], [0, M_a]]: N sits on
+    the first coordinates of each E_v and is a subrepresentation, M is the
+    quotient on the last coordinates.
     """
     q = M.quiver
     f = M.field
@@ -426,44 +433,30 @@ def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> ShortExactSeq:
         top = N.maps[ai].hstack(z)
         bot = Mat.zeros(f, M.dim(w), N.dim(u)).hstack(M.maps[ai])
         maps.append(top.vstack(bot))
-    E = Rep(q, f, dims, maps)
-    inc_blocks = []
-    prj_blocks = []
-    for v in q.vertices():
-        nv, mv = N.dim(v), M.dim(v)
-        inc_blocks.append(Mat.identity(f, nv).vstack(Mat.zeros(f, mv, nv)))
-        prj_blocks.append(Mat.zeros(f, mv, nv).hstack(Mat.identity(f, mv)))
-    include = RepMap(N, E, inc_blocks)
-    project = RepMap(E, M, prj_blocks)
-    return ShortExactSeq(sub=N, middle=E, quotient=M, include=include, project=project)
+    return Rep(q, f, dims, maps)
 
 
 def universal_extension(X: Rep, R: Rep):
     """The universal extension 0 -> R -> M -> X^c -> 0 with c = ext1_dim(X, R).
 
     Stacks a full cocycle basis of Ext^1(X, R), so Ext^1(X, M) = 0: every
-    self-extension against X has been used up. Returns (c, sequence).
+    self-extension against X has been used up. Returns (c, M), with M = R
+    itself when c = 0.
     """
     if not is_exceptional(X):
         raise ValueError("universal extension needs an exceptional X")
-    q = X.quiver
-    f = X.field
     cocycles = ext1_space(X, R)
     c = len(cocycles)
     if c == 0:
-        quot = zero_rep(q, f)
-        zero_cocycle = {
-            a.name: Mat.zeros(f, R.dim(a.target), 0) for a in q.arrows
-        }
-        return 0, extension_from_cocycle(quot, R, zero_cocycle)
-    quot = direct_sum([X] * c)
+        return 0, R
     stacked = {
-        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles]) for a in q.arrows
+        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles])
+        for a in X.quiver.arrows
     }
-    ses = extension_from_cocycle(quot, R, stacked)
-    if ext1_dim(X, ses.middle) != 0:
+    M = extension_from_cocycle(direct_sum([X] * c), R, stacked)
+    if ext1_dim(X, M) != 0:
         raise AssertionError("universal extension left extensions behind")
-    return c, ses
+    return c, M
 
 
 def free_module(quiver: Quiver, field: Field) -> Rep:
@@ -471,25 +464,8 @@ def free_module(quiver: Quiver, field: Field) -> Rep:
     return direct_sum([projective(quiver, field, v) for v in quiver.vertices()])
 
 
-def _subrep(M: Rep, bases, unstable: str):
-    """The subrepresentation spanned by the columns of bases[v - 1] at each v.
-
-    Returns (S, inclusion S -> M); raises AssertionError(unstable) when
-    some arrow map moves a span outside the span at its target.
-    """
-    maps = []
-    for ai, a in enumerate(M.quiver.arrows):
-        moved = M.maps[ai].mul(bases[a.source - 1])
-        x = bases[a.target - 1].solve_matrix(moved)
-        if x is None:
-            raise AssertionError(unstable)
-        maps.append(x)
-    S = Rep(M.quiver, M.field, [b.cols for b in bases], maps)
-    return S, RepMap(S, M, bases)
-
-
-def kernel_rep(f: RepMap):
-    """The kernel subrepresentation: returns (K, inclusion K -> source)."""
+def _kernel(f: RepMap):
+    """The kernel of f as (K, bases): bases[v - 1] spans K_v in the source."""
     M = f.source
     fld = M.field
     bases = []
@@ -497,7 +473,20 @@ def kernel_rep(f: RepMap):
         cols = f.block(v).kernel_basis()
         ent = [c.entries[i] for i in range(M.dim(v)) for c in cols]
         bases.append(Mat(fld, M.dim(v), len(cols), ent))
-    return _subrep(M, bases, "kernel is not an invariant subspace")
+    maps = []
+    for ai, a in enumerate(M.quiver.arrows):
+        moved = M.maps[ai].mul(bases[a.source - 1])
+        x = bases[a.target - 1].solve_matrix(moved)
+        if x is None:
+            raise AssertionError("kernel is not an invariant subspace")
+        maps.append(x)
+    return Rep(M.quiver, fld, [b.cols for b in bases], maps), bases
+
+
+def kernel_rep(f: RepMap):
+    """The kernel K of f with its inclusion K -> source, blocks the kernel bases."""
+    K, bases = _kernel(f)
+    return K, RepMap(K, f.source, bases)
 
 
 def cokernel_rep(f: RepMap):
@@ -694,8 +683,7 @@ def _split_along_endo(M: Rep, e: RepMap, factors):
         h = g
         for _ in range(mult - 1):
             h = h.after(g)
-        K, _ = kernel_rep(h)
-        parts.append(K)
+        parts.append(_kernel(h)[0])
     if sum(p.total_dim for p in parts) != M.total_dim:
         raise AssertionError("generalized kernels fail to fill the module")
     return parts

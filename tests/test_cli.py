@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from strata import cli
+from strata import cli, exceptional, repcat
 from strata.repcat import UndecidedError
 
 
@@ -279,29 +279,81 @@ def test_machine_output_is_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
-# SHA-256 of `jh-verify --json --seed 1` stdout, pinned so that changes to
-# the perpendicular-category machinery cannot alter the report bytes.
-JH_GOLDENS = [
-    ("a4.quiver",
-     "field Q\nvertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\n",
-     ["--bound", "4"],
+A4 = "field Q\nvertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\n"
+D4 = "field Q\nvertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n"
+
+# the tilting module (1,1,1) + (1,1,0) + (1,0,0) of A_3
+A3_TILTING = A3 + """
+rep
+dims 1 1 1
+map a1 1
+map a2 1
+
+rep
+dims 1 1 0
+map a1 1
+
+rep
+dims 1 0 0
+"""
+A3_S1 = A3 + "\nrep\ndims 1 0 0\n"
+KRONECKER_21 = KRONECKER + "\nrep\ndims 2 1\nmap a 1 0\nmap b 0 1\n"
+A4_INTERVAL = A4 + "\nrep\ndims 0 1 1 0\nmap b 1\n"
+
+# (id, verb, input text, flags, SHA-256 of `--json --seed 1` stdout), pinned
+# so that changes to the machinery under a verb cannot alter its report bytes.
+CLI_GOLDENS = [
+    ("jh-verify-a4", "jh-verify", A4, ["--bound", "4"],
      "f1bd5f884d2257187f02c9572367176b23eed945e4efde23bf8eb15d2281668b"),
-    ("d4.quiver",
-     "field Q\nvertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n",
-     ["--prime", "3", "--bound", "5"],
+    ("jh-verify-d4", "jh-verify", D4, ["--prime", "3", "--bound", "5"],
      "a4d761ec52f1b89def78944e98ccbb6166de102b026a16538b129bfba98eefca"),
-    ("kr.quiver", KRONECKER, ["--bound", "5"],
+    ("jh-verify-kr", "jh-verify", KRONECKER, ["--bound", "5"],
      "ce51b58fb3e28112fc62840fd5b8dfa245bd5fbd5fd7b792b3689ebd22c80d29"),
+    ("seq-enum-a4", "seq-enum", A4, [],
+     "bf733c8e701cc782dcd3448dbb86e03c9b5a32a2eb668c268912541b1d9fdd4d"),
+    ("exc-enum-kr", "exc-enum", KRONECKER, ["--bound", "9"],
+     "5d091079fbd86b95b5deb2377f4b296aeed427b08cfad8550ece0e20d552250b"),
+    ("tilting-check-a3", "tilting-check", A3_TILTING, [],
+     "2a32c5d0db4a9d770c901be9de9b2dec8392c5672856f0b08bbb6d74edcbb1aa"),
+    ("ringel-check-a3", "ringel-check", A3_TILTING, [],
+     "b2c3630145683b0dda60551d6c09cb5caefd30e51984c0eb246d9e88304e7404"),
+    ("stratify-d4", "stratify", D4, [],
+     "9fe6836e56bb0a59af40f003f4df0b0b6e87c0633192ebf3a977b19c7f93f0a4"),
+    ("perp-a3-s1", "perp", A3_S1, [],
+     "ab55aa835acd2832a0d481f7a3b46673d91c6b79c6ff5e7648a0c4f3c65ebbea"),
+    ("perp-kr-21", "perp", KRONECKER_21, [],
+     "43826e630dd8b2963666609b12ec2d459603c5ece95bc8942d1629bc5c5bf2da"),
+    ("perp-a4-0110", "perp", A4_INTERVAL, [],
+     "be78e7d27ef929c67ba3949d90876dd1e5e47a788a002912262e960f54897b9d"),
+    ("bongartz-a3-s1", "bongartz", A3_S1, [],
+     "7d03dd8b8eccfc538e6e9a17411c57cab9ea4da89afc04756572f74da582da75"),
+    ("bongartz-kr-21", "bongartz", KRONECKER_21, [],
+     "2dab71df5bbd951ead7219773d5bd0cb00225c31572859d8097db48f6e3ddfc6"),
 ]
 
 
-@pytest.mark.parametrize("name,text,flags,digest", JH_GOLDENS,
-                         ids=[g[0] for g in JH_GOLDENS])
-def test_jh_verify_json_golden(tmp_path, name, text, flags, digest):
-    path = write(tmp_path, name, text)
-    r = run_cli("jh-verify", path, "--json", "--seed", "1", *flags)
-    assert r.returncode == 0, r.stderr
-    assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == digest
+@pytest.mark.parametrize("verb,text,flags,digest", [g[1:] for g in CLI_GOLDENS],
+                         ids=[g[0] for g in CLI_GOLDENS])
+def test_json_golden(tmp_path, capsys, verb, text, flags, digest):
+    path = write(tmp_path, "in.quiver", text)
+    code = cli.main([verb, path, "--json", "--seed", "1", *flags])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_tilting_check_decomposes_t_once(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def counting(M, *args, **kwargs):
+        seen.append(M.dims)
+        return repcat.decompose(M, *args, **kwargs)
+
+    monkeypatch.setattr(exceptional, "decompose", counting)
+    path = write(tmp_path, "t.quiver", A3_TILTING)
+    assert cli.main(["tilting-check", path]) == 0
+    assert "coresolution check: ok" in capsys.readouterr().out
+    assert seen.count((3, 2, 1)) == 1
 
 
 def test_hash_ignores_comments_and_whitespace(tmp_path):

@@ -58,6 +58,21 @@ def test_rep_validation():
         Rep(A2, QQ, (1, 1), [Mat.zeros(GF(5), 1, 1)])  # wrong field
 
 
+def test_repmap_validation():
+    p1 = projective(A2, QQ, 1)
+    one = Mat(QQ, 1, 1, [1])
+    with pytest.raises(ValueError, match="do not commute"):
+        RepMap(p1, p1, [one, Mat(QQ, 1, 1, [2])])
+    with pytest.raises(ValueError, match="expected 2 blocks"):
+        RepMap(p1, p1, [one])
+    with pytest.raises(ValueError, match="shape"):
+        RepMap(p1, p1, [one, Mat.zeros(QQ, 1, 2)])
+    with pytest.raises(ValueError, match="disagree"):
+        RepMap(p1, projective(A2, GF(5), 1), [one, one])  # another field
+    with pytest.raises(ValueError, match="disagree"):
+        RepMap(p1, simple(A3, QQ, 1), [one, one])  # another quiver
+
+
 @pytest.mark.parametrize("make,attr", [
     (lambda: Mat(QQ, 1, 2, [1, 2]), "rows"),
     (lambda: Quiver(2, [Arrow("a", 1, 2)]), "arrows"),
@@ -162,10 +177,9 @@ def test_ext_space_matches_dim_and_realizes():
     s1, s2 = simple(A2, QQ, 1), simple(A2, QQ, 2)
     cocycles = ext1_space(s1, s2)
     assert len(cocycles) == ext1_dim(s1, s2) == 1
-    ses = extension_from_cocycle(s1, s2, cocycles[0])
-    assert ses.verify()
-    assert ses.middle.dims == (1, 1)
-    assert is_isomorphic(ses.middle, projective(A2, QQ, 1))
+    e = extension_from_cocycle(s1, s2, cocycles[0])
+    assert e.dims == (1, 1)
+    assert is_isomorphic(e, projective(A2, QQ, 1))
 
 
 def test_ext_space_kronecker_middles():
@@ -174,9 +188,8 @@ def test_ext_space_kronecker_middles():
     assert len(cocycles) == 2
     middles = []
     for z in cocycles:
-        ses = extension_from_cocycle(k1, k2, z)
-        assert ses.verify()
-        middles.append((ses.middle.arrow_map("a"), ses.middle.arrow_map("b")))
+        e = extension_from_cocycle(k1, k2, z)
+        middles.append((e.arrow_map("a"), e.arrow_map("b")))
     assert (Mat(QQ, 1, 1, [1]), Mat(QQ, 1, 1, [0])) in middles
     assert (Mat(QQ, 1, 1, [0]), Mat(QQ, 1, 1, [1])) in middles
 
@@ -184,9 +197,8 @@ def test_ext_space_kronecker_middles():
 def test_zero_cocycle_gives_split_extension():
     s1, s2 = simple(K2, QQ, 1), simple(K2, QQ, 2)
     z = {a.name: Mat.zeros(QQ, s2.dim(a.target), s1.dim(a.source)) for a in K2.arrows}
-    ses = extension_from_cocycle(s1, s2, z)
-    assert ses.verify()
-    assert is_isomorphic(ses.middle, direct_sum([s1, s2]))
+    e = extension_from_cocycle(s1, s2, z)
+    assert is_isomorphic(e, direct_sum([s1, s2]))
 
 
 def test_kernel_and_cokernel():
