@@ -194,14 +194,13 @@ def _run(args):
         distinct = _tilting_summands(T)
         ok = distinct is not None
         report = {**base, "is_tilting": ok}
-        if ok:
-            report["coresolution_ok"] = _coresolution(T, distinct).verify()
         lines = head + [f"tilting: {'yes' if ok else 'no'}"]
-        if ok:
-            lines.append(
-                f"coresolution check: {'ok' if report['coresolution_ok'] else 'failed'}"
-            )
-        return report, lines, 0
+        if not ok:
+            return report, lines, 0
+        resolved = _coresolution(T, distinct) is not None
+        report["coresolution_ok"] = resolved
+        lines.append(f"coresolution check: {'ok' if resolved else 'failed'}")
+        return report, lines, 0 if resolved else 1
 
     if verb == "perp":
         _need_reps(reps, 1, verb)

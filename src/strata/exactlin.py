@@ -14,7 +14,7 @@ runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -238,8 +238,25 @@ def _reduce(rows, p, full, limit=None):
     return piv
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class Mat:
+class _Frozen:
+    """Base of the slotted value types: every assignment and deletion raises.
+
+    `dataclass(frozen=True, slots=True)` raises `TypeError` for a name that
+    is not a field, so the value types are plain slotted dataclasses that
+    inherit these methods and set their fields with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+class Mat(_Frozen):
     """Immutable matrix with exact entries over a fixed field."""
 
     field: Field

@@ -24,10 +24,9 @@ from .exactlin import Field, Mat
 from .quiver import Quiver, topological_sort
 from .repcat import (
     Rep,
-    ShortExactSeq,
     RepMap,
+    _cokernel,
     _kernel,
-    cokernel_rep,
     decompose,
     direct_sum,
     distinct_summands,
@@ -101,45 +100,44 @@ def is_tilting_module(T: Rep) -> bool:
     return _tilting_summands(T) is not None
 
 
-def tilting_coresolution(T: Rep) -> ShortExactSeq:
-    """The coresolution 0 -> A -> T_0 -> T_1 -> 0 certifying T tilting.
+def tilting_coresolution(T: Rep) -> tuple[Rep, Rep]:
+    """The terms (T_0, T_1) of the coresolution 0 -> A -> T_0 -> T_1 -> 0.
 
-    A = (+)_v P_v maps into add T through the universal map u: A -> T_0,
-    where T_0 collects one copy of a distinct summand per Hom-basis element
-    from A. The kernel of u must vanish and its cokernel must decompose
-    into add T again; either failure raises. A cokernel summand lies in
-    add T exactly when it is exceptional with the dimension vector of a
-    summand of T.
+    The coresolution exists for every tilting T (Happel-Ringel, Tilted
+    algebras, 1982) and certifies it; `_coresolution` builds and checks it.
+    Raises ValueError when T is not tilting or the certificate fails.
     """
     distinct = _tilting_summands(T)
-    if distinct is None:
-        raise ValueError("coresolution is only defined for tilting modules")
-    return _coresolution(T, distinct)
+    terms = None if distinct is None else _coresolution(T, distinct)
+    if terms is None:
+        raise ValueError("T is not tilting, or its coresolution fails the certificate")
+    return terms
 
 
-def _coresolution(T: Rep, distinct) -> ShortExactSeq:
-    """`tilting_coresolution` of T, given the distinct summands of T."""
+def _coresolution(T: Rep, distinct):
+    """(T_0, T_1) when the tilting certificate of T holds, else None.
+
+    A = (+)_v P_v maps into add T through the universal map u: A -> T_0,
+    where T_0 collects one copy of a distinct summand of T per Hom-basis
+    element from A. The certificate holds when u is injective at every
+    vertex and every summand of T_1 = coker u lies in add T, that is, is
+    exceptional with the dimension vector of a summand of T. Exactness
+    needs no further check: T_1 is built as the cokernel of u.
+    """
     q = T.quiver
-    f = T.field
-    A = free_module(q, f)
+    A = free_module(q, T.field)
     maps = [(d, h) for d in distinct for h in hom_space(A, d)]
     if not maps:
-        raise ValueError("no maps from the free module into add T")
-    T0 = direct_sum([d for d, _ in maps])
+        return None
     blocks = [reduce(Mat.vstack, [h.block(v) for _, h in maps]) for v in q.vertices()]
     if any(b.rank() != b.cols for b in blocks):
-        raise ValueError("universal map into add T is not injective")
-    u = RepMap(A, T0, blocks)
-    C, proj = cokernel_rep(u)
-    if C.total_dim != 0:
-        summand_dims = {d.dims for d in distinct}
-        for p in decompose(C):
-            if p.dims not in summand_dims or not is_exceptional(p):
-                raise ValueError(
-                    f"cokernel summand with dimension vector {p.dims} "
-                    f"is outside add T"
-                )
-    return ShortExactSeq(A, T0, C, u, proj)
+        return None
+    T0 = direct_sum([d for d, _ in maps])
+    T1 = _cokernel(RepMap(A, T0, blocks))[0]
+    summand_dims = {d.dims for d in distinct}
+    if all(p.dims in summand_dims and is_exceptional(p) for p in decompose(T1)):
+        return T0, T1
+    return None
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def _mutation_dims(q: Quiver, dE, dF):
 def _kernel_or_cokernel(phi: RepMap) -> Rep:
     """The kernel of phi, or its cokernel when phi is injective."""
     K = _kernel(phi)[0]
-    return K if K.total_dim else cokernel_rep(phi)[0]
+    return K if K.total_dim else _cokernel(phi)[0]
 
 
 def left_mutation(E: Rep, F: Rep) -> Rep:

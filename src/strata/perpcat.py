@@ -38,14 +38,12 @@ from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
     RepMap,
-    cokernel_rep,
+    _cokernel,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
     distinct_summands,
-    end_dim,
     hom_space,
-    identity_map,
     is_exceptional,
     orthogonal,
     projective,
@@ -237,9 +235,6 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             f"Bongartz complement has {len(distinct)} distinct summands, "
             f"want {q.n - 1}"
         )
-    for d in distinct:
-        if end_dim(d) != 1:
-            raise AssertionError("Bongartz summand is not exceptional")
     presented = hom_category_presentation(distinct)
     if presented is None:
         raise AssertionError("Hom category of the Bongartz summands is not hereditary")
@@ -335,15 +330,15 @@ def _cokernel_lift(pres: PerpPresentation, Z: Rep) -> Rep:
     src_projs = [projs[bq.arrows[k].target - 1] for k, _ in src_slots]
     src_sum = direct_sum(src_projs)
     row_of = {slot: r for r, slot in enumerate(tgt_slots)}
-    # (row slot, column slot, the ambient map placed there)
+    # (row slot, column slot, the blocks of the ambient map placed there)
     pieces = []
     for c, (k, i) in enumerate(src_slots):
         a = bq.arrows[k]
-        pieces.append((row_of[a.source, i], c, pres.radical_generators[k]))
+        pieces.append((row_of[a.source, i], c, pres.radical_generators[k].blocks))
         for t in range(Z.dim(a.target)):
             coeff = f.neg(Z.maps[k].entry(t, i))
             if coeff != 0:
-                scaled = identity_map(src_projs[c]).scale(coeff)
+                scaled = [Mat.identity(f, d).scale(coeff) for d in src_projs[c].dims]
                 pieces.append((row_of[a.target, t], c, scaled))
     blocks = []
     for v in pres.source.quiver.vertices():
@@ -352,13 +347,12 @@ def _cokernel_lift(pres: PerpPresentation, Z: Rep) -> Rep:
         cols = col_off[-1]
         ent = [f.zero] * (row_off[-1] * cols)
         for r, c, piece in pieces:
-            m = piece.block(v)
+            m = piece[v - 1]
             for ii in range(m.rows):
                 start = (row_off[r] + ii) * cols + col_off[c]
                 ent[start : start + m.cols] = m.row(ii)
         blocks.append(Mat(f, row_off[-1], cols, ent))
-    phi = RepMap(src_sum, tgt_sum, blocks)
-    return cokernel_rep(phi)[0]
+    return _cokernel(RepMap(src_sum, tgt_sum, blocks))[0]
 
 
 def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:

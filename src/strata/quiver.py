@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dataclass_field
 
-from .exactlin import Field, GF, QQ
+from .exactlin import Field, GF, QQ, _Frozen
 
 
 class ParseError(ValueError):
@@ -77,8 +77,8 @@ def _label_key(label: str):
     return (0, int(label), "") if label.isdigit() else (1, 0, label)
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class Quiver:
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+class Quiver(_Frozen):
     """A finite acyclic quiver with named arrows and labeled vertices.
 
     The topological order found while rejecting cycles is kept; it is

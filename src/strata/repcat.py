@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .exactlin import Field, Mat
+from .exactlin import Field, Mat, _Frozen
 from .quiver import ParseError, Quiver
 
 
@@ -56,8 +56,8 @@ class UndecidedError(RuntimeError):
     """Indecomposability could be neither refuted nor certified."""
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class Rep:
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+class Rep(_Frozen):
     """A representation of a fixed quiver over a fixed field."""
 
     quiver: Quiver
@@ -191,8 +191,8 @@ def direct_sum(reps) -> Rep:
     return Rep(q, f, dims, maps)
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class RepMap:
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+class RepMap(_Frozen):
     """A morphism of representations: one matrix per vertex, commuting."""
 
     source: Rep
@@ -383,34 +383,6 @@ def ext1_space(M: Rep, N: Rep):
     return out
 
 
-@dataclass(frozen=True)
-class ShortExactSeq:
-    """0 -> sub -> middle -> quotient -> 0, the type of `tilting_coresolution`.
-
-    Only there do the maps carry information; extensions are returned as
-    their middle terms alone.
-    """
-
-    sub: Rep
-    middle: Rep
-    quotient: Rep
-    include: RepMap
-    project: RepMap
-
-    def verify(self) -> bool:
-        """Exactness: include injective, project surjective, composite zero."""
-        for v in self.sub.quiver.vertices():
-            inc = self.include.block(v)
-            prj = self.project.block(v)
-            if inc.rank() != inc.cols or prj.rank() != prj.rows:
-                return False
-            if not prj.mul(inc).is_zero():
-                return False
-            if inc.cols + prj.rows != self.middle.dim(v):
-                return False
-        return True
-
-
 def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> Rep:
     """The middle term E of the extension 0 -> N -> E -> M -> 0 of a cocycle.
 
@@ -489,8 +461,8 @@ def kernel_rep(f: RepMap):
     return K, RepMap(K, f.source, bases)
 
 
-def cokernel_rep(f: RepMap):
-    """The cokernel representation: returns (C, projection target -> C).
+def _cokernel(f: RepMap):
+    """The cokernel of f as (C, blocks): blocks[v - 1] projects the target onto C_v.
 
     Coordinates on C_v are the unit vectors of the target at the rows where
     the image has no echelon pivot.
@@ -530,8 +502,13 @@ def cokernel_rep(f: RepMap):
     for ai, a in enumerate(q.arrows):
         m = proj_blocks[a.target - 1].mul(N.maps[ai]).mul(sec_blocks[a.source - 1])
         cmaps.append(m)
-    C = Rep(q, fld, cdims, cmaps)
-    return C, RepMap(N, C, proj_blocks)
+    return Rep(q, fld, cdims, cmaps), proj_blocks
+
+
+def cokernel_rep(f: RepMap):
+    """The cokernel C of f with its projection target -> C."""
+    C, blocks = _cokernel(f)
+    return C, RepMap(f.target, C, blocks)
 
 
 def coordinates_in_hom_basis(f: RepMap, basis):
@@ -553,10 +530,12 @@ def coordinates_in_hom_basis(f: RepMap, basis):
 
 
 def _combo(maps, coeffs):
-    out = maps[0].scale(coeffs[0])
-    for m, c in zip(maps[1:], coeffs[1:]):
-        out = out.add(m.scale(c))
-    return out
+    """sum_i coeffs[i] * maps[i], folded left blockwise into one RepMap."""
+    blocks = [
+        reduce(Mat.add, [m.block(v).scale(c) for m, c in zip(maps, coeffs)])
+        for v in maps[0].source.quiver.vertices()
+    ]
+    return RepMap(maps[0].source, maps[0].target, blocks)
 
 
 def _plus_scalar(m: Mat, c) -> Mat:

@@ -393,7 +393,7 @@ def verify_ringel_tilting(q: Quiver, T: Rep) -> dict:
     distinct = _tilting_summands(T)
     if distinct is None:
         raise ValueError("module is not tilting")
-    coresolution_ok = _coresolution(T, distinct).verify()
+    coresolution_ok = _coresolution(T, distinct) is not None
     summand_dims = sorted(end_dim(d) for d in distinct)
     simple_dims = sorted(
         f.division_ring_dim for f in endo_rings_of_simples(q, T.field)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from strata import cli, exceptional, repcat
+from strata import cli, exceptional, repcat, strat
 from strata.repcat import UndecidedError
 
 
@@ -354,6 +354,25 @@ def test_tilting_check_decomposes_t_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["tilting-check", path]) == 0
     assert "coresolution check: ok" in capsys.readouterr().out
     assert seen.count((3, 2, 1)) == 1
+
+
+def test_failed_coresolution_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # drop (1,1,1) from the summands: A no longer maps injectively into add T
+    def without_p1(T):
+        return tuple(d for d in exceptional._tilting_summands(T) if d.dims != (1, 1, 1))
+
+    monkeypatch.setattr(cli, "_tilting_summands", without_p1)
+    monkeypatch.setattr(strat, "_tilting_summands", without_p1)
+    path = write(tmp_path, "t.quiver", A3_TILTING)
+    assert cli.main(["tilting-check", path]) == 1
+    assert "coresolution check: failed" in capsys.readouterr().out
+    assert cli.main(["tilting-check", path, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["coresolution_ok"] is False
+    assert cli.main(["ringel-check", path]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
+    assert cli.main(["ringel-check", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["coresolution_ok"] is False and doc["pass"] is False
 
 
 def test_hash_ignores_comments_and_whitespace(tmp_path):

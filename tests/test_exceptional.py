@@ -16,6 +16,7 @@ from strata.repcat import (
 )
 from strata.exceptional import (
     EnumerationResult,
+    _coresolution,
     enumerate_complete_exceptional_sequences,
     enumerate_exceptional,
     is_exceptional,
@@ -257,18 +258,23 @@ def test_a3_tilting_triples():
 
 def test_coresolution_of_a2_tilting():
     t = direct_sum([projective(A2, QQ, 1), simple(A2, QQ, 1)])
-    ses = tilting_coresolution(t)
-    assert ses.verify()
-    assert ses.sub.dims == (1, 2)
-    assert ses.middle.dims == (3, 2)
-    assert ses.quotient.dims == (2, 0)
+    t0, t1 = tilting_coresolution(t)
+    assert t0.dims == (3, 2)
+    assert t1.dims == (2, 0)
 
 
 def test_coresolution_of_free_module():
     a = direct_sum([projective(A2, QQ, v) for v in A2.vertices()])
-    ses = tilting_coresolution(a)
-    assert ses.verify()
-    assert ses.sub.dims == a.dims
+    t0, t1 = tilting_coresolution(a)
+    assert tuple(x - y for x, y in zip(t0.dims, t1.dims)) == a.dims
+
+
+def test_coresolution_certificate_can_fail():
+    t = direct_sum([projective(A2, QQ, 1), simple(A2, QQ, 1)])
+    # add S_1 does not receive A injectively: it vanishes at vertex 2
+    assert _coresolution(t, [simple(A2, QQ, 1)]) is None
+    # A embeds in P_1 (+) P_1, but the cokernel S_1 lies outside add P_1
+    assert _coresolution(t, [projective(A2, QQ, 1)]) is None
 
 
 def test_coresolution_rejects_non_tilting():

@@ -23,6 +23,7 @@ from strata.repcat import (
 from strata.exceptional import is_exceptional, is_tilting_module
 from strata.perpcat import (
     bongartz_complement,
+    hom_category_presentation,
     lift_from_perp,
     perp_algebra,
     transport_into_perp,
@@ -101,6 +102,12 @@ def test_bongartz_completes_to_tilting():
 def test_bongartz_rejects_projective():
     with pytest.raises(ValueError, match="projective"):
         bongartz_complement(projective(A3, QQ, 2))
+
+
+def test_hom_category_presentation_rejects_a_big_endomorphism_ring():
+    # End(S (+) S) has dimension 4, but the lone vertex has one trivial path
+    s = simple(A2, QQ, 1)
+    assert hom_category_presentation([direct_sum([s, s])]) is None
 
 
 def test_perp_of_sink_projective():

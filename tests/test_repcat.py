@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -84,8 +85,12 @@ def test_value_types(make, attr):
     an object of another type."""
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
-    with pytest.raises(AttributeError):
-        setattr(a, attr, getattr(b, attr))
+    for name in (attr, "note"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, name, getattr(b, attr))
+        with pytest.raises(FrozenInstanceError):
+            delattr(a, name)
+    assert not hasattr(a, "__dict__")
     assert a != getattr(a, attr)
     assert a != (a,) and a != object()
 
@@ -214,6 +219,24 @@ def test_kernel_and_cokernel():
     cz, _ = cokernel_rep(quot)
     assert cz.total_dim == 0
     assert is_isomorphic(k, s2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_combo_matches_scale_add_fold(field):
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        basis = hom_space(random_rep(rng, q, field), random_rep(rng, q, field))
+        if not basis:
+            continue
+        coeffs = [field.coerce(rng.randint(-3, 3)) for _ in basis]
+        fold = basis[0].scale(coeffs[0])
+        for m, c in zip(basis[1:], coeffs[1:]):
+            fold = fold.add(m.scale(c))
+        assert repcat._combo(basis, coeffs) == fold
+        checked += 1
+    assert checked >= 10
 
 
 def test_coordinates_round_trip():

@@ -229,7 +229,7 @@ def test_tilting_checks_decompose_t_once(monkeypatch):
 
     for module in (exceptional, strat):
         monkeypatch.setattr(module, "decompose", counting)
-    assert tilting_coresolution(t).verify()
+    tilting_coresolution(t)
     assert sum(M is t for M in seen) == 1
     seen.clear()
     assert verify_ringel_tilting(A3, t)["pass"] is True
