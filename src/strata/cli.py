@@ -302,7 +302,8 @@ def main(argv=None) -> int:
                         help="seed for the candidate draws of decompose and "
                         "bongartz; echoed in every report (default 0)")
     parser.add_argument("--prime", type=int, default=None,
-                        help="work over F_p instead of the file's field; "
+                        help="work over F_p instead of the file's field; p "
+                        "must be a prime, so 0 is rejected; "
                         f"kronecker-demo takes p <= {KRONECKER_DEMO_MAX_PRIME} "
                         "and defaults to 5")
     parser.add_argument("--json", action="store_true", dest="as_json",

@@ -134,6 +134,9 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    """The prime field F_p; characteristic 0 is `QQ`, not a GF."""
+    if not _is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
     return Field(p)
 
 

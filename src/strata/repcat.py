@@ -14,7 +14,10 @@ the universal extension that the mutations of `exceptional` and the
 Bongartz complements of `perpcat` are built from.
 
 `Rep` and `RepMap` are frozen dataclasses: immutable, compared and hashed
-by content, so they serve as memo keys.
+by content, so they serve as memo keys. `RepMap(...)` checks shapes and
+that every arrow square commutes; the operations here build morphisms by
+construction (Hom kernel vectors, composites, linear combinations,
+identities, polynomials in an endomorphism) without checking them again.
 
 Decomposition splits along coprime factors of minimal polynomials of
 endomorphisms and never guesses. A module is reported indecomposable only
@@ -193,7 +196,14 @@ def direct_sum(reps) -> Rep:
 
 @dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class RepMap(_Frozen):
-    """A morphism of representations: one matrix per vertex, commuting."""
+    """A morphism of representations: one matrix per vertex, commuting.
+
+    `RepMap(source, target, blocks)` checks the endpoints, the block count
+    and shapes, and that every arrow square commutes. The library's own
+    operations build maps that are morphisms by construction (Hom kernel
+    vectors, composites, linear combinations, identities, polynomials in an
+    endomorphism) through `_make`, which checks nothing.
+    """
 
     source: Rep
     target: Rep
@@ -222,6 +232,15 @@ class RepMap(_Frozen):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _make(cls, source: Rep, target: Rep, blocks: tuple) -> "RepMap":
+        """Internal constructor for blocks, a tuple, known to form a morphism."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "source", source)
+        object.__setattr__(m, "target", target)
+        object.__setattr__(m, "blocks", blocks)
+        return m
+
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
 
@@ -240,18 +259,18 @@ class RepMap(_Frozen):
         """Composite self o other (apply `other` first)."""
         if other.target != self.source:
             raise ValueError("composition endpoints do not match")
-        blocks = [s.mul(o) for s, o in zip(self.blocks, other.blocks)]
-        return RepMap(other.source, self.target, blocks)
+        blocks = tuple(s.mul(o) for s, o in zip(self.blocks, other.blocks))
+        return RepMap._make(other.source, self.target, blocks)
 
     def add(self, other: "RepMap") -> "RepMap":
         if self.source != other.source or self.target != other.target:
             raise ValueError("adding morphisms with different endpoints")
-        return RepMap(
-            self.source, self.target, [a.add(b) for a, b in zip(self.blocks, other.blocks)]
-        )
+        blocks = tuple(a.add(b) for a, b in zip(self.blocks, other.blocks))
+        return RepMap._make(self.source, self.target, blocks)
 
     def scale(self, c) -> "RepMap":
-        return RepMap(self.source, self.target, [b.scale(c) for b in self.blocks])
+        blocks = tuple(b.scale(c) for b in self.blocks)
+        return RepMap._make(self.source, self.target, blocks)
 
     def flatten(self):
         """All block entries in vertex order, row-major; a coordinate vector."""
@@ -262,7 +281,7 @@ class RepMap(_Frozen):
 
 
 def identity_map(M: Rep) -> RepMap:
-    return RepMap(M, M, [Mat.identity(M.field, d) for d in M.dims])
+    return RepMap._make(M, M, tuple(Mat.identity(M.field, d) for d in M.dims))
 
 
 def _hom_system(M: Rep, N: Rep):
@@ -309,7 +328,8 @@ def hom_space(M: Rep, N: Rep):
             rows, cols = N.dim(v), M.dim(v)
             off = col_off[v - 1]
             blocks.append(Mat._make(f, rows, cols, x.entries[off : off + rows * cols]))
-        out.append(RepMap(M, N, blocks))
+        # commuting is what the kernel of the Hom system means
+        out.append(RepMap._make(M, N, tuple(blocks)))
     return out
 
 
@@ -531,11 +551,11 @@ def coordinates_in_hom_basis(f: RepMap, basis):
 
 def _combo(maps, coeffs):
     """sum_i coeffs[i] * maps[i], folded left blockwise into one RepMap."""
-    blocks = [
+    blocks = tuple(
         reduce(Mat.add, [m.block(v).scale(c) for m, c in zip(maps, coeffs)])
         for v in maps[0].source.quiver.vertices()
-    ]
-    return RepMap(maps[0].source, maps[0].target, blocks)
+    )
+    return RepMap._make(maps[0].source, maps[0].target, blocks)
 
 
 def _plus_scalar(m: Mat, c) -> Mat:
@@ -559,7 +579,8 @@ def _eval_poly_on_endo(e: RepMap, coeffs) -> RepMap:
         for c in reversed(coeffs[:-2]):
             acc = _plus_scalar(acc.mul(x), c)
         blocks.append(acc)
-    return RepMap(M, M, blocks)
+    # a polynomial in e commutes with every arrow because e does
+    return RepMap._make(M, M, tuple(blocks))
 
 
 def _minpoly_of_endo(e: RepMap):

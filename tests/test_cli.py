@@ -399,6 +399,19 @@ def test_prime_flag_rejects_composite(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("verb,needs_file", [
+    ("jh-verify", True),
+    ("kronecker-demo", False),
+])
+def test_prime_zero_is_usage_error(tmp_path, capsys, verb, needs_file):
+    # --prime 0 used to run over Q and exit 0
+    args = [verb, write(tmp_path, "a3.quiver", A3)] if needs_file else [verb]
+    assert cli.main([*args, "--prime", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "characteristic 0 is not prime" in captured.err
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_bound_below_one_is_usage_error(tmp_path, capsys, bound):
     path = write(tmp_path, "a2.quiver", A2)

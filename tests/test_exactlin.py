@@ -25,6 +25,14 @@ def test_field_validation():
     assert QQ.is_rational
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_gf_rejects_non_primes(p):
+    # characteristic 0 is QQ; GF(0) used to return it silently
+    with pytest.raises(ValueError, match=f"characteristic {p} is not prime"):
+        GF(p)
+    assert Field(0) == QQ
+
+
 def test_field_coercion():
     assert F5.coerce(-1) == 4
     assert F5.coerce(Fraction(3, 2)) == 4  # 3 * inv(2) = 3 * 3 = 9 = 4 mod 5

@@ -153,3 +153,80 @@ def test_benchmark_wrap_targets_exist():
         )
     for method in elimination:
         assert callable(getattr(Mat, method, None)), f"Mat.{method}"
+
+
+# the functions of repcat.py that may build a RepMap without checking it:
+# each result is a morphism by theorem
+UNCHECKED_MAKERS = {
+    "repcat.py": {
+        "RepMap.after",
+        "RepMap.add",
+        "RepMap.scale",
+        "identity_map",
+        "hom_space",
+        "_combo",
+        "_eval_poly_on_endo",
+    },
+}
+
+
+def _make_refs(node, names, scope=()):
+    """Enclosing scopes of the `X._make` attributes under node, for X in
+    names, or X self/cls inside the class RepMap."""
+    if isinstance(node, ast.Attribute) and node.attr == "_make":
+        base = getattr(node.value, "id", None)
+        if base in names or (scope[:1] == ("RepMap",) and base in ("self", "cls")):
+            yield ".".join(scope) or "<module>"
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _make_refs(child, names, scope)
+
+
+def _unchecked_repmap_sites(sources):
+    """(module, enclosing function) of every reference to RepMap._make in
+    {module: source}, also through an alias bound by `import RepMap as ...`;
+    "<module>" at top level."""
+    sites = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = {"RepMap"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.asname or a.name for a in node.names if a.name == "RepMap")
+        sites.update((module, scope) for scope in _make_refs(tree, names))
+    return sorted(sites)
+
+
+def test_checker_finds_unchecked_repmap_sites():
+    sources = {
+        "repcat.py": (
+            "class RepMap:\n"
+            "    def _make(cls, s, t, b):\n        pass\n"
+            "    def scale(self, c):\n        return RepMap._make(1, 2, ())\n"
+            "    def twice(self):\n        return self._make(1, 2, ())\n"
+            "def hom_space(M, N):\n    return Mat._make(1, 2, 3, ())\n"
+            "def kernel_rep(f):\n    return RepMap._make(1, 2, ())\n"
+        ),
+        "perpcat.py": (
+            "from .repcat import RepMap as R\n"
+            "MAKE = R._make\n"
+            "def lift(x):\n    return RepMap._make(x, x, ())\n"
+        ),
+    }
+    assert _unchecked_repmap_sites(sources) == [
+        ("perpcat.py", "<module>"),
+        ("perpcat.py", "lift"),
+        ("repcat.py", "RepMap.scale"),
+        ("repcat.py", "RepMap.twice"),
+        ("repcat.py", "kernel_rep"),
+    ]
+
+
+def test_unchecked_repmap_sites_are_the_named_makers():
+    """RepMap._make checks nothing, so only the functions whose results are
+    morphisms by construction may call it; everything else goes through the
+    checked RepMap(...)."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    allowed = sorted((m, f) for m, names in UNCHECKED_MAKERS.items() for f in names)
+    assert _unchecked_repmap_sites(sources) == allowed

@@ -239,6 +239,44 @@ def test_combo_matches_scale_add_fold(field):
     assert checked >= 10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(5)]), st.integers(0, 2**32 - 1))
+def test_unchecked_morphisms_pass_the_public_constructor(field, seed):
+    """Every map the library builds without checks (Hom basis, composites,
+    sums, multiples, combinations, identities, polynomials in an
+    endomorphism) is rebuilt through the checked RepMap(...), which must
+    accept it and give an equal, hash-equal map."""
+    rng = random.Random(seed)
+    q = random_acyclic_quiver(rng, max_vertices=4, max_extra_arrows=2)
+    M = random_rep(rng, q, field, max_dim=2)
+    N = random_rep(rng, q, field, max_dim=2)
+    S = direct_sum([M, N])
+
+    def scalar():
+        return field.coerce(rng.randint(-3, 3))
+
+    def few(maps):
+        return rng.sample(maps, min(3, len(maps)))
+
+    into, ends, out = hom_space(M, S), hom_space(S, S), hom_space(S, N)
+    made = [*hom_space(M, N), *into, *ends, *out, identity_map(M), identity_map(S)]
+    for g in few(ends):
+        made += [g.after(f) for f in few(into)]
+        made += [h.after(g) for h in few(out)]
+    for maps in (into, ends, out):
+        picked = few(maps)
+        made += [f.add(g) for f in picked for g in picked]
+        made += [f.scale(scalar()) for f in picked]
+        if maps:
+            made.append(repcat._combo(maps, [scalar() for _ in maps]))
+    if ends:  # End(S) = 0 only when S = 0
+        e = repcat._combo(ends, [scalar() for _ in ends])
+        made.append(repcat._eval_poly_on_endo(e, [scalar(), scalar(), field.one]))
+    for m in made:
+        rebuilt = RepMap(m.source, m.target, m.blocks)
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+
+
 def test_coordinates_round_trip():
     p1 = projective(K2, QQ, 1)
     m = direct_sum([p1, p1])
