@@ -103,9 +103,10 @@ class PerpPresentation:
     """The perpendicular category presented inside the ambient one.
 
     projectives_in_ambient[j-1] is the image of P_j of algebra_quiver. Only
-    the Hom-presented branches ("bongartz", and "summands" for a cut
-    generator) carry radical_generators, parallel to algebra_quiver.arrows:
-    the generator for an arrow a: j -> j' is an ambient intertwiner
+    the Hom-presented branches ("bongartz", and "summands" for a cut, an
+    exceptional sequence whose members are the P_j in order) carry
+    radical_generators, parallel to algebra_quiver.arrows: the generator
+    for an arrow a: j -> j' is an ambient intertwiner
     projectives_in_ambient[j'-1] -> projectives_in_ambient[j-1], acting on
     transported modules by precomposition. The "projective" branch needs
     none: its modules are restrictions, and its tuple is empty.

@@ -9,10 +9,10 @@ verification routine checks the composition-series statement empirically:
 every chain has length n and factor multiset equal to the endomorphism
 rings of the n simple modules.
 
-Binary stratification trees (StratTree) record nested two-step cuts whose
-cut object is a rigid multiplicity-free sum of exceptionals; flatten_to_
-chain normalizes any such tree to a chain by ordering the cut summands into
-an exceptional sequence and replaying the cuts one summand at a time.
+Binary stratification trees (StratTree) record nested two-step cuts. A cut
+is an exceptional sequence with a rigid sum and a hereditary Hom category,
+such as a suffix of a complete sequence; flatten_to_chain normalizes any
+tree to a chain by replaying each cut one member at a time, in its order.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from .exactlin import GF, QQ, Field, Mat
 from .quiver import Quiver, kronecker_quiver
 from .repcat import (
     Rep,
-    decompose,
     direct_sum,
-    distinct_summands,
     end_dim,
     ext1_dim,
     hom_dim,
@@ -38,7 +36,7 @@ from .exceptional import (
     _coresolution,
     _tilting_summands,
     enumerate_complete_exceptional_sequences,
-    order_into_exceptional_sequence,
+    is_exceptional_sequence,
 )
 from .perpcat import (
     PerpPresentation,
@@ -127,25 +125,32 @@ class Leaf:
 
 @dataclass(frozen=True, eq=False)
 class Node:
-    """A two-step cut along right_generator.
+    """A two-step cut along cut, an exceptional sequence (a tuple of Reps).
 
-    The left subtree lives over the perpendicular category of the
-    generator, the right subtree over the Hom category of its summands;
-    deep validation happens in flatten_to_chain, which replays the cut.
+    The left subtree lives over the perpendicular category of the cut, on
+    n - len(cut) vertices; the right subtree over the Hom category of its
+    members, whose P_j is cut[j-1], on len(cut) vertices. Construction
+    checks quivers and vertex counts; flatten_to_chain validates the rest
+    when it replays the cut.
     """
 
     algebra: Quiver
-    right_generator: Rep
+    cut: tuple
     left: "StratTree"
     right: "StratTree"
 
     def __post_init__(self):
-        if self.algebra.n < 2:
+        n, k = self.algebra.n, len(self.cut)
+        if n < 2:
             raise ValueError("a cut needs at least two vertices")
-        if self.right_generator.quiver != self.algebra:
-            raise ValueError("right generator lives over the wrong quiver")
-        if self.right_generator.total_dim == 0:
-            raise ValueError("right generator must be nonzero")
+        if any(x.quiver != self.algebra for x in self.cut):
+            raise ValueError("cut member lives over the wrong quiver")
+        if not 1 <= k < n:
+            raise ValueError(f"a cut over {n} vertices has 1 to {n - 1} members, got {k}")
+        if self.right.algebra.n != k:
+            raise ValueError(f"right subtree has {self.right.algebra.n} vertices, cut has {k}")
+        if self.left.algebra.n != n - k:
+            raise ValueError(f"left subtree has {self.left.algebra.n} vertices, needs {n - k}")
 
     def leaf_factors(self) -> tuple:
         return self.left.leaf_factors() + self.right.leaf_factors()
@@ -206,33 +211,37 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     return Chain(algebras, factors, tuple(peeled))
 
 
-def _summand_presentation(x: Rep) -> tuple:
-    """Ordered distinct summands of a cut generator and their Hom category.
+def _forward_ext_free(seq) -> bool:
+    """No Ext^1 from a member to a later one: with an exceptional sequence,
+    whose backward Ext^1 vanishes already, the sum is then rigid."""
+    return all(
+        ext1_dim(seq[i], seq[j]) == 0
+        for i in range(len(seq))
+        for j in range(i + 1, len(seq))
+    )
 
-    The generator must be a multiplicity-free rigid sum of exceptionals
-    whose summands order into an exceptional sequence and whose Hom
-    category is hereditary.
+
+def _summand_presentation(cut: tuple) -> PerpPresentation:
+    """The Hom category of a cut, which must be an exceptional sequence.
+
+    Its sum must be rigid and the Hom category of its members, in their
+    order, hereditary; vertex j of the returned algebra stands for cut[j-1].
     """
-    if ext1_dim(x, x) != 0:
-        raise ValueError("cut generator is not rigid")
-    parts = decompose(x)
-    if len(distinct_summands(parts)) != len(parts):
-        raise ValueError("cut generator has a repeated summand")
-    members = order_into_exceptional_sequence(parts)
-    if members is None:
-        raise ValueError("cut summands do not order into an exceptional sequence")
-    presented = hom_category_presentation(list(members))
+    if not is_exceptional_sequence(cut):
+        raise ValueError("cut is not an exceptional sequence")
+    if not _forward_ext_free(cut):
+        raise ValueError("cut is not rigid")
+    presented = hom_category_presentation(cut)
     if presented is None:
-        raise ValueError("cut summands' Hom category is not hereditary")
+        raise ValueError("cut's Hom category is not hereditary")
     cq, gens = presented
-    cpres = PerpPresentation(
-        source=x,
+    return PerpPresentation(
+        source=direct_sum(cut),
         branch="summands",
         algebra_quiver=cq,
-        projectives_in_ambient=members,
+        projectives_in_ambient=cut,
         radical_generators=gens,
     )
-    return members, cpres
 
 
 def _iterated_perp(members, others):
@@ -268,7 +277,7 @@ def _iterated_perp(members, others):
 def _flatten_seq(tree: StratTree, field: Field) -> tuple:
     if isinstance(tree, Leaf):
         return (simple(tree.algebra, field, 1),)
-    members, cpres = _summand_presentation(tree.right_generator)
+    cpres = _summand_presentation(tree.cut)
     if tree.right.algebra != cpres.algebra_quiver:
         raise ValueError(
             f"right subtree algebra {tree.right.algebra.describe()} does not "
@@ -276,7 +285,7 @@ def _flatten_seq(tree: StratTree, field: Field) -> tuple:
         )
     right_seq = _flatten_seq(tree.right, field)
     lifted_right = [lift_from_perp(cpres, z) for z in right_seq]
-    pres_list, _, _ = _iterated_perp(members, [])
+    pres_list, _, _ = _iterated_perp(tree.cut, [])
     if tree.left.algebra != pres_list[-1].algebra_quiver:
         raise ValueError(
             f"left subtree algebra {tree.left.algebra.describe()} does not "
@@ -292,19 +301,14 @@ def _flatten_seq(tree: StratTree, field: Field) -> tuple:
 def flatten_to_chain(tree: StratTree) -> Chain:
     """Normalize a stratification tree to a chain over the same algebra.
 
-    Cut generators with several summands are replayed one summand at a
-    time in exceptional-sequence order; the resulting complete sequence is
-    then stratified. The multiset of leaf factors always matches the
-    factor multiset of the returned chain.
+    Cuts with several members are replayed one member at a time in their
+    order; the resulting complete sequence is then stratified. The
+    multiset of leaf factors always matches the factor multiset of the
+    returned chain.
     """
     if isinstance(tree, Leaf):
         return Chain((tree.algebra,), (tree.factor,), ())
-    field = tree.right_generator.field
-    seq = _flatten_seq(tree, field)
-    if len(seq) != tree.algebra.n:
-        raise ValueError(
-            f"tree flattens to {len(seq)} members over {tree.algebra.n} vertices"
-        )
+    seq = _flatten_seq(tree, tree.cut[0].field)
     return stratify_along_sequence(tree.algebra, seq)
 
 
@@ -312,10 +316,10 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
     """Build a stratification tree from a complete exceptional sequence.
 
     Each node cuts a random suffix of the (transported) sequence whose sum
-    is rigid and whose summands have a hereditary Hom category; the suffix
+    is rigid and whose members have a hereditary Hom category; the suffix
     of length one always qualifies, so the recursion never gets stuck. The
-    j-th ordered summand of a cut is P_j over its Hom category (Yoneda). A
-    fixed seed gives a fixed tree.
+    cut is the suffix itself, and its j-th member is P_j over its Hom
+    category (Yoneda). A fixed seed gives a fixed tree.
     """
     members = list(sequence)
     if len(members) != q.n or q.n == 0:
@@ -334,24 +338,17 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
         valid = []
         for k in range(1, n):
             tail = seq_members[k:]
-            rigid = all(
-                ext1_dim(tail[i], tail[j]) == 0
-                for i in range(len(tail))
-                for j in range(i + 1, len(tail))
-            )
-            if rigid and hom_category_presentation(tail) is not None:
-                valid.append(k)
-        k = rng.choice(valid)
-        x = direct_sum(seq_members[k:])
-        ordered, cpres = _summand_presentation(x)
-        right_members = [
-            projective(cpres.algebra_quiver, x.field, j)
-            for j in cpres.algebra_quiver.vertices()
-        ]
-        right = build(cpres.algebra_quiver, right_members)
-        pres_list, _, head = _iterated_perp(ordered, seq_members[:k])
+            if not _forward_ext_free(tail):
+                continue
+            presented = hom_category_presentation(tail)
+            if presented is not None:
+                valid.append((k, presented[0]))
+        k, cq = rng.choice(valid)
+        cut = tuple(seq_members[k:])
+        right = build(cq, [projective(cq, cut[0].field, j) for j in cq.vertices()])
+        pres_list, _, head = _iterated_perp(cut, seq_members[:k])
         left = build(pres_list[-1].algebra_quiver, head)
-        return Node(quiver, x, left, right)
+        return Node(quiver, cut, left, right)
 
     return build(q, members)
 

@@ -230,3 +230,27 @@ def test_unchecked_repmap_sites_are_the_named_makers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     allowed = sorted((m, f) for m, names in UNCHECKED_MAKERS.items() for f in names)
     assert _unchecked_repmap_sites(sources) == allowed
+
+
+# a cut of a stratification tree is an exceptional sequence already, so the
+# tree route neither splits a sum nor orders summands
+DECOMPOSERS = {"decompose", "distinct_summands", "order_into_exceptional_sequence"}
+
+
+def _decomposer_refs(source: str):
+    """The names of DECOMPOSERS that source refers to, as a name, an
+    attribute or an imported name."""
+    return sorted(_referenced_names(ast.parse(source)) & DECOMPOSERS)
+
+
+def test_checker_finds_decomposer_refs():
+    source = (
+        "from .repcat import decompose as split, direct_sum\n"
+        "from . import exceptional\n"
+        "def f(x):\n    return exceptional.order_into_exceptional_sequence(split(x))\n"
+    )
+    assert _decomposer_refs(source) == ["decompose", "order_into_exceptional_sequence"]
+
+
+def test_tree_route_decomposes_nothing():
+    assert _decomposer_refs((PACKAGE / "strat.py").read_text()) == []

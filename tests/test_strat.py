@@ -5,7 +5,7 @@ import pytest
 from strata import exceptional, repcat, strat
 from strata.exactlin import GF, QQ
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
-from strata.repcat import decompose, direct_sum, projective, simple
+from strata.repcat import direct_sum, projective, simple
 from strata.exceptional import (
     enumerate_complete_exceptional_sequences,
     order_into_exceptional_sequence,
@@ -227,8 +227,7 @@ def test_tilting_checks_decompose_t_once(monkeypatch):
         seen.append(M)
         return repcat.decompose(M, *args, **kwargs)
 
-    for module in (exceptional, strat):
-        monkeypatch.setattr(module, "decompose", counting)
+    monkeypatch.setattr(exceptional, "decompose", counting)
     tilting_coresolution(t)
     assert sum(M is t for M in seen) == 1
     seen.clear()
@@ -281,9 +280,18 @@ def test_node_validation():
     f = FactorDescriptor(1, "End(S_1)")
     leaf = Leaf(ONE, f)
     with pytest.raises(ValueError, match="two vertices"):
-        Node(ONE, simple(ONE, QQ, 1), leaf, leaf)
+        Node(ONE, (simple(ONE, QQ, 1),), leaf, leaf)
     with pytest.raises(ValueError, match="wrong quiver"):
-        Node(A2, simple(A3, QQ, 1), leaf, leaf)
+        Node(A2, (simple(A3, QQ, 1),), leaf, leaf)
+    with pytest.raises(ValueError, match="1 to 1 members, got 0"):
+        Node(A2, (), leaf, leaf)
+    with pytest.raises(ValueError, match="1 to 1 members, got 2"):
+        Node(A2, (simple(A2, QQ, 2), simple(A2, QQ, 1)), leaf, leaf)
+    cut_a2 = Node(A2, (projective(A2, QQ, 1),), leaf, leaf)
+    with pytest.raises(ValueError, match="right subtree has 2 vertices, cut has 1"):
+        Node(A3, (simple(A3, QQ, 1),), cut_a2, cut_a2)
+    with pytest.raises(ValueError, match="left subtree has 1 vertices, needs 2"):
+        Node(A3, (simple(A3, QQ, 1),), leaf, leaf)
 
 
 def test_flatten_bare_leaf():
@@ -300,7 +308,7 @@ def test_flatten_single_cut_tree():
     leftq = perp_algebra(p1).algebra_quiver
     tree = Node(
         A2,
-        p1,
+        (p1,),
         Leaf(leftq, FactorDescriptor(1, "End(S_2)")),
         Leaf(ONE, FactorDescriptor(1, "End(X) for X = dim (1, 1)")),
     )
@@ -314,7 +322,7 @@ def test_flatten_rejects_mismatched_subtree_algebra():
     p1 = projective(A2, QQ, 1)
     bad = Node(
         A2,
-        p1,
+        (p1,),
         Leaf(ONE, FactorDescriptor(1, "End(S_1)")),  # labels should say 2
         Leaf(ONE, FactorDescriptor(1, "End(X)")),
     )
@@ -325,18 +333,31 @@ def test_flatten_rejects_mismatched_subtree_algebra():
 @pytest.mark.parametrize(
     "parts, message",
     [
-        ([projective(A2, QQ, 1)] * 2, "repeated summand"),
-        ([simple(A2, QQ, 1), simple(A2, QQ, 2)], "not rigid"),
+        ((projective(A2, QQ, 1),) * 2, "not an exceptional sequence"),
+        # an exceptional sequence, but Ext^1(S_1, S_2) != 0
+        ((simple(A2, QQ, 1), simple(A2, QQ, 2)), "not rigid"),
         # S_3 -> P_1 -> S_1 composes to zero: End of this tilting sum has a relation
-        ([interval_rep(QQ, 3, 1, 1), interval_rep(QQ, 3, 1, 3),
-          interval_rep(QQ, 3, 3, 3)], "Hom category is not hereditary"),
+        ((interval_rep(QQ, 3, 3, 3), interval_rep(QQ, 3, 1, 3),
+          interval_rep(QQ, 3, 1, 1)), "Hom category is not hereditary"),
+        # Hom(P_2, P_1) != 0: the sequence order is (P_2, P_1)
+        ((projective(A2, QQ, 1), projective(A2, QQ, 2)), "not an exceptional sequence"),
     ],
 )
 def test_flatten_rejects_bad_cut_generator(parts, message):
-    leaf = Leaf(ONE, FactorDescriptor(1, "End(S_1)"))
-    x = direct_sum(parts)
+    """flatten_to_chain checks each cut with _summand_presentation. These
+    cuts are as long as their quiver has vertices, which Node rejects, so
+    the check is called directly."""
     with pytest.raises(ValueError, match=message):
-        flatten_to_chain(Node(x.quiver, x, leaf, leaf))
+        strat._summand_presentation(parts)
+
+
+def test_flatten_checks_each_cut():
+    """(S_2, S_3) over A_3 is an exceptional sequence with Ext^1(S_2, S_3) != 0."""
+    leaf = Leaf(ONE, FactorDescriptor(1, "End(S_1)"))
+    right = Node(A2, (projective(A2, QQ, 1),), leaf, leaf)
+    cut = (simple(A3, QQ, 2), simple(A3, QQ, 3))
+    with pytest.raises(ValueError, match="not rigid"):
+        flatten_to_chain(Node(A3, cut, leaf, right))
 
 
 @pytest.mark.parametrize("index", [8, 18, 34, 50, 111])
@@ -356,7 +377,7 @@ def test_assemble_tree_is_deterministic():
     def shape(t):
         if isinstance(t, Leaf):
             return ("leaf", t.factor.division_ring_dim)
-        return ("node", t.right_generator.dims, shape(t.left), shape(t.right))
+        return ("node", [x.dims for x in t.cut], shape(t.left), shape(t.right))
 
     a = assemble_tree(A3, seqs[5], seed=2)
     b = assemble_tree(A3, seqs[5], seed=2)
@@ -384,9 +405,10 @@ def test_assemble_produces_multi_summand_cuts():
     widths = set()
     for seed in range(8):
         tree = assemble_tree(A3, tilt, seed=seed)
+        assert tree.cut in (tilt[1:], tilt[2:])
         node = tree
         while isinstance(node, Node):
-            widths.add(len(decompose(node.right_generator)))
+            widths.add(len(node.cut))
             node = node.left
         chain = flatten_to_chain(tree)
         assert sorted(chain.factor_dims()) == [1, 1, 1]
