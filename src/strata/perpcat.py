@@ -22,15 +22,15 @@ travel through the Hom functor and the cokernel of a lifted projective
 presentation.
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
-modules over and over, so `perp_algebra` and `transport_into_perp` keep
-bounded memos of their results (which are immutable). Exceptions are not
-memoized: a bad input raises on every call.
+modules over and over, so `perp_algebra` and `transport_into_perp` memoize
+their results (which are immutable) and keep every one for the life of the
+process. Exceptions are not memoized: a bad input raises on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate
 
 from .exactlin import Mat
@@ -50,12 +50,6 @@ from .repcat import (
     universal_extension,
     zero_rep,
 )
-
-# One jh-verify run meets few distinct inputs (79 perpendicular categories
-# on A_4 at bound 4); the bounds only keep a long-lived process from growing.
-_PERP_MEMO_SIZE = 512
-_TRANSPORT_MEMO_SIZE = 8192
-
 
 def _bongartz_parts(X: Rep):
     """(c, [E_1, ..., E_n]) with E_v the universal extension of P_v by X.
@@ -195,7 +189,7 @@ def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
     return Rep(q, f, dims, maps)
 
 
-@lru_cache(maxsize=_PERP_MEMO_SIZE)
+@cache
 def perp_algebra(X: Rep) -> PerpPresentation:
     """Present the perpendicular category of an exceptional module.
 
@@ -274,7 +268,7 @@ def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
     return Rep(q, f, dims, maps)
 
 
-@lru_cache(maxsize=_TRANSPORT_MEMO_SIZE)
+@cache
 def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     """Re-express a perpendicular module over the perpendicular algebra.
 

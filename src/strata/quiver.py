@@ -235,7 +235,9 @@ def parse_quiver_text(text: str):
 
     Returns (field, quiver, rep_lines) where rep_lines is the raw tail of
     the file starting at the first `rep` line, as (line_number, tokens)
-    pairs for the representation parser.
+    pairs for the representation parser. Quiver's checks run on every
+    `labels` and `arrow` line, so a cycle is reported at the arrow that
+    closes it.
     """
     field = None
     n = None
@@ -275,6 +277,8 @@ def parse_quiver_text(text: str):
         elif kw == "labels":
             if n is None:
                 raise ParseError("labels before vertices", lineno)
+            if labels is not None:
+                raise ParseError("duplicate labels line", lineno)
             labels = tok[1:]
         elif kw == "arrow":
             if n is None:
@@ -290,12 +294,13 @@ def parse_quiver_text(text: str):
             rep_lines.append((lineno, tok))
         else:
             raise ParseError(f"unknown directive {kw!r}", lineno)
+        if kw in ("labels", "arrow"):
+            try:
+                Quiver(n, arrows, labels)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     if n is None:
         raise ParseError("input has no vertices line", 1)
     if field is None:
         field = QQ
-    try:
-        q = Quiver(n, arrows, labels)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
-    return field, q, rep_lines
+    return field, Quiver(n, arrows, labels), rep_lines

@@ -202,7 +202,7 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     for x in members:
         if x.quiver != q:
             raise ValueError("sequence member lives over the wrong quiver")
-    pres_list, peeled, (last,) = _iterated_perp(members[1:], members[:1])
+    pres_list, peeled, (last,) = _peel(members, q.n - 1)
     algebras = (q,) + tuple(pres.algebra_quiver for pres in pres_list)
     factors = tuple(
         FactorDescriptor(end_dim(x), _source_label(a, x))
@@ -244,34 +244,33 @@ def _summand_presentation(cut: tuple) -> PerpPresentation:
     )
 
 
-def _iterated_perp(members, others):
-    """Perpendicular presentations of an exceptional sequence, one at a time.
+def _peel(seq, k):
+    """Peel the last k members of an exceptional sequence, one at a time.
 
-    Peels members from the right; others ride along through every
-    transport, numbered before the members in error messages. Returns
-    (presentations outer to inner, the peeled members as transported when
-    peeled, transported others).
+    Each peeled member's perpendicular category receives the members left
+    before it. Returns (presentations outer to inner, the peeled members as
+    transported when peeled, the first len(seq) - k members transported).
+    Error messages number members by their position in seq.
     """
-    work = list(members)
-    side = list(others)
+    work = list(seq)
     pres_list = []
     peeled = []
-    while work:
+    for _ in range(k):
         x = work.pop()
         pres = perp_algebra(x)
         moved = []
-        for i, y in enumerate(side + work):
+        for i, y in enumerate(work):
             try:
                 moved.append(transport_into_perp(pres, y))
             except ValueError as e:
                 raise ValueError(
                     f"member {i + 1} is not left-perpendicular to member "
-                    f"{len(side) + len(work) + 1}: {e}"
+                    f"{len(work) + 1}: {e}"
                 ) from e
-        side, work = moved[: len(side)], moved[len(side) :]
+        work = moved
         pres_list.append(pres)
         peeled.append(x)
-    return pres_list, peeled, side
+    return pres_list, peeled, work
 
 
 def _flatten_seq(tree: StratTree, field: Field) -> tuple:
@@ -285,7 +284,7 @@ def _flatten_seq(tree: StratTree, field: Field) -> tuple:
         )
     right_seq = _flatten_seq(tree.right, field)
     lifted_right = [lift_from_perp(cpres, z) for z in right_seq]
-    pres_list, _, _ = _iterated_perp(tree.cut, [])
+    pres_list, _, _ = _peel(tree.cut, len(tree.cut))
     if tree.left.algebra != pres_list[-1].algebra_quiver:
         raise ValueError(
             f"left subtree algebra {tree.left.algebra.describe()} does not "
@@ -346,7 +345,7 @@ def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
         k, cq = rng.choice(valid)
         cut = tuple(seq_members[k:])
         right = build(cq, [projective(cq, cut[0].field, j) for j in cq.vertices()])
-        pres_list, _, head = _iterated_perp(cut, seq_members[:k])
+        pres_list, _, head = _peel(seq_members, n - k)
         left = build(pres_list[-1].algebra_quiver, head)
         return Node(quiver, cut, left, right)
 

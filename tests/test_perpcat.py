@@ -187,6 +187,17 @@ def test_perp_and_transport_memos_return_the_same_objects():
     y = projective(A3, QQ, 3)
     z = transport_into_perp(pres, y)
     assert transport_into_perp(pres, Rep(A3, QQ, y.dims, y.maps)) is z
+    # the memos keep every result: many other inputs evict nothing
+    for c in range(2, 602):
+        perp_algebra(Rep(A2, QQ, (1, 1), [Mat(QQ, 1, 1, [c])]))
+    assert perp_algebra(x) is pres
+    sink = perp_algebra(simple(A3, QQ, 3))
+    ys = [Rep(A3, QQ, (1, 1, 0), [Mat(QQ, 1, 1, [c]), Mat(QQ, 0, 1, [])])
+          for c in range(1, 8302)]
+    first = transport_into_perp(sink, ys[0])
+    for y in ys[1:]:
+        transport_into_perp(sink, y)
+    assert transport_into_perp(sink, ys[0]) is first
 
 
 # (quiver, field, bound, dimension vectors left out). Decomposing the whole

@@ -218,6 +218,22 @@ def test_parse_errors_cite_line_numbers():
         parse_quiver_text("arrow a 1 2\n")
 
 
+@pytest.mark.parametrize("before,fault,message", [
+    ("labels u v w", "arrow b 2 5", "arrow b: endpoints outside 1..3"),
+    ("labels u v w", "arrow b 2 2", "arrow b is a loop"),
+    ("labels u v w", "arrow a 2 3", "duplicate arrow name 'a'"),
+    ("arrow b 2 3", "arrow c 3 1", "oriented cycle"),
+    ("arrow b 2 3", "labels x y", "label count differs"),
+    ("arrow b 2 3", "labels x y y", "labels must be distinct"),
+    ("labels u v w", "labels x y z", "duplicate labels line"),
+])
+def test_parse_errors_cite_the_line_at_fault(before, fault, message):
+    text = f"field Q\nvertices 3\narrow a 1 2\n{before}\n{fault}\narrow z 1 3\n"
+    with pytest.raises(ParseError, match=f"^line 5: .*{message}") as err:
+        parse_quiver_text(text)
+    assert err.value.line == 5
+
+
 def test_canonical_text_ignores_comments():
     t1 = "field Q\nvertices 2\narrow a 1 2\n"
     t2 = "# hello\nfield Q\n\nvertices 2    \narrow a 1 2  # trailing\n"

@@ -139,6 +139,12 @@ def test_stratify_rejects_non_sequence():
         stratify_along_sequence(A2, [simple(A2, QQ, 2), simple(A2, QQ, 1)])
 
 
+@pytest.mark.parametrize("build", [stratify_along_sequence, assemble_tree])
+def test_non_sequence_error_numbers_members_by_position(build):
+    with pytest.raises(ValueError, match="member 1 is not left-perpendicular to member 2"):
+        build(A2, [simple(A2, QQ, 2), simple(A2, QQ, 1)])
+
+
 def test_endo_rings_of_simples():
     facs = endo_rings_of_simples(A3)
     assert [f.division_ring_dim for f in facs] == [1, 1, 1]
