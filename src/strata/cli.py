@@ -190,7 +190,7 @@ def _run(args):
     if verb == "tilting-check":
         if not reps:
             raise UsageError("tilting-check expects at least one representation block")
-        T = direct_sum(reps) if len(reps) > 1 else reps[0]
+        T = direct_sum(reps)
         distinct = _tilting_summands(T)
         ok = distinct is not None
         report = {**base, "is_tilting": ok}
@@ -272,11 +272,8 @@ def _run(args):
     if verb == "ringel-check":
         if not reps:
             raise UsageError("ringel-check expects at least one representation block")
-        T = direct_sum(reps) if len(reps) > 1 else reps[0]
-        try:
-            report = verify_ringel_tilting(quiver, T)
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+        T = direct_sum(reps)
+        report = verify_ringel_tilting(quiver, T)
         report.update(base)
         status = "PASS" if report["pass"] else "FAIL"
         lines = head + [

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .exactlin import Field, Mat
+from .exactlin import QQ, Field, Mat
 from .quiver import Quiver, topological_sort
 from .repcat import (
     Rep,
@@ -104,7 +104,9 @@ def tilting_coresolution(T: Rep) -> tuple[Rep, Rep]:
     """The terms (T_0, T_1) of the coresolution 0 -> A -> T_0 -> T_1 -> 0.
 
     The coresolution exists for every tilting T (Happel-Ringel, Tilted
-    algebras, 1982) and certifies it; `_coresolution` builds and checks it.
+    algebras, 1982) and certifies it; `_coresolution` builds and checks it,
+    placing T_1 in add T by its rigidity and dimension vector without
+    decomposing it.
     Raises ValueError when T is not tilting or the certificate fails.
     """
     distinct = _tilting_summands(T)
@@ -120,9 +122,14 @@ def _coresolution(T: Rep, distinct):
     A = (+)_v P_v maps into add T through the universal map u: A -> T_0,
     where T_0 collects one copy of a distinct summand of T per Hom-basis
     element from A. The certificate holds when u is injective at every
-    vertex and every summand of T_1 = coker u lies in add T, that is, is
-    exceptional with the dimension vector of a summand of T. Exactness
-    needs no further check: T_1 is built as the cokernel of u.
+    vertex and T_1 = coker u lies in add T, which needs no decomposition:
+    T_1 is rigid and its dimension vector is sum_d m_d dim d with integers
+    m_d >= 0. The summands d of T are pairwise Ext-orthogonal, so
+    (+)_d d^{m_d} is rigid with the dimension vector of T_1, and a rigid
+    module is determined by its dimension vector (its orbit is open; Kac,
+    1980). The dim d are linearly independent, so one solve finds the only
+    candidate m. Exactness needs no further check: T_1 is built as the
+    cokernel of u.
     """
     q = T.quiver
     A = free_module(q, T.field)
@@ -134,10 +141,13 @@ def _coresolution(T: Rep, distinct):
         return None
     T0 = direct_sum([d for d, _ in maps])
     T1 = _cokernel(RepMap(A, T0, blocks))[0]
-    summand_dims = {d.dims for d in distinct}
-    if all(p.dims in summand_dims and is_exceptional(p) for p in decompose(T1)):
-        return T0, T1
-    return None
+    if ext1_dim(T1, T1) != 0:
+        return None
+    D = Mat.from_rows(QQ, [d.dims for d in distinct]).transpose()
+    m = D.solve(Mat.column(QQ, T1.dims))
+    if m is None or any(x < 0 or x.denominator != 1 for x in m.entries):
+        return None
+    return T0, T1
 
 
 @dataclass(frozen=True)

@@ -253,18 +253,14 @@ def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
     maps = []
     for a, r in zip(q.arrows, pres.radical_generators):
         src_basis = bases[a.source - 1]
-        tgt_basis = bases[a.target - 1]
-        cols = []
-        for fmap in src_basis:
-            coords = coordinates_in_hom_basis(fmap.after(r), tgt_basis)
-            if coords is None:
-                raise AssertionError("precomposition left the Hom space")
-            cols.append(coords)
-        ent = []
-        for i in range(len(tgt_basis)):
-            for col in cols:
-                ent.append(col[i])
-        maps.append(Mat(f, len(tgt_basis), len(src_basis), ent))
+        if not src_basis:
+            maps.append(Mat.zeros(f, dims[a.target - 1], 0))
+            continue
+        moved = [fmap.after(r) for fmap in src_basis]
+        coords = coordinates_in_hom_basis(moved, bases[a.target - 1])
+        if coords is None:
+            raise AssertionError("precomposition left the Hom space")
+        maps.append(coords)
     return Rep(q, f, dims, maps)
 
 

@@ -531,19 +531,23 @@ def cokernel_rep(f: RepMap):
     return C, RepMap(f.target, C, blocks)
 
 
-def coordinates_in_hom_basis(f: RepMap, basis):
-    """Coordinates of f in a given Hom basis, or None if f is outside it."""
+def _as_columns(maps) -> Mat:
+    """The matrix with one column per map, its flattened entries."""
+    flat = [m.flatten() for m in maps]
+    # RepMap entries are already canonical
+    ent = tuple(x for row in zip(*flat) for x in row)
+    return Mat._make(maps[0].source.field, len(flat[0]), len(flat), ent)
+
+
+def coordinates_in_hom_basis(maps, basis):
+    """The len(basis) x len(maps) matrix whose column j holds the coordinates
+    of maps[j] in a Hom basis, from one elimination; None if some map lies
+    outside the span. maps must not be empty."""
     if not basis:
-        return [] if f.is_zero() else None
-    fld = f.source.field
-    cols = [b.flatten() for b in basis]
-    # one column per basis map; RepMap entries are already canonical
-    ent = tuple(x for row in zip(*cols) for x in row)
-    A = Mat._make(fld, len(cols[0]), len(cols), ent)
-    x = A.solve(Mat.column(fld, list(f.flatten())))
-    if x is None:
-        return None
-    return [x.entry(i, 0) for i in range(len(cols))]
+        if any(not f.is_zero() for f in maps):
+            return None
+        return Mat.zeros(maps[0].source.field, 0, len(maps))
+    return _as_columns(basis).solve_matrix(_as_columns(maps))
 
 
 # --- decomposition into indecomposables ---
@@ -590,9 +594,9 @@ def _minpoly_of_endo(e: RepMap):
     powers = [identity_map(M)]
     nxt = e
     while True:
-        x = coordinates_in_hom_basis(nxt, powers)
+        x = coordinates_in_hom_basis([nxt], powers)
         if x is not None:
-            return [f.neg(c) for c in x] + [f.one]
+            return [f.neg(c) for c in x.entries] + [f.one]
         if len(powers) > M.total_dim:
             raise AssertionError("minimal polynomial search ran past the dimension")
         powers.append(nxt)
@@ -689,23 +693,14 @@ def _split_along_endo(M: Rep, e: RepMap, factors):
     return parts
 
 
-# random combinations of the Hom basis tried after the basis maps and their
-# products, before the indecomposability certificates
+# random combinations of the Hom basis tried after the basis maps, before
+# the indecomposability certificates
 _RANDOM_CANDIDATES = 64
 
 
 def _candidate_endos(basis, rng: random.Random, field: Field):
-    for b in basis:
-        yield b
+    yield from basis
     d = len(basis)
-    pair_cap = 40
-    count = 0
-    for i in range(d):
-        for j in range(d):
-            if count >= pair_cap:
-                break
-            yield basis[i].after(basis[j])
-            count += 1
     for _ in range(_RANDOM_CANDIDATES):
         if field.is_rational:
             coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
@@ -726,11 +721,9 @@ def _independent_subset(maps):
 
 def _nilpotent_ideal_certificate(basis, ideal):
     """Check span(ideal) is a nilpotent two-sided ideal of span(basis)."""
-    for r in ideal:
-        for b in basis:
-            for prod in (r.after(b), b.after(r)):
-                if coordinates_in_hom_basis(prod, ideal) is None:
-                    return False
+    products = [p for r in ideal for b in basis for p in (r.after(b), b.after(r))]
+    if products and coordinates_in_hom_basis(products, ideal) is None:
+        return False
     current = _independent_subset(ideal)
     while current:
         if all(m.is_zero() for m in current):

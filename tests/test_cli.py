@@ -353,7 +353,7 @@ def test_tilting_check_decomposes_t_once(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "t.quiver", A3_TILTING)
     assert cli.main(["tilting-check", path]) == 0
     assert "coresolution check: ok" in capsys.readouterr().out
-    assert seen.count((3, 2, 1)) == 1
+    assert seen == [(3, 2, 1)]
 
 
 def test_failed_coresolution_is_a_failed_check(tmp_path, capsys, monkeypatch):

@@ -275,6 +275,18 @@ def test_coresolution_certificate_can_fail():
     assert _coresolution(t, [simple(A2, QQ, 1)]) is None
     # A embeds in P_1 (+) P_1, but the cokernel S_1 lies outside add P_1
     assert _coresolution(t, [projective(A2, QQ, 1)]) is None
+    # A embeds and T_1 has dims (10, 12) = 2 (1, 0) + 4 (2, 3), in the cone
+    # of the summands' dims, but Ext^1(S_1, X) != 0 leaves T_1 not rigid
+    x = next(r for r in enumerate_exceptional(KR, QQ, 5) if r.dims == (2, 3))
+    s1 = simple(KR, QQ, 1)
+    assert _coresolution(direct_sum([s1, x]), [s1, x]) is None
+
+
+def test_coresolution_of_kronecker_preprojective_tilting():
+    ex = {r.dims: r for r in enumerate_exceptional(KR, QQ, 5)}
+    t0, t1 = tilting_coresolution(direct_sum([ex[(1, 2)], ex[(2, 3)]]))
+    assert t0.dims == (13, 21)
+    assert t1.dims == (12, 18)
 
 
 def test_coresolution_rejects_non_tilting():

@@ -254,3 +254,13 @@ def test_checker_finds_decomposer_refs():
 
 def test_tree_route_decomposes_nothing():
     assert _decomposer_refs((PACKAGE / "strat.py").read_text()) == []
+
+
+def test_coresolution_certificate_decomposes_nothing():
+    """T_1 lies in add T by its rigidity and dimension vector."""
+    text = (PACKAGE / "exceptional.py").read_text()
+    node = next(
+        n for n in ast.parse(text).body
+        if isinstance(n, ast.FunctionDef) and n.name == "_coresolution"
+    )
+    assert _decomposer_refs(ast.get_source_segment(text, node)) == []

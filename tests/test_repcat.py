@@ -282,13 +282,22 @@ def test_coordinates_round_trip():
     m = direct_sum([p1, p1])
     basis = hom_space(m, m)
     target = basis[0].scale(3).add(basis[-1].scale(-2))
-    coords = coordinates_in_hom_basis(target, basis)
-    assert coords is not None
-    assert coords[0] == 3 and coords[-1] == -2
-    rebuilt = basis[0].scale(coords[0])
-    for b, c in zip(basis[1:], coords[1:]):
-        rebuilt = rebuilt.add(b.scale(c))
+    coords = coordinates_in_hom_basis([target], basis)
+    assert coords is not None and (coords.rows, coords.cols) == (len(basis), 1)
+    assert coords.entry(0, 0) == 3 and coords.entry(len(basis) - 1, 0) == -2
+    rebuilt = basis[0].scale(coords.entry(0, 0))
+    for i, b in enumerate(basis[1:], start=1):
+        rebuilt = rebuilt.add(b.scale(coords.entry(i, 0)))
     assert rebuilt == target
+    # several maps at once: column j holds the coordinates of maps[j]
+    maps = [basis[1], target, basis[0].add(basis[1])]
+    coords = coordinates_in_hom_basis(maps, basis)
+    assert (coords.rows, coords.cols) == (len(basis), 3)
+    assert list(coords.col(0)) == [0, 1] + [0] * (len(basis) - 2)
+    assert list(coords.col(1)) == [3] + [0] * (len(basis) - 2) + [-2]
+    assert list(coords.col(2)) == [1, 1] + [0] * (len(basis) - 2)
+    # one map outside the span makes the whole answer None
+    assert coordinates_in_hom_basis([basis[0], basis[-1]], basis[:-1]) is None
 
 
 def test_decompose_direct_sums():
