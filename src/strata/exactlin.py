@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Matrices are immutable, row-major and remember their field. Everything is
-computed exactly by one sparse Gauss-Jordan elimination on rows kept as
-{column: int} dicts: over the rationals each row is cleared of
-denominators and divided by the gcd of its entries after every update, so
-the integers stay small; over F_p each pivot is scaled to 1. Kernels and
-solutions are read straight off the reduced rows, one Fraction per output
-entry. A row's pivot is its smallest column, so the pivot columns, the
-reduced-echelon kernel basis and the solution with free variables at zero
-do not depend on the elimination order: results are reproducible across
-runs and platforms.
+computed exactly by one sparse Gauss-Jordan elimination, `_reduce`, on
+rows kept as {column: int} dicts of their nonzero entries: over the
+rationals each row is cleared of denominators and divided by the gcd of its
+entries after every update, so the integers stay small; over F_p each pivot
+is scaled to 1. `Mat` turns its dense rows into such dicts; the Hom system
+of `repcat` is assembled as sparse integer rows directly and eliminated by
+the same `_reduce`, with its kernel read off by the same
+`_kernel_vectors`. Kernels and solutions are read straight off the reduced
+rows, one Fraction per output entry. A row's pivot is its smallest column,
+so the pivot columns, the reduced-echelon kernel basis and the solution
+with free variables at zero do not depend on the elimination order:
+results are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -141,11 +144,14 @@ def GF(p: int) -> Field:
 
 
 def _cleared(values):
-    """(ints, d) with values[i] == ints[i] / d, for a sequence of Fractions."""
+    """(ints, d) with values[i] == ints[i] / d, for a sequence of Fractions.
+
+    Only the nonzero entries are scaled, so a zero's denominator is never read.
+    """
     nums = [x.numerator for x in values]
     den = lcm(*[values[i].denominator for i, x in enumerate(nums) if x])
     if den != 1:
-        nums = [x * (den // y.denominator) for x, y in zip(nums, values)]
+        nums = [x * (den // values[i].denominator) if x else 0 for i, x in enumerate(nums)]
     return nums, den
 
 
@@ -153,16 +159,17 @@ def _sparse_rows(field: Field, rows):
     """Rows of field elements as {col: int} dicts of their nonzero entries.
 
     Over the rationals each row is scaled to coprime integers, which does
-    not change the row space.
+    not change the row space; zeros are dropped before any denominator is
+    read.
     """
     out = []
     for r in rows:
-        if field.is_rational:
-            row = {j: x for j, x in enumerate(_cleared(r)[0]) if x}
-            if row:
-                _make_primitive(row)
-        else:
-            row = {j: x for j, x in enumerate(r) if x}
+        row = {j: x for j, x in enumerate(r) if x}
+        if field.is_rational and row:
+            den = lcm(*[x.denominator for x in row.values()])
+            for j, x in row.items():
+                row[j] = x.numerator * (den // x.denominator)
+            _make_primitive(row)
         out.append(row)
     return out
 
@@ -239,6 +246,23 @@ def _reduce(rows, p, full, limit=None):
                     _eliminate(r, v, c, p)
         piv[c] = v
     return piv
+
+
+def _kernel_vectors(field: Field, piv, n: int):
+    """The reduced-echelon kernel basis of rows that `_reduce(..., full=True)`
+    left as piv, over n columns: one entry list per free column, ascending,
+    with 1 there and 0 at every other free column."""
+    p = field.characteristic
+    free = [j for j in range(n) if j not in piv]
+    vecs = {fc: [field.zero] * n for fc in free}
+    for fc in free:
+        vecs[fc][fc] = field.one
+    for c, row in piv.items():
+        a = row[c]
+        for j, x in row.items():
+            if j != c:
+                vecs[j][c] = (-x) % p if p else Fraction(-x, a)
+    return [vecs[fc] for fc in free]
 
 
 class _Frozen:
@@ -432,20 +456,11 @@ class Mat(_Frozen):
         Each basis vector has value 1 at its free column and 0 at all other
         free columns, so the basis is the reduced echelon one.
         """
-        f = self.field
-        n = self.cols
-        piv = self._echelon(full=True)
-        free = [j for j in range(n) if j not in piv]
-        vecs = {fc: [f.zero] * n for fc in free}
-        for fc in free:
-            vecs[fc][fc] = f.one
-        p = f.characteristic
-        for c, row in piv.items():
-            a = row[c]
-            for j, x in row.items():
-                if j != c:
-                    vecs[j][c] = (-x) % p if p else Fraction(-x, a)
-        return [Mat._make(f, n, 1, tuple(vecs[fc])) for fc in free]
+        f, n = self.field, self.cols
+        return [
+            Mat._make(f, n, 1, tuple(v))
+            for v in _kernel_vectors(f, self._echelon(full=True), n)
+        ]
 
     def solve(self, b: "Mat"):
         """One exact solution of self @ x = b, or None if inconsistent.

@@ -8,7 +8,10 @@ groups both come from one linear system: the map
     Phi: (f_v)_v  ->  (f_w M_a - N_a f_u)_{a: u -> w}
 
 has kernel Hom(M, N) and cokernel Ext^1(M, N); the path algebra of an
-acyclic quiver is hereditary, so there is nothing past Ext^1. A cocycle
+acyclic quiver is hereditary, so there is nothing past Ext^1. Phi is
+assembled straight from the nonzero entries of the arrow matrices as
+sparse integer rows and eliminated by the same `exactlin._reduce` that
+`Mat` uses; no dense matrix of Phi is built. A cocycle
 basis of Ext^1 gives extensions explicitly, and stacking all of them gives
 the universal extension that the mutations of `exceptional` and the
 Bongartz complements of `perpcat` are built from.
@@ -51,7 +54,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .exactlin import Field, Mat, _Frozen
+from .exactlin import (
+    Field,
+    Mat,
+    _cleared,
+    _Frozen,
+    _kernel_vectors,
+    _make_primitive,
+    _reduce,
+)
 from .quiver import ParseError, Quiver
 
 
@@ -285,57 +296,81 @@ def identity_map(M: Rep) -> RepMap:
 
 
 def _hom_system(M: Rep, N: Rep):
-    """The matrix of Phi plus its row indexing (arrow, i, j)."""
+    """Phi as sparse integer rows, with its column layout: (rows, col_off, cols).
+
+    The rows run over the arrows in order and, for a: u -> w, over the
+    entries (i, j) of f_w M_a - N_a f_u, i before j; each is a
+    {column: int} dict of its nonzero coefficients. f_v[s, t] is column
+    col_off[v - 1] + s * dim M_v + t of the cols columns. Over the
+    rationals M_a and N_a are cleared of one common denominator and each
+    row is then made primitive, which gives the rows `exactlin._sparse_rows`
+    makes of the dense matrix; over F_p entries are kept mod p.
+    """
     if M.quiver != N.quiver or M.field != N.field:
         raise ValueError("representations live over different quivers or fields")
-    q = M.quiver
-    f = M.field
+    p = M.field.characteristic
+    md, nd = M.dims, N.dims
     col_off = []
-    total_cols = 0
-    for v in q.vertices():
-        col_off.append(total_cols)
-        total_cols += N.dim(v) * M.dim(v)
-    row_index = []
-    for ai, a in enumerate(q.arrows):
-        for i in range(N.dim(a.target)):
-            for j in range(M.dim(a.source)):
-                row_index.append((ai, i, j))
-    ent = [f.zero] * (len(row_index) * total_cols)
-    for r, (ai, i, j) in enumerate(row_index):
-        a = q.arrows[ai]
-        u, w = a.source, a.target
-        Ma = M.maps[ai]
-        Na = N.maps[ai]
-        base = r * total_cols
-        # coefficient of f_w[i, t] is M_a[t, j]
-        for t in range(M.dim(w)):
-            ent[base + col_off[w - 1] + i * M.dim(w) + t] = Ma.entry(t, j)
-        # coefficient of f_u[s, j] is -N_a[i, s]
-        for s in range(N.dim(u)):
-            ent[base + col_off[u - 1] + s * M.dim(u) + j] = f.neg(Na.entry(i, s))
-    A = Mat._make(f, len(row_index), total_cols, tuple(ent))
-    return A, row_index, col_off
+    cols = 0
+    for m, n in zip(md, nd):
+        col_off.append(cols)
+        cols += n * m
+    rows = []
+    for a, Ma, Na in zip(M.quiver.arrows, M.maps, N.maps):
+        u, w = a.source - 1, a.target - 1
+        mu, mw, nu, nw = md[u], md[w], nd[u], nd[w]
+        if p:
+            Ma, Na = Ma.entries, [(-x) % p for x in Na.entries]
+        else:
+            ints, _ = _cleared(Ma.entries + Na.entries)
+            Ma, Na = ints[: mw * mu], [-x for x in ints[mw * mu :]]
+        for i in range(nw):
+            n_row = Na[i * nu : i * nu + nu]
+            for j in range(mu):
+                # f_w[i, t] has coefficient M_a[t, j], f_u[s, j] has -N_a[i, s]
+                row = {}
+                c = col_off[w] + i * mw
+                for x in Ma[j::mu]:
+                    if x:
+                        row[c] = x
+                    c += 1
+                c = col_off[u] + j
+                for x in n_row:
+                    if x:
+                        row[c] = x
+                    c += mu
+                if not p:
+                    _make_primitive(row)
+                rows.append(row)
+    return rows, col_off, cols
+
+
+def _hom_rank(M: Rep, N: Rep):
+    """(rows, cols, rank) of the Hom system of (M, N)."""
+    rows, _, cols = _hom_system(M, N)
+    return len(rows), cols, len(_reduce(rows, M.field.characteristic, False))
 
 
 def hom_space(M: Rep, N: Rep):
     """A deterministic basis of Hom(M, N) as a list of RepMaps."""
-    A, _, col_off = _hom_system(M, N)
+    rows, col_off, cols = _hom_system(M, N)
     f = M.field
+    piv = _reduce(rows, f.characteristic, True)
     out = []
-    for x in A.kernel_basis():
+    for x in _kernel_vectors(f, piv, cols):
         blocks = []
         for v in M.quiver.vertices():
-            rows, cols = N.dim(v), M.dim(v)
+            r, c = N.dim(v), M.dim(v)
             off = col_off[v - 1]
-            blocks.append(Mat._make(f, rows, cols, x.entries[off : off + rows * cols]))
+            blocks.append(Mat._make(f, r, c, tuple(x[off : off + r * c])))
         # commuting is what the kernel of the Hom system means
         out.append(RepMap._make(M, N, tuple(blocks)))
     return out
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
-    A, _, _ = _hom_system(M, N)
-    return A.cols - A.rank()
+    _, cols, rank = _hom_rank(M, N)
+    return cols - rank
 
 
 def end_dim(M: Rep) -> int:
@@ -344,8 +379,8 @@ def end_dim(M: Rep) -> int:
 
 def ext1_dim(M: Rep, N: Rep) -> int:
     """dim Ext^1(M, N), the cokernel of the Hom system."""
-    A, _, _ = _hom_system(M, N)
-    return A.cokernel_dim()
+    rows, _, rank = _hom_rank(M, N)
+    return rows - rank
 
 
 def orthogonal(M: Rep, N: Rep) -> bool:
@@ -359,8 +394,8 @@ def orthogonal(M: Rep, N: Rep) -> bool:
     q = M.quiver
     if q == N.quiver and M.field == N.field and q.euler_form(M.dims, N.dims):
         return False
-    A, _, _ = _hom_system(M, N)
-    return A.rank() == A.cols
+    _, cols, rank = _hom_rank(M, N)
+    return rank == cols
 
 
 def is_exceptional(X: Rep) -> bool:
@@ -372,8 +407,8 @@ def is_exceptional(X: Rep) -> bool:
     Both dimensions come from one rank r of the Hom system of (X, X): End
     is cols - r and Ext^1 is rows - r.
     """
-    A, _, _ = _hom_system(X, X)
-    return A.rows == A.cols - 1 and A.rank() == A.rows
+    rows, cols, rank = _hom_rank(X, X)
+    return rows == cols - 1 and rank == rows
 
 
 def ext1_space(M: Rep, N: Rep):
@@ -381,20 +416,32 @@ def ext1_space(M: Rep, N: Rep):
 
     Each cocycle is a dict sending an arrow name a: u -> w to a matrix of
     shape N_w x M_u; the classes of these cocycles form a basis of the
-    cokernel of the Hom system.
+    cokernel of the Hom system. The unit rows are those off the pivots of
+    its column space; clearing a row of denominators scales it, which moves
+    none of those pivots.
     """
-    A, row_index, _ = _hom_system(M, N)
+    phi, _, n = _hom_system(M, N)
     f = M.field
-    pivot_rows = set(A.column_space_pivot_rows())
+    columns = [{} for _ in range(n)]
+    for r, row in enumerate(phi):
+        for c, x in row.items():
+            columns[c][r] = x
+    pivot_rows = _reduce(columns, f.characteristic, False)
     q = M.quiver
+    # the arrow and entry (i, j) of each row, in the order of _hom_system
+    units = [
+        (a, i, j)
+        for a in q.arrows
+        for i in range(N.dim(a.target))
+        for j in range(M.dim(a.source))
+    ]
     out = []
-    for r, (ai, i, j) in enumerate(row_index):
+    for r, (a, i, j) in enumerate(units):
         if r in pivot_rows:
             continue
         z = {}
-        for a in q.arrows:
-            z[a.name] = Mat.zeros(f, N.dim(a.target), M.dim(a.source))
-        a = q.arrows[ai]
+        for b in q.arrows:
+            z[b.name] = Mat.zeros(f, N.dim(b.target), M.dim(b.source))
         rows, cols = N.dim(a.target), M.dim(a.source)
         ent = [f.zero] * (rows * cols)
         ent[i * cols + j] = f.one

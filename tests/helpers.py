@@ -77,3 +77,39 @@ def interval_rep(field, n, lo, hi):
         else:
             maps[a.name] = Mat.zeros(field, rows, cols)
     return Rep(q, field, dims, maps)
+
+
+def dense_hom_matrix(M, N):
+    """The Hom system Phi: (f_v) -> (f_w M_a - N_a f_u) of M and N as a dense
+    Mat, the oracle for the sparse rows that `repcat` eliminates.
+
+    Returns (A, row_index, col_off): row r is entry (i, j) of arrow
+    a: u -> w for row_index[r] = (arrow index, i, j), and f_v[s, t] is
+    column col_off[v - 1] + s * dim M_v + t.
+    """
+    q = M.quiver
+    f = M.field
+    col_off = []
+    total_cols = 0
+    for v in q.vertices():
+        col_off.append(total_cols)
+        total_cols += N.dim(v) * M.dim(v)
+    row_index = []
+    for ai, a in enumerate(q.arrows):
+        for i in range(N.dim(a.target)):
+            for j in range(M.dim(a.source)):
+                row_index.append((ai, i, j))
+    ent = [f.zero] * (len(row_index) * total_cols)
+    for r, (ai, i, j) in enumerate(row_index):
+        a = q.arrows[ai]
+        u, w = a.source, a.target
+        Ma = M.maps[ai]
+        Na = N.maps[ai]
+        base = r * total_cols
+        # coefficient of f_w[i, t] is M_a[t, j]
+        for t in range(M.dim(w)):
+            ent[base + col_off[w - 1] + i * M.dim(w) + t] = Ma.entry(t, j)
+        # coefficient of f_u[s, j] is -N_a[i, s]
+        for s in range(N.dim(u)):
+            ent[base + col_off[u - 1] + s * M.dim(u) + j] = f.neg(Na.entry(i, s))
+    return Mat(f, len(row_index), total_cols, ent), row_index, col_off

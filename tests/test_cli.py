@@ -299,6 +299,20 @@ dims 1 0 0
 A3_S1 = A3 + "\nrep\ndims 1 0 0\n"
 KRONECKER_21 = KRONECKER + "\nrep\ndims 2 1\nmap a 1 0\nmap b 0 1\n"
 A4_INTERVAL = A4 + "\nrep\ndims 0 1 1 0\nmap b 1\n"
+# the preprojective tilting module (2,3) + (3,4) of the Kronecker quiver, as
+# enumerate_exceptional(kronecker_quiver(), QQ, 7) finds them; its T_1 has
+# dims (30, 40), so Ext^1(T_1, T_1) is a 2400 x 2500 Hom system
+KRONECKER_TILTING = KRONECKER + """
+rep
+dims 2 3
+map a 0 0 0 1 -1 0
+map b 1 0 0 0 0 1
+
+rep
+dims 3 4
+map a 1 0 0 0 0 0 0 0 1 0 -1 0
+map b 0 0 0 0 1 0 -1 0 0 0 0 1
+"""
 
 # (id, verb, input text, flags, SHA-256 of `--json --seed 1` stdout), pinned
 # so that changes to the machinery under a verb cannot alter its report bytes.
@@ -315,6 +329,8 @@ CLI_GOLDENS = [
      "5d091079fbd86b95b5deb2377f4b296aeed427b08cfad8550ece0e20d552250b"),
     ("tilting-check-a3", "tilting-check", A3_TILTING, [],
      "2a32c5d0db4a9d770c901be9de9b2dec8392c5672856f0b08bbb6d74edcbb1aa"),
+    ("tilting-check-kr", "tilting-check", KRONECKER_TILTING, [],
+     "b22eef2b1f4d09aa111e067c2b9a000e22778af505d06cf9d51e5d67e36688ba"),
     ("ringel-check-a3", "ringel-check", A3_TILTING, [],
      "b2c3630145683b0dda60551d6c09cb5caefd30e51984c0eb246d9e88304e7404"),
     ("stratify-d4", "stratify", D4, [],

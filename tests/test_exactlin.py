@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from strata.exactlin import GF, QQ, Field, Mat
+from strata.exactlin import GF, QQ, Field, Mat, _cleared, _sparse_rows
 
 from helpers import random_mat
 
@@ -148,6 +149,44 @@ def test_deterministic_results():
     m2 = random_mat(rng2, QQ, 5, 7)
     assert m1 == m2
     assert [b.entries for b in m1.kernel_basis()] == [b.entries for b in m2.kernel_basis()]
+
+
+class _ZeroWithoutDenominator(Fraction):
+    """A zero whose denominator must not be read."""
+
+    @property
+    def denominator(self):
+        raise AssertionError("the denominator of a zero entry was read")
+
+
+class _OpaqueZero(_ZeroWithoutDenominator):
+    """A zero whose numerator must not be read either."""
+
+    @property
+    def numerator(self):
+        raise AssertionError("the numerator of a zero entry was read")
+
+
+def test_zero_entries_are_dropped_before_clearing():
+    z, o = _ZeroWithoutDenominator(0), _OpaqueZero(0)
+    half, two_thirds = Fraction(1, 2), Fraction(-2, 3)
+    assert _cleared([z, half, z, two_thirds, z]) == ([0, 3, 0, -4, 0], 6)
+    assert _sparse_rows(QQ, [[o, half, o, two_thirds, o], [o, o]]) == [{1: 3, 3: -4}, {}]
+    assert Mat(QQ, 2, 3, [o, half, o, two_thirds, o, 1]).rank() == 2
+    row = Mat(QQ, 1, 5, [z, half, z, two_thirds, z])
+    assert row.mul(Mat.column(QQ, [1] * 5)) == Mat(QQ, 1, 1, [Fraction(-1, 6)])
+
+
+def test_sparse_rows_are_coprime_positive_multiples():
+    rng = random.Random(5)
+    pool = (0, 0, 0, 1, -1, 4, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), Fraction(6, 5))
+    rows = [[Fraction(rng.choice(pool)) for _ in range(6)] for _ in range(300)]
+    for r, got in zip(rows, _sparse_rows(QQ, rows)):
+        assert sorted(got) == [j for j, x in enumerate(r) if x]
+        if got:
+            assert gcd(*got.values()) == 1
+            ratios = {Fraction(got[j]) / r[j] for j in got}
+            assert len(ratios) == 1 and ratios.pop() > 0
 
 
 def test_column_space_pivot_rows():

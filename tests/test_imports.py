@@ -264,3 +264,71 @@ def test_coresolution_certificate_decomposes_nothing():
         if isinstance(n, ast.FunctionDef) and n.name == "_coresolution"
     )
     assert _decomposer_refs(ast.get_source_segment(text, node)) == []
+
+
+# exactlin's elimination and kernel read-off on raw integer rows; outside
+# exactlin only the functions of repcat that eliminate the Hom system may use
+# them, and everything else eliminates through Mat
+ELIMINATION_ENTRY_POINTS = {"_reduce", "_kernel_vectors"}
+HOM_SYSTEM_ELIMINATORS = {"repcat.py": {"_hom_rank", "hom_space", "ext1_space"}}
+
+
+def _entry_point_refs(node, names, scope=()):
+    """Enclosing scopes of the names in names under node, referred to as a
+    name or as an attribute (exactlin._reduce)."""
+    if (isinstance(node, ast.Name) and node.id in names) or (
+        isinstance(node, ast.Attribute) and node.attr in names
+    ):
+        yield ".".join(scope) or "<module>"
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _entry_point_refs(child, names, scope)
+
+
+def _elimination_entry_sites(sources):
+    """(module, enclosing function) of every reference to an elimination
+    entry point in {module: source}, also through an alias bound by
+    `import _reduce as ...`; "<module>" at top level."""
+    sites = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = set(ELIMINATION_ENTRY_POINTS)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(
+                    a.asname for a in node.names if a.name in ELIMINATION_ENTRY_POINTS and a.asname
+                )
+        sites.update((module, scope) for scope in _entry_point_refs(tree, names))
+    return sorted(sites)
+
+
+def test_checker_finds_elimination_entry_sites():
+    sources = {
+        "repcat.py": (
+            "from .exactlin import _kernel_vectors, _reduce\n"
+            "def hom_space(M, N):\n    return _kernel_vectors(M, _reduce([], 0, True), 0)\n"
+            "class Rep:\n    def rank(self):\n        return len(_reduce([], 0, False))\n"
+        ),
+        "perpcat.py": (
+            "from .exactlin import _reduce as eliminate\n"
+            "from . import exactlin\n"
+            "READ_OFF = exactlin._kernel_vectors\n"
+            "def perp(rows):\n    return eliminate(rows, 0, False)\n"
+        ),
+    }
+    assert _elimination_entry_sites(sources) == [
+        ("perpcat.py", "<module>"),
+        ("perpcat.py", "perp"),
+        ("repcat.py", "Rep.rank"),
+        ("repcat.py", "hom_space"),
+    ]
+
+
+def test_elimination_entry_points_stay_with_the_hom_system():
+    """The rows handed to _reduce outside exactlin are the Hom system's."""
+    sources = {
+        p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "exactlin.py"
+    }
+    allowed = sorted((m, f) for m, names in HOM_SYSTEM_ELIMINATORS.items() for f in names)
+    assert _elimination_entry_sites(sources) == allowed

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from strata import repcat
-from strata.exactlin import GF, QQ, Mat
+from strata.exactlin import GF, QQ, Mat, _sparse_rows
 from strata.quiver import (
     Arrow,
     ParseError,
@@ -32,6 +33,7 @@ from strata.repcat import (
     hom_dim,
     hom_space,
     identity_map,
+    is_exceptional,
     is_isomorphic,
     kernel_rep,
     orthogonal,
@@ -41,7 +43,13 @@ from strata.repcat import (
     zero_rep,
 )
 
-from helpers import conjugate_rep, interval_rep, random_acyclic_quiver, random_rep
+from helpers import (
+    conjugate_rep,
+    dense_hom_matrix,
+    interval_rep,
+    random_acyclic_quiver,
+    random_rep,
+)
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -176,6 +184,86 @@ def test_orthogonal_matches_hom_and_ext(field):
         assert orthogonal(m, n) == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# non-integer entries, so that clearing the rows of denominators is exercised
+RATIONAL_ENTRIES = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+
+
+def _rational_rep(rng, q, max_dim=3):
+    dims = [rng.randint(0, max_dim) for _ in q.vertices()]
+    maps = {}
+    for a in q.arrows:
+        rows, cols = dims[a.target - 1], dims[a.source - 1]
+        maps[a.name] = Mat(QQ, rows, cols, [rng.choice(RATIONAL_ENTRIES) for _ in range(rows * cols)])
+    return Rep(q, QQ, dims, maps)
+
+
+def _unit_rows(X, Y, cocycles, row_index):
+    """The row of the dense Hom system where each unit cocycle has its 1."""
+    q = X.quiver
+    out = []
+    for z in cocycles:
+        (unit,) = [
+            (ai, i, j)
+            for ai, a in enumerate(q.arrows)
+            for i in range(Y.dim(a.target))
+            for j in range(X.dim(a.source))
+            if z[a.name].entry(i, j)
+        ]
+        assert z[q.arrows[unit[0]].name].entry(*unit[1:]) == X.field.one
+        out.append(row_index.index(unit))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_sparse_hom_system_matches_dense_oracle(field):
+    """Every answer of the sparse Hom system equals the dense Phi's."""
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        if field.is_rational:
+            M, N = _rational_rep(rng, q), _rational_rep(rng, q)
+        else:
+            M, N = random_rep(rng, q, field), random_rep(rng, q, field)
+        P = conjugate_rep(rng, projective(q, field, rng.randint(1, q.n)))
+        for X, Y in ((M, N), (N, M), (M, M), (P, P), (P, M)):
+            A, row_index, col_off = dense_hom_matrix(X, Y)
+            rank = A.rank()
+            assert repcat._hom_system(X, Y)[0] == _sparse_rows(
+                field, [A.row(r) for r in range(A.rows)]
+            )
+            assert hom_dim(X, Y) == A.cols - rank
+            assert ext1_dim(X, Y) == A.rows - rank
+            want = [
+                [
+                    Mat(field, Y.dim(v), X.dim(v),
+                        x.entries[col_off[v - 1] : col_off[v - 1] + Y.dim(v) * X.dim(v)])
+                    for v in q.vertices()
+                ]
+                for x in A.kernel_basis()
+            ]
+            assert [list(h.blocks) for h in hom_space(X, Y)] == want
+            ortho = rank == A.cols == A.rows
+            assert orthogonal(X, Y) == ortho
+            pivots = set(A.column_space_pivot_rows())
+            units = _unit_rows(X, Y, ext1_space(X, Y), row_index)
+            assert units == [r for r in range(A.rows) if r not in pivots]
+            if X is Y:
+                exc = A.cols - rank == 1 and A.rows == rank
+                assert is_exceptional(X) == exc
+                seen["exceptional", exc] += 1
+            seen["orthogonal", ortho] += 1
+            seen["hom"] += bool(want)
+            seen["ext"] += bool(units)
+            seen["fraction"] += any(
+                getattr(x, "denominator", 1) != 1 for m in X.maps + Y.maps for x in m.entries
+            )
+    # every verdict and both kinds of basis occur
+    assert all(seen[k, b] for k in ("exceptional", "orthogonal") for b in (True, False))
+    assert seen["hom"] and seen["ext"]
+    assert bool(seen["fraction"]) == field.is_rational
 
 
 def test_ext_space_matches_dim_and_realizes():
