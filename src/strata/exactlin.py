@@ -9,14 +9,16 @@ is scaled to 1. `Mat` turns its dense rows into such dicts; the Hom system
 of `repcat` is assembled as sparse integer rows directly and eliminated by
 the same `_reduce`, with its kernel read off by the same
 `_kernel_vectors`. Kernels and solutions are read straight off the reduced
-rows, one Fraction per output entry. A row's pivot is its smallest column,
-so the pivot columns, the reduced-echelon kernel basis and the solution
-with free variables at zero do not depend on the elimination order:
-results are reproducible across runs and platforms.
+rows, one Fraction per output entry, and `repcat` reads the kernels and
+cokernels of module maps off the reduced-echelon kernel basis. A row's
+pivot is its smallest column, so the pivot columns, that kernel basis and
+the solution with free variables at zero do not depend on the elimination
+order: results are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -155,6 +157,14 @@ def _cleared(values):
     return nums, den
 
 
+def _as_index(x, what: str) -> int:
+    """x as an int by `operator.index`; ValueError for a non-integer such as 1.7."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def _sparse_rows(field: Field, rows):
     """Rows of field elements as {col: int} dicts of their nonzero entries.
 
@@ -250,19 +260,18 @@ def _reduce(rows, p, full, limit=None):
 
 def _kernel_vectors(field: Field, piv, n: int):
     """The reduced-echelon kernel basis of rows that `_reduce(..., full=True)`
-    left as piv, over n columns: one entry list per free column, ascending,
-    with 1 there and 0 at every other free column."""
+    left as piv, over n columns: {free column: entry list}, ascending, each
+    vector 1 at its free column and 0 at every other free column."""
     p = field.characteristic
-    free = [j for j in range(n) if j not in piv]
-    vecs = {fc: [field.zero] * n for fc in free}
-    for fc in free:
-        vecs[fc][fc] = field.one
+    vecs = {fc: [field.zero] * n for fc in range(n) if fc not in piv}
+    for fc, vec in vecs.items():
+        vec[fc] = field.one
     for c, row in piv.items():
         a = row[c]
         for j, x in row.items():
             if j != c:
                 vecs[j][c] = (-x) % p if p else Fraction(-x, a)
-    return [vecs[fc] for fc in free]
+    return vecs
 
 
 class _Frozen:
@@ -292,6 +301,7 @@ class Mat(_Frozen):
     entries: tuple
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
+        rows, cols = _as_index(rows, "matrix rows"), _as_index(cols, "matrix columns")
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         ent = tuple(field.coerce(x) for x in entries)
@@ -446,21 +456,22 @@ class Mat(_Frozen):
     def rank(self) -> int:
         return len(self._echelon())
 
-    def cokernel_dim(self) -> int:
-        """Dimension of the cokernel of this matrix as a linear map."""
-        return self.rows - self.rank()
+    def _kernel_matrix(self):
+        """(B, free): the reduced-echelon kernel basis as the columns of an
+        n x k matrix B, and its free rows, ascending; B is the identity there."""
+        f, n = self.field, self.cols
+        vecs = _kernel_vectors(f, self._echelon(full=True), n)
+        ent = tuple(x for row in zip(*vecs.values()) for x in row)
+        return Mat._make(f, n, len(vecs), ent), tuple(vecs)
 
     def kernel_basis(self):
         """Deterministic kernel basis as a list of column vectors (n x 1 Mats).
 
-        Each basis vector has value 1 at its free column and 0 at all other
-        free columns, so the basis is the reduced echelon one.
+        The basis is the reduced-echelon one: each vector has 1 at its free
+        column and 0 at the other free columns.
         """
-        f, n = self.field, self.cols
-        return [
-            Mat._make(f, n, 1, tuple(v))
-            for v in _kernel_vectors(f, self._echelon(full=True), n)
-        ]
+        B, _ = self._kernel_matrix()
+        return [Mat._make(B.field, B.rows, 1, B.col(j)) for j in range(B.cols)]
 
     def solve(self, b: "Mat"):
         """One exact solution of self @ x = b, or None if inconsistent.

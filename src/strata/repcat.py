@@ -14,7 +14,9 @@ sparse integer rows and eliminated by the same `exactlin._reduce` that
 `Mat` uses; no dense matrix of Phi is built. A cocycle
 basis of Ext^1 gives extensions explicitly, and stacking all of them gives
 the universal extension that the mutations of `exceptional` and the
-Bongartz complements of `perpcat` are built from.
+Bongartz complements of `perpcat` are built from. The kernel and cokernel
+of a map are read off one reduced echelon form per vertex: the kernel basis
+of f_v, and the left-kernel basis of f_v read off its transpose.
 
 `Rep` and `RepMap` are frozen dataclasses: immutable, compared and hashed
 by content, so they serve as memo keys. `RepMap(...)` checks shapes and
@@ -57,6 +59,7 @@ from functools import reduce
 from .exactlin import (
     Field,
     Mat,
+    _as_index,
     _cleared,
     _Frozen,
     _kernel_vectors,
@@ -80,7 +83,7 @@ class Rep(_Frozen):
     maps: tuple
 
     def __init__(self, quiver: Quiver, field: Field, dims, maps):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_as_index(d, "dimension") for d in dims)
         if len(dims) != quiver.n:
             raise ValueError(f"expected {quiver.n} dimensions, got {len(dims)}")
         if any(d < 0 for d in dims):
@@ -352,12 +355,16 @@ def _hom_rank(M: Rep, N: Rep):
 
 
 def hom_space(M: Rep, N: Rep):
-    """A deterministic basis of Hom(M, N) as a list of RepMaps."""
+    """A deterministic basis of Hom(M, N) as a list of RepMaps.
+
+    The basis is the reduced-echelon kernel basis of the Hom system: each
+    map has 1 at its free column and 0 at the other free columns.
+    """
     rows, col_off, cols = _hom_system(M, N)
     f = M.field
     piv = _reduce(rows, f.characteristic, True)
     out = []
-    for x in _kernel_vectors(f, piv, cols):
+    for x in _kernel_vectors(f, piv, cols).values():
         blocks = []
         for v in M.quiver.vertices():
             r, c = N.dim(v), M.dim(v)
@@ -504,22 +511,25 @@ def free_module(quiver: Quiver, field: Field) -> Rep:
 
 
 def _kernel(f: RepMap):
-    """The kernel of f as (K, bases): bases[v - 1] spans K_v in the source."""
+    """The kernel of f as (K, bases): bases[v - 1] spans K_v in the source.
+
+    bases[v - 1] is the reduced-echelon kernel basis B_v of f_v, the
+    identity on its free rows, so the restriction x of an arrow a: u -> w,
+    the solution of B_w x = M_a B_u, is M_a B_u at the free rows of B_w.
+    """
     M = f.source
-    fld = M.field
-    bases = []
-    for v in M.quiver.vertices():
-        cols = f.block(v).kernel_basis()
-        ent = [c.entries[i] for i in range(M.dim(v)) for c in cols]
-        bases.append(Mat(fld, M.dim(v), len(cols), ent))
+    kers = [f.block(v)._kernel_matrix() for v in M.quiver.vertices()]
+    bases = [B for B, _ in kers]
     maps = []
-    for ai, a in enumerate(M.quiver.arrows):
-        moved = M.maps[ai].mul(bases[a.source - 1])
-        x = bases[a.target - 1].solve_matrix(moved)
-        if x is None:
+    for a, Ma in zip(M.quiver.arrows, M.maps):
+        moved = Ma.mul(bases[a.source - 1])
+        free = kers[a.target - 1][1]
+        ent = tuple(y for i in free for y in moved.row(i))
+        x = Mat._make(M.field, len(free), moved.cols, ent)
+        if bases[a.target - 1].mul(x) != moved:
             raise AssertionError("kernel is not an invariant subspace")
         maps.append(x)
-    return Rep(M.quiver, fld, [b.cols for b in bases], maps), bases
+    return Rep(M.quiver, M.field, [B.cols for B in bases], maps), bases
 
 
 def kernel_rep(f: RepMap):
@@ -531,45 +541,22 @@ def kernel_rep(f: RepMap):
 def _cokernel(f: RepMap):
     """The cokernel of f as (C, blocks): blocks[v - 1] projects the target onto C_v.
 
-    Coordinates on C_v are the unit vectors of the target at the rows where
-    the image has no echelon pivot.
+    blocks[v - 1] is the reduced-echelon basis P_v of the left kernel of f_v,
+    read off its transpose: the identity at the coordinates off the column
+    space's echelon pivots, which coordinatize C_v, so the map of an arrow
+    a: u -> w is P_w N_a at the columns where P_u is the identity.
     """
     N = f.target
-    fld = N.field
     q = N.quiver
-    proj_blocks = []
-    sec_blocks = []
-    cdims = []
-    for v in q.vertices():
-        fv = f.block(v)
-        pivot = set(fv.column_space_pivot_rows())
-        sel = [r for r in range(N.dim(v)) if r not in pivot]
-        s = len(sel)
-        cdims.append(s)
-        unit = Mat(
-            fld,
-            N.dim(v),
-            s,
-            [
-                fld.one if r == sel[t] else fld.zero
-                for r in range(N.dim(v))
-                for t in range(s)
-            ],
-        )
-        sec_blocks.append(unit)
-        aug = fv.hstack(unit)
-        sol = aug.solve_matrix(Mat.identity(fld, N.dim(v)))
-        if sol is None:
-            raise AssertionError("image plus complement fails to span the target")
-        ent = []
-        for r in range(fv.cols, fv.cols + s):
-            ent.extend(sol.row(r))
-        proj_blocks.append(Mat(fld, s, N.dim(v), ent))
+    kers = [f.block(v).transpose()._kernel_matrix() for v in q.vertices()]
+    blocks = [B.transpose() for B, _ in kers]
     cmaps = []
-    for ai, a in enumerate(q.arrows):
-        m = proj_blocks[a.target - 1].mul(N.maps[ai]).mul(sec_blocks[a.source - 1])
-        cmaps.append(m)
-    return Rep(q, fld, cdims, cmaps), proj_blocks
+    for a, Na in zip(q.arrows, N.maps):
+        m = blocks[a.target - 1].mul(Na)
+        sel = kers[a.source - 1][1]
+        ent = tuple(m.entry(i, j) for i in range(m.rows) for j in sel)
+        cmaps.append(Mat._make(N.field, m.rows, len(sel), ent))
+    return Rep(q, N.field, [P.rows for P in blocks], cmaps), blocks
 
 
 def cokernel_rep(f: RepMap):

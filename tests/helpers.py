@@ -113,3 +113,63 @@ def dense_hom_matrix(M, N):
         for s in range(N.dim(u)):
             ent[base + col_off[u - 1] + s * M.dim(u) + j] = f.neg(Na.entry(i, s))
     return Mat(f, len(row_index), total_cols, ent), row_index, col_off
+
+
+def kernel_by_solving(f):
+    """The kernel of a RepMap f as (K, bases), the oracle for `repcat._kernel`:
+    the kernel bases of the blocks, and each arrow's restriction x found by
+    solving B_w x = M_a B_u."""
+    from strata.repcat import Rep
+
+    M = f.source
+    fld = M.field
+    bases = []
+    for v in M.quiver.vertices():
+        cols = f.block(v).kernel_basis()
+        ent = [c.entries[i] for i in range(M.dim(v)) for c in cols]
+        bases.append(Mat(fld, M.dim(v), len(cols), ent))
+    maps = []
+    for ai, a in enumerate(M.quiver.arrows):
+        moved = M.maps[ai].mul(bases[a.source - 1])
+        x = bases[a.target - 1].solve_matrix(moved)
+        if x is None:
+            raise AssertionError("kernel is not an invariant subspace")
+        maps.append(x)
+    return Rep(M.quiver, fld, [b.cols for b in bases], maps), bases
+
+
+def cokernel_by_solving(f):
+    """The cokernel of a RepMap f as (C, blocks), the oracle for
+    `repcat._cokernel`: unit vectors at the rows off the column-space pivots
+    of f_v complete the image, and the projection P_v onto them is the unit
+    part of the solution of [f_v | unit] X = I."""
+    from strata.repcat import Rep
+
+    N = f.target
+    fld = N.field
+    q = N.quiver
+    proj_blocks = []
+    sec_blocks = []
+    for v in q.vertices():
+        fv = f.block(v)
+        pivot = set(fv.column_space_pivot_rows())
+        sel = [r for r in range(N.dim(v)) if r not in pivot]
+        s = len(sel)
+        unit = Mat(
+            fld,
+            N.dim(v),
+            s,
+            [fld.one if r == sel[t] else fld.zero for r in range(N.dim(v)) for t in range(s)],
+        )
+        sec_blocks.append(unit)
+        sol = fv.hstack(unit).solve_matrix(Mat.identity(fld, N.dim(v)))
+        if sol is None:
+            raise AssertionError("image plus complement fails to span the target")
+        ent = []
+        for r in range(fv.cols, fv.cols + s):
+            ent.extend(sol.row(r))
+        proj_blocks.append(Mat(fld, s, N.dim(v), ent))
+    cmaps = []
+    for ai, a in enumerate(q.arrows):
+        cmaps.append(proj_blocks[a.target - 1].mul(N.maps[ai]).mul(sec_blocks[a.source - 1]))
+    return Rep(q, fld, [b.rows for b in proj_blocks], cmaps), proj_blocks

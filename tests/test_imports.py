@@ -332,3 +332,39 @@ def test_elimination_entry_points_stay_with_the_hom_system():
     }
     allowed = sorted((m, f) for m, names in HOM_SYSTEM_ELIMINATORS.items() for f in names)
     assert _elimination_entry_sites(sources) == allowed
+
+
+# the kernel and cokernel of a module map are read off one reduced echelon
+# form per vertex; these would find the same unique answers a second time
+SECOND_ELIMINATIONS = {"solve_matrix", "hstack", "column_space_pivot_rows"}
+ECHELON_READ_OFFS = ("_kernel", "_cokernel")
+
+
+def _second_elimination_refs(source: str):
+    """{name: the SECOND_ELIMINATIONS it refers to} for the top-level
+    functions of source named in ECHELON_READ_OFFS."""
+    return {
+        node.name: sorted(_referenced_names(node) & SECOND_ELIMINATIONS)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in ECHELON_READ_OFFS
+    }
+
+
+def test_checker_finds_second_eliminations():
+    source = (
+        "from .exactlin import Mat as M\n"
+        "def _kernel(f):\n    return f.block(1).solve_matrix(f.block(2))\n"
+        "def _cokernel(f):\n"
+        "    def pivots(m):\n        return m.column_space_pivot_rows()\n"
+        "    return pivots(M.hstack(f, f))\n"
+        "def cokernel_rep(f):\n    return f.solve_matrix(f)\n"
+    )
+    assert _second_elimination_refs(source) == {
+        "_kernel": ["solve_matrix"],
+        "_cokernel": ["column_space_pivot_rows", "hstack"],
+    }
+
+
+def test_kernels_and_cokernels_eliminate_once_per_vertex():
+    refs = _second_elimination_refs((PACKAGE / "repcat.py").read_text())
+    assert refs == {"_kernel": [], "_cokernel": []}

@@ -44,9 +44,11 @@ from strata.repcat import (
 )
 
 from helpers import (
+    cokernel_by_solving,
     conjugate_rep,
     dense_hom_matrix,
     interval_rep,
+    kernel_by_solving,
     random_acyclic_quiver,
     random_rep,
 )
@@ -65,6 +67,8 @@ def test_rep_validation():
         Rep(A2, QQ, (1, 1), {"b": Mat.zeros(QQ, 1, 1)})  # missing arrow a
     with pytest.raises(ValueError):
         Rep(A2, QQ, (1, 1), [Mat.zeros(GF(5), 1, 1)])  # wrong field
+    with pytest.raises(ValueError, match="must be an integer"):
+        Rep(A2, QQ, (1.7, 0), [Mat.zeros(QQ, 0, 1)])  # int() would read 1
 
 
 def test_repmap_validation():
@@ -307,6 +311,48 @@ def test_kernel_and_cokernel():
     cz, _ = cokernel_rep(quot)
     assert cz.total_dim == 0
     assert is_isomorphic(k, s2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_kernel_and_cokernel_match_solving_oracles(field):
+    """Kernels and cokernels read off one reduced echelon form per vertex
+    equal, entry for entry, the ones found by a second elimination."""
+    rng = random.Random(31)
+    seen = Counter()
+
+    def scalar():
+        if field.is_rational:
+            return field.coerce(rng.choice(RATIONAL_ENTRIES))
+        return field.coerce(rng.randint(-3, 3))
+
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        if field.is_rational:
+            M, N = _rational_rep(rng, q), _rational_rep(rng, q)
+        else:
+            M, N = random_rep(rng, q, field), random_rep(rng, q, field)
+        maps = [RepMap(M, N, [Mat.zeros(field, N.dim(v), M.dim(v)) for v in q.vertices()])]
+        basis = hom_space(M, N)
+        if basis:
+            maps += basis[:2] + [repcat._combo(basis, [scalar() for _ in basis]) for _ in range(2)]
+        for X in (M, N):
+            ends = hom_space(X, X)
+            if ends:  # End(X) = 0 only when X = 0
+                e = repcat._combo(ends, [scalar() for _ in ends])
+                maps += [e, repcat._eval_poly_on_endo(e, [scalar(), scalar(), field.one])]
+        for f in maps:
+            K, bases = repcat._kernel(f)
+            C, blocks = repcat._cokernel(f)
+            assert (K, bases) == kernel_by_solving(f)
+            assert (C, blocks) == cokernel_by_solving(f)
+            seen["zero vertex"] += 0 in f.source.dims or 0 in f.target.dims
+            seen["proper kernel"] += 0 < K.total_dim < f.source.total_dim
+            seen["proper cokernel"] += 0 < C.total_dim < f.target.total_dim
+            seen["fraction"] += any(
+                getattr(x, "denominator", 1) != 1 for m in K.maps + C.maps for x in m.entries
+            )
+    assert seen["zero vertex"] and seen["proper kernel"] and seen["proper cokernel"]
+    assert bool(seen["fraction"]) == field.is_rational
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
