@@ -289,22 +289,30 @@ def enumerate_complete_exceptional_sequences(quiver: Quiver, field: Field, bound
 
     Depth-first over the listed exceptionals with a precomputed pair table;
     output is lexicographic in enumeration indices, so the order is fixed.
+    The table is one bitmask per member: bit j of after[i] is set when
+    reps[j] may follow reps[i], that is when it is orthogonal to it. The
+    members that may extend a prefix are the AND of its members' masks,
+    tried in increasing index order.
     """
     reps = list(enumerate_exceptional(quiver, field, bound).reps)
     m = len(reps)
     n = quiver.n
-    ok = [[orthogonal(reps[j], reps[i]) for j in range(m)] for i in range(m)]
+    after = [
+        sum(1 << j for j in range(m) if j != i and orthogonal(reps[j], reps[i]))
+        for i in range(m)
+    ]
     sequences = []
 
-    def extend(prefix):
+    def extend(prefix, allowed):
         if len(prefix) == n:
             sequences.append(tuple(reps[i] for i in prefix))
             return
-        for j in range(m):
-            if j in prefix:
-                continue
-            if all(ok[i][j] for i in prefix):
-                extend(prefix + [j])
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            extend(prefix + (j,), allowed & after[j])
 
-    extend([])
+    extend((), (1 << m) - 1)
     return sequences

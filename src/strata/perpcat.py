@@ -19,7 +19,11 @@ extension of X against A = (+)_v P_v; `repcat` builds both) decomposes into the 
 projectives of B, the quiver of B is read off from rad/rad^2 of the Hom
 category of its summands with an intertwiner for each arrow, and modules
 travel through the Hom functor and the cokernel of a lifted projective
-presentation.
+presentation. M is rigid, so each of its parts E_v has dim End(E_v) equal
+to the Euler form <dim E_v, dim E_v>; a part where that form is 1 is
+indecomposable as it stands and is not decomposed. The count of n - 1
+distinct summands and the Hom category's path-count check, which requires
+dim End = 1 at every vertex, guard that rule.
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` memoize
@@ -39,6 +43,8 @@ from .repcat import (
     Rep,
     RepMap,
     _cokernel,
+    _hom_rank,
+    _universal_extension,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
@@ -47,24 +53,26 @@ from .repcat import (
     is_exceptional,
     orthogonal,
     projective,
-    universal_extension,
     zero_rep,
 )
+
 
 def _bongartz_parts(X: Rep):
     """(c, [E_1, ..., E_n]) with E_v the universal extension of P_v by X.
 
     Ext^1(X, -) is additive, so the universal extension of X against
     A = (+)_v P_v is the direct sum of the E_v (E_v = P_v when
-    Ext^1(X, P_v) = 0), and c = ext1_dim(X, A). When c > 0 each E_v is
-    checked to lie in the perpendicular category of X.
+    Ext^1(X, P_v) = 0), and c = ext1_dim(X, A). X must be exceptional:
+    the callers certify it once, not once per vertex. When c > 0 each E_v
+    is checked to lie in the perpendicular category of X, which includes
+    the Ext^1(X, E_v) = 0 that `universal_extension` would check.
     """
     q = X.quiver
     f = X.field
     c = 0
     parts = []
     for v in q.vertices():
-        cv, E = universal_extension(X, projective(q, f, v))
+        cv, E = _universal_extension(X, projective(q, f, v))
         c += cv
         parts.append(E)
     if c > 0:
@@ -83,6 +91,8 @@ def bongartz_complement(X: Rep) -> Rep:
     defined for non-projective X (a projective X has no extensions against
     A, and its perpendicular category comes from vertex deletion instead).
     """
+    if not is_exceptional(X):
+        raise ValueError("universal extension needs an exceptional X")
     c, parts = _bongartz_parts(X)
     if c == 0:
         raise ValueError(
@@ -104,6 +114,11 @@ class PerpPresentation:
     projectives_in_ambient[j'-1] -> projectives_in_ambient[j-1], acting on
     transported modules by precomposition. The "projective" branch needs
     none: its modules are restrictions, and its tuple is empty.
+
+    source_end_dim is dim End(source), which `perp_algebra` reads off the
+    same Hom system that certifies the source exceptional, so a
+    stratification takes each peeled member's factor from here. A cut's
+    presentation ("summands") leaves it None: its source is never peeled.
     """
 
     source: Rep
@@ -111,6 +126,7 @@ class PerpPresentation:
     algebra_quiver: Quiver
     projectives_in_ambient: tuple
     radical_generators: tuple
+    source_end_dim: int | None = None
 
 
 def _rad_square_span(parts, hom_tables, j: int, jp: int):
@@ -189,20 +205,49 @@ def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
     return Rep(q, f, dims, maps)
 
 
+def _complement_summands(extensions):
+    """The indecomposable summands of the Bongartz parts, sorted as `decompose` sorts.
+
+    Every part E is a summand of the Bongartz complement, which is rigid,
+    so dim End(E) equals the Euler form <dim E, dim E>. A part with
+    <dim E, dim E> = 1 has End(E) = k and is indecomposable as it stands;
+    only the other parts are decomposed. A part wrongly taken whole cannot
+    pass: `perp_algebra` still requires n - 1 distinct summands, and the
+    path-count check of `hom_category_presentation` requires dim End = 1
+    of each.
+    """
+    q = extensions[0].quiver
+    parts = []
+    for E in extensions:
+        if q.euler_form(E.dims, E.dims) == 1:
+            parts.append(E)
+        else:
+            parts.extend(decompose(E))
+    parts.sort(key=lambda r: (r.total_dim, r.dims))
+    return parts
+
+
 @cache
 def perp_algebra(X: Rep) -> PerpPresentation:
     """Present the perpendicular category of an exceptional module.
 
-    X is projective exactly when dim X = dim P_v for some vertex v (X is
-    exceptional, hence determined by its dimension vector). Then the quiver
-    is q with v deleted (labels inherited) and its projectives are extended
-    by zero to q. Otherwise the distinct summands of the Bongartz
-    complement are the projectives, with the quiver and the radical
-    generators read off their Hom category. Either way the algebra has
-    exactly n - 1 vertices. Equal inputs get the same presentation object
-    back.
+    One rank of the Hom system of (X, X) both certifies X exceptional
+    (Ext^1(X, X) = 0 and End(X) = k) and gives dim End(X), which the
+    presentation records. X is projective exactly when dim X = dim P_v for
+    some vertex v (X is exceptional, hence determined by its dimension
+    vector). Then the quiver is q with v deleted (labels inherited) and its
+    projectives are extended by zero to q. Otherwise the distinct summands
+    of the Bongartz complement are the projectives, with the quiver and the
+    radical generators read off their Hom category. A Bongartz part E with
+    <dim E, dim E> = 1 is taken as indecomposable without decomposing it,
+    which is exact because E is rigid; the summand count and the path-count
+    check of the Hom category guard this (see `_complement_summands`).
+    Either way the algebra has exactly n - 1 vertices. Equal inputs get the
+    same presentation object back.
     """
-    if not is_exceptional(X):
+    rows, cols, rank = _hom_rank(X, X)
+    # Ext^1(X, X) is rows - rank and End(X) is cols - rank, as in is_exceptional
+    if rank != rows or cols - rank != 1:
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field
@@ -217,14 +262,10 @@ def perp_algebra(X: Rep) -> PerpPresentation:
                 _extend_by_zero(projective(subq, f, j), q, v) for j in subq.vertices()
             ),
             radical_generators=(),
+            source_end_dim=cols - rank,
         )
     _, extensions = _bongartz_parts(X)
-    # the complement's summands, ordered as decompose orders them
-    parts = sorted(
-        (p for E in extensions for p in decompose(E)),
-        key=lambda r: (r.total_dim, r.dims),
-    )
-    distinct = distinct_summands(parts)
+    distinct = distinct_summands(_complement_summands(extensions))
     if len(distinct) != q.n - 1:
         raise AssertionError(
             f"Bongartz complement has {len(distinct)} distinct summands, "
@@ -240,6 +281,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
         algebra_quiver=quiver,
         projectives_in_ambient=tuple(distinct),
         radical_generators=gens,
+        source_end_dim=cols - rank,
     )
 
 

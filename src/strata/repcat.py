@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import reduce
 
@@ -73,14 +73,22 @@ class UndecidedError(RuntimeError):
     """Indecomposability could be neither refuted nor certified."""
 
 
-@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+@dataclass(init=False, repr=False, slots=True)
 class Rep(_Frozen):
-    """A representation of a fixed quiver over a fixed field."""
+    """A representation of a fixed quiver over a fixed field.
+
+    The hash is computed over every arrow matrix on first use and cached in
+    the `_h` slot, because the memos of `perpcat` look the same modules up
+    many times. `_h` is derived from the four fields, so it takes no part
+    in `==` or `repr`: two equal modules built separately compare equal
+    whether or not either has been hashed yet.
+    """
 
     quiver: Quiver
     field: Field
     dims: tuple
     maps: tuple
+    _h: int | None = dataclass_field(default=None, compare=False)
 
     def __init__(self, quiver: Quiver, field: Field, dims, maps):
         dims = tuple(_as_index(d, "dimension") for d in dims)
@@ -112,6 +120,14 @@ class Rep(_Frozen):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "_h", None)
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            h = hash((self.quiver, self.field, self.dims, self.maps))
+            object.__setattr__(self, "_h", h)
+        return h
 
     def __repr__(self):
         return f"Rep(dims={self.dims} over {self.field!r})"
@@ -482,15 +498,12 @@ def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> Rep:
     return Rep(q, f, dims, maps)
 
 
-def universal_extension(X: Rep, R: Rep):
-    """The universal extension 0 -> R -> M -> X^c -> 0 with c = ext1_dim(X, R).
+def _universal_extension(X: Rep, R: Rep):
+    """(c, M) as `universal_extension` builds them, without its two checks.
 
-    Stacks a full cocycle basis of Ext^1(X, R), so Ext^1(X, M) = 0: every
-    self-extension against X has been used up. Returns (c, M), with M = R
-    itself when c = 0.
+    For callers that have certified X exceptional already and check
+    Ext^1(X, M) = 0 themselves if they need it.
     """
-    if not is_exceptional(X):
-        raise ValueError("universal extension needs an exceptional X")
     cocycles = ext1_space(X, R)
     c = len(cocycles)
     if c == 0:
@@ -499,8 +512,21 @@ def universal_extension(X: Rep, R: Rep):
         a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles])
         for a in X.quiver.arrows
     }
-    M = extension_from_cocycle(direct_sum([X] * c), R, stacked)
-    if ext1_dim(X, M) != 0:
+    return c, extension_from_cocycle(direct_sum([X] * c), R, stacked)
+
+
+def universal_extension(X: Rep, R: Rep):
+    """The universal extension 0 -> R -> M -> X^c -> 0 with c = ext1_dim(X, R).
+
+    Stacks a full cocycle basis of Ext^1(X, R), so Ext^1(X, M) = 0: every
+    self-extension against X has been used up. Returns (c, M), with M = R
+    itself when c = 0. Checks that X is exceptional and that Ext^1(X, M)
+    vanishes.
+    """
+    if not is_exceptional(X):
+        raise ValueError("universal extension needs an exceptional X")
+    c, M = _universal_extension(X, R)
+    if c and ext1_dim(X, M) != 0:
         raise AssertionError("universal extension left extensions behind")
     return c, M
 

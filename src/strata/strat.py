@@ -7,7 +7,10 @@ complete exceptional sequence gives a chain (peel the last member, pass to
 its perpendicular category, transport the rest, repeat), and the main
 verification routine checks the composition-series statement empirically:
 every chain has length n and factor multiset equal to the endomorphism
-rings of the n simple modules.
+rings of the n simple modules. A chain's factors are read off the
+presentations of its perpendicular categories, which record dim End of the
+module they peel, so a chain runs one `end_dim` of its own, on its last
+member.
 
 Binary stratification trees (StratTree) record nested two-step cuts. A cut
 is an exceptional sequence with a rigid sum and a hereditary Hom category,
@@ -191,8 +194,11 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
 
     X_n is peeled first: its factor is End(X_n) and the remaining members
     transport into its perpendicular category, which they generate as a
-    complete sequence again. Raises when the input is not a complete
-    exceptional sequence over q (a failed transport is the symptom).
+    complete sequence again. A peeled member's factor is read off its
+    presentation, which recorded dim End when it certified the member
+    exceptional; only the last member left, on one vertex, runs `end_dim`.
+    Raises when the input is not a complete exceptional sequence over q (a
+    failed transport is the symptom).
     """
     members = list(sequence)
     if len(members) != q.n or q.n == 0:
@@ -204,9 +210,10 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
             raise ValueError("sequence member lives over the wrong quiver")
     pres_list, peeled, (last,) = _peel(members, q.n - 1)
     algebras = (q,) + tuple(pres.algebra_quiver for pres in pres_list)
+    ends = [pres.source_end_dim for pres in pres_list] + [end_dim(last)]
     factors = tuple(
-        FactorDescriptor(end_dim(x), _source_label(a, x))
-        for a, x in zip(algebras, peeled + [last])
+        FactorDescriptor(d, _source_label(a, x))
+        for a, x, d in zip(algebras, peeled + [last], ends)
     )
     return Chain(algebras, factors, tuple(peeled))
 

@@ -173,3 +173,43 @@ def cokernel_by_solving(f):
     for ai, a in enumerate(q.arrows):
         cmaps.append(proj_blocks[a.target - 1].mul(N.maps[ai]).mul(sec_blocks[a.source - 1]))
     return Rep(q, fld, [b.rows for b in proj_blocks], cmaps), proj_blocks
+
+
+def complete_sequences_by_lists(reps, n):
+    """Every complete exceptional sequence of n members drawn from reps, in
+    lexicographic index order: a depth-first search over a list-of-lists
+    pair table, the oracle for the bitmask search of
+    `exceptional.enumerate_complete_exceptional_sequences`."""
+    from strata.repcat import orthogonal
+
+    m = len(reps)
+    ok = [[orthogonal(reps[j], reps[i]) for j in range(m)] for i in range(m)]
+    sequences = []
+
+    def extend(prefix):
+        if len(prefix) == n:
+            sequences.append(tuple(reps[i] for i in prefix))
+            return
+        for j in range(m):
+            if j in prefix:
+                continue
+            if all(ok[i][j] for i in prefix):
+                extend(prefix + [j])
+
+    extend([])
+    return sequences
+
+
+def bongartz_summands_by_decompose(X):
+    """The indecomposable summands of the Bongartz parts of X with every part
+    decomposed, sorted as `decompose` sorts: the oracle for
+    `perpcat._complement_summands`, which decomposes only the parts whose
+    Euler form is not 1."""
+    from strata.perpcat import _bongartz_parts
+    from strata.repcat import decompose
+
+    _, extensions = _bongartz_parts(X)
+    return sorted(
+        (p for E in extensions for p in decompose(E)),
+        key=lambda r: (r.total_dim, r.dims),
+    )

@@ -281,6 +281,7 @@ def test_machine_output_is_byte_identical(tmp_path):
 
 A4 = "field Q\nvertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\n"
 D4 = "field Q\nvertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n"
+D5 = "field Q\nvertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 3 5\n"
 
 # the tilting module (1,1,1) + (1,1,0) + (1,0,0) of A_3
 A3_TILTING = A3 + """
@@ -323,6 +324,9 @@ CLI_GOLDENS = [
      "a4d761ec52f1b89def78944e98ccbb6166de102b026a16538b129bfba98eefca"),
     ("jh-verify-kr", "jh-verify", KRONECKER, ["--bound", "5"],
      "ce51b58fb3e28112fc62840fd5b8dfa245bd5fbd5fd7b792b3689ebd22c80d29"),
+    # 2048 sequences: pins the sequence search and the chains on a larger set
+    ("jh-verify-d5", "jh-verify", D5, ["--prime", "3", "--bound", "7"],
+     "35d4aefc2ca36e8ff866bf2f0970351b9b3603d038ec938046c73dbe322b801d"),
     ("seq-enum-a4", "seq-enum", A4, [],
      "bf733c8e701cc782dcd3448dbb86e03c9b5a32a2eb668c268912541b1d9fdd4d"),
     ("exc-enum-kr", "exc-enum", KRONECKER, ["--bound", "9"],

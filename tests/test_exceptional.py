@@ -28,7 +28,7 @@ from strata.exceptional import (
     tilting_coresolution,
 )
 
-from helpers import interval_rep
+from helpers import complete_sequences_by_lists, interval_rep
 
 
 A2 = linear_quiver(2)
@@ -198,6 +198,21 @@ def test_sequences_a3_against_permutation_oracle():
     assert len(seqs) == 16
     for s in seqs:
         assert is_exceptional_sequence(s) and len(s) == A3.n
+
+
+@pytest.mark.parametrize("q,field,bound,count", [
+    (A4, QQ, 4, None),
+    (D4, GF(3), 5, None),
+    (D5, GF(3), 7, 2048),
+    (KR, QQ, 7, None),
+], ids=["A4", "D4-F3", "D5-F3", "Kronecker"])
+def test_bitmask_search_matches_list_search(q, field, bound, count):
+    """The same sequences, in the same order, as a depth-first search over a
+    list-of-lists pair table."""
+    seqs = enumerate_complete_exceptional_sequences(q, field, bound)
+    reps = enumerate_exceptional(q, field, bound).reps
+    assert seqs == complete_sequences_by_lists(reps, q.n)
+    assert seqs and count in (None, len(seqs))
 
 
 def test_a3_interval_ext_table():

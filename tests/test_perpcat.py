@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from strata import perpcat
 from strata.exactlin import GF, QQ, Mat
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import (
@@ -29,7 +30,13 @@ from strata.perpcat import (
     transport_into_perp,
 )
 
-from helpers import conjugate_rep, random_acyclic_quiver, random_mat, random_rep
+from helpers import (
+    bongartz_summands_by_decompose,
+    conjugate_rep,
+    random_acyclic_quiver,
+    random_mat,
+    random_rep,
+)
 
 
 A2 = linear_quiver(2)
@@ -237,6 +244,57 @@ def test_perp_algebra_matches_whole_complement(q, field, bound, left_out):
             counts = bq.path_counts_from(j)
             for jp in bq.vertices():
                 assert counts[jp - 1] == hom_dim(old[jp - 1], old[j - 1]), (x.dims, j, jp)
+
+
+# (quiver, field, bound) whose exceptional modules check the Euler-form rule
+EULER_RULE_CASES = [
+    (linear_quiver(4), QQ, 4),
+    (D4, GF(3), 5),
+    (KR, QQ, 7),
+    (Quiver(5, (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 4), Arrow("d", 3, 5))),
+     QQ, 7),
+]
+
+
+@pytest.mark.parametrize("q,field,bound", EULER_RULE_CASES,
+                         ids=["A4", "D4-F3", "Kronecker", "D5"])
+def test_euler_form_rule_matches_decomposing_every_part(q, field, bound):
+    """A Bongartz part with <dim E, dim E> = 1 is taken whole; the summands
+    must be those of decomposing every part, in the same order."""
+    from strata.exceptional import enumerate_exceptional
+
+    checked = 0
+    for x in enumerate_exceptional(q, field, bound).reps:
+        if perpcat._deleted_vertex(x) is not None:
+            continue
+        _, extensions = perpcat._bongartz_parts(x)
+        assert perpcat._complement_summands(extensions) == bongartz_summands_by_decompose(x)
+        checked += 1
+    assert checked
+
+
+def test_parts_taken_whole_are_rejected(monkeypatch):
+    """Were every Bongartz part taken whole, each Kronecker exceptional with
+    a decomposable part must raise, not present a wrong algebra."""
+    from strata.exceptional import enumerate_exceptional
+
+    monkeypatch.setattr(perpcat, "decompose", lambda E: [E])
+    failed = 0
+    for x in enumerate_exceptional(KR, QQ, 7).reps:
+        if perpcat._deleted_vertex(x) is not None:
+            continue
+        _, extensions = perpcat._bongartz_parts(x)
+        if all(KR.euler_form(E.dims, E.dims) == 1 for E in extensions):
+            continue
+        with pytest.raises((AssertionError, ValueError)):
+            perp_algebra.__wrapped__(x)
+        failed += 1
+    assert failed
+
+
+def test_perp_algebra_records_end_dim():
+    for x in (projective(A3, QQ, 2), simple(A3, QQ, 1), simple(KR, QQ, 1)):
+        assert perp_algebra(x).source_end_dim == end_dim(x) == 1
 
 
 def test_perp_algebra_has_one_vertex_fewer():

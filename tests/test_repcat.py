@@ -107,6 +107,39 @@ def test_value_types(make, attr):
     assert a != (a,) and a != object()
 
 
+def _rebuilt(M):
+    """An equal copy of M that shares no Mat or tuple with it."""
+    maps = [Mat(m.field, m.rows, m.cols, list(m.entries)) for m in M.maps]
+    return Rep(M.quiver, M.field, list(M.dims), maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(5)]), st.integers(0, 2**32 - 1))
+def test_rep_hash_is_cached_and_not_compared(field, seed):
+    """A Rep caches its content hash in `_h`, which takes no part in == or
+    repr: equal modules built separately are equal whether or not either
+    was hashed, hash alike, and get the same perpendicular presentation."""
+    from dataclasses import fields
+
+    from strata.exceptional import enumerate_exceptional
+    from strata.perpcat import perp_algebra
+
+    rng = random.Random(seed)
+    q = random_acyclic_quiver(rng, max_vertices=4, max_extra_arrows=2)
+    a = random_rep(rng, q, field, max_dim=2)
+    b = _rebuilt(a)
+    assert a is not b and a._h is None and b._h is None
+    h = hash(a)
+    assert a._h == h and b._h is None
+    assert a == b and b == a and repr(a) == repr(b)
+    assert "_h" not in repr(a) and str(h) not in repr(a)
+    assert hash(a) == h == hash(b) == hash((a.quiver, a.field, a.dims, a.maps))
+    assert [f.name for f in fields(Rep) if f.compare] == ["quiver", "field", "dims", "maps"]
+    reps = enumerate_exceptional(rng.choice([A3, K2]), field, 4).reps
+    x = rng.choice(reps)
+    assert perp_algebra(x) is perp_algebra(_rebuilt(x))
+
+
 def test_simple_and_projective_shapes():
     s1 = simple(A2, QQ, 1)
     assert s1.dims == (1, 0)

@@ -43,6 +43,34 @@ def test_factor_descriptor_rejects_nonpositive_dim():
         FactorDescriptor(0, "End(S_1)")
 
 
+A4 = linear_quiver(4)
+D4 = Quiver(4, (Arrow("a", 1, 4), Arrow("b", 2, 4), Arrow("c", 3, 4)))
+
+
+@pytest.mark.parametrize("q,field,bound", [(A4, QQ, 4), (D4, GF(3), 5), (KR, QQ, 5)],
+                         ids=["A4", "D4-F3", "Kronecker"])
+def test_factors_match_end_dim_of_their_modules(monkeypatch, q, field, bound):
+    """Each factor is dim End of the module peeled there, though a chain
+    reads all but the last off its presentations: `end_dim` runs once per
+    sequence, not once per factor."""
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return repcat.end_dim(M)
+
+    monkeypatch.setattr(strat, "end_dim", counting)
+    seqs = enumerate_complete_exceptional_sequences(q, field, bound)
+    assert seqs
+    for s in seqs:
+        before = len(calls)
+        chain = stratify_along_sequence(q, s)
+        assert len(calls) == before + 1
+        _, _, (last,) = strat._peel(s, q.n - 1)
+        modules = chain.generators + (last,)
+        assert chain.factor_dims() == tuple(repcat.end_dim(x) for x in modules)
+
+
 def test_chain_validation():
     f = FactorDescriptor(1, "End(S_1)")
     with pytest.raises(ValueError, match="one factor per algebra"):
