@@ -10,10 +10,14 @@ of `repcat` is assembled as sparse integer rows directly and eliminated by
 the same `_reduce`, with its kernel read off by the same
 `_kernel_vectors`. Kernels and solutions are read straight off the reduced
 rows, one Fraction per output entry, and `repcat` reads the kernels and
-cokernels of module maps off the reduced-echelon kernel basis. A row's
-pivot is its smallest column, so the pivot columns, that kernel basis and
-the solution with free variables at zero do not depend on the elimination
-order: results are reproducible across runs and platforms.
+cokernels of module maps off the reduced-echelon kernel basis.
+`_first_relation` reduces a lazy stream of vectors one at a time, each
+tagged with a unit column, and stops at the first one that depends on the
+vectors before it (the powers of an endomorphism, for its minimal
+polynomial). A row's pivot is its smallest column, so the pivot columns,
+that kernel basis and the solution with free variables at zero do not
+depend on the elimination order: results are reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -256,6 +260,47 @@ def _reduce(rows, p, full, limit=None):
                     _eliminate(r, v, c, p)
         piv[c] = v
     return piv
+
+
+def _first_relation(field: Field, vectors):
+    """The first linear relation among vectors, read from a lazy iterable.
+
+    Returns [c_0, ..., c_k] with c_k = 1 and sum c_j vectors[j] = 0 for the
+    first k at which vectors[k] lies in the span of the ones before it, or
+    None if the iterable runs out first; no vector past k is requested.
+    Vector j enters as the row (vectors[j] | unit at column n + j) and is
+    reduced against the rows before it. A row pivots on its smallest
+    column, so the first row whose data part vanishes pivots on a tag
+    column, and its tag entries are the relation, which is unique because
+    the vectors before it are independent.
+    """
+    p = field.characteristic
+    piv = {}
+    for k, vec in enumerate(vectors):
+        n = len(vec)
+        if p:
+            row = {j: x for j, x in enumerate(vec) if x}
+            row[n + k] = 1
+        else:
+            nums, den = _cleared(vec)
+            row = {j: x for j, x in enumerate(nums) if x}
+            row[n + k] = den
+            _make_primitive(row)
+        # the earlier rows have no entry at column n + k, so row never empties
+        while (c := min(row)) in piv:
+            _eliminate(row, piv[c], c, p)
+        if c >= n:
+            last = row[n + k]
+            if p:
+                inv = pow(last, p - 2, p)
+                return [row.get(n + j, 0) * inv % p for j in range(k + 1)]
+            return [Fraction(row.get(n + j, 0), last) for j in range(k + 1)]
+        if p and row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            for j in row:
+                row[j] = row[j] * inv % p
+        piv[c] = row
+    return None
 
 
 def _kernel_vectors(field: Field, piv, n: int):

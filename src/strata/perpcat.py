@@ -116,9 +116,10 @@ class PerpPresentation:
     none: its modules are restrictions, and its tuple is empty.
 
     source_end_dim is dim End(source), which `perp_algebra` reads off the
-    same Hom system that certifies the source exceptional, so a
+    same Hom system that certifies the source exceptional, and
+    source_label names that endomorphism ring (`_source_label`), so a
     stratification takes each peeled member's factor from here. A cut's
-    presentation ("summands") leaves it None: its source is never peeled.
+    presentation ("summands") leaves both None: its source is never peeled.
     """
 
     source: Rep
@@ -127,6 +128,15 @@ class PerpPresentation:
     projectives_in_ambient: tuple
     radical_generators: tuple
     source_end_dim: int | None = None
+    source_label: str | None = None
+
+
+def _source_label(q: Quiver, x: Rep) -> str:
+    """The name of the stratification factor End(x) of a module x over q."""
+    if x.total_dim == 1:
+        v = next(v for v in q.vertices() if x.dim(v) == 1)
+        return f"End(S_{q.label(v)})"
+    return f"End(X) for X = dim {tuple(x.dims)}"
 
 
 def _rad_square_span(parts, hom_tables, j: int, jp: int):
@@ -263,6 +273,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             ),
             radical_generators=(),
             source_end_dim=cols - rank,
+            source_label=_source_label(q, X),
         )
     _, extensions = _bongartz_parts(X)
     distinct = distinct_summands(_complement_summands(extensions))
@@ -282,6 +293,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
         projectives_in_ambient=tuple(distinct),
         radical_generators=gens,
         source_end_dim=cols - rank,
+        source_label=_source_label(q, X),
     )
 
 

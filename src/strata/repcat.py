@@ -16,7 +16,9 @@ basis of Ext^1 gives extensions explicitly, and stacking all of them gives
 the universal extension that the mutations of `exceptional` and the
 Bongartz complements of `perpcat` are built from. The kernel and cokernel
 of a map are read off one reduced echelon form per vertex: the kernel basis
-of f_v, and the left-kernel basis of f_v read off its transpose.
+of f_v, and the left-kernel basis of f_v read off its transpose. That the
+kernel is a subrepresentation is checked only at the pivot rows of its
+basis, the one place the check can fail.
 
 `Rep` and `RepMap` are frozen dataclasses: immutable, compared and hashed
 by content, so they serve as memo keys. `RepMap(...)` checks shapes and
@@ -25,17 +27,21 @@ construction (Hom kernel vectors, composites, linear combinations,
 identities, polynomials in an endomorphism) without checking them again.
 
 Decomposition splits along coprime factors of minimal polynomials of
-endomorphisms and never guesses. A module is reported indecomposable only
-when its endomorphism ring is shown to be local: a nilpotent two-sided
-ideal R is exhibited with End/R of dimension 1, or of dimension deg f for
-an irreducible f whose power f^e is the minimal polynomial of some
-endomorphism theta met in the split search (then k[theta] fills End/R,
-which is a field). When no endomorphism splits and no certificate holds,
-a right identity of a left ideal {e : e phi = 0} of End, for phi a unit
-vector of some M_v or a map from a summand split off elsewhere, is a
-splitting idempotent if one exists, and over a small prime field an
-exhaustive search settles the rest; `decompose` raises UndecidedError
-otherwise.
+endomorphisms and never guesses. A node of the split is a leaf as soon as
+the reduced Hom system of (M, M) shows dim End = 1; only other nodes read
+a basis of End off that same echelon form. A minimal polynomial is the
+first linear relation among the powers of an endomorphism, found by one
+incremental reduction that stops at the minimal degree. A module is
+reported indecomposable only when its endomorphism ring is shown to be
+local: a nilpotent two-sided ideal R is exhibited with End/R of dimension
+1, or of dimension deg f for an irreducible f whose power f^e is the
+minimal polynomial of some endomorphism theta met in the split search
+(then k[theta] fills End/R, which is a field). When no endomorphism splits
+and no certificate holds, a right identity of a left ideal
+{e : e phi = 0} of End, for phi a unit vector of some M_v or a map from a
+summand split off elsewhere, is a splitting idempotent if one exists, and
+over a small prime field an exhaustive search of at most 2^20 elements
+settles the rest; `decompose` raises UndecidedError otherwise.
 
 Minimal polynomials of degree 1 and 2 are factored here exactly: over Q
 through the discriminant, over a small prime field by root search. sympy
@@ -61,6 +67,7 @@ from .exactlin import (
     Mat,
     _as_index,
     _cleared,
+    _first_relation,
     _Frozen,
     _kernel_vectors,
     _make_primitive,
@@ -370,15 +377,17 @@ def _hom_rank(M: Rep, N: Rep):
     return len(rows), cols, len(_reduce(rows, M.field.characteristic, False))
 
 
-def hom_space(M: Rep, N: Rep):
-    """A deterministic basis of Hom(M, N) as a list of RepMaps.
-
-    The basis is the reduced-echelon kernel basis of the Hom system: each
-    map has 1 at its free column and 0 at the other free columns.
-    """
+def _hom_echelon(M: Rep, N: Rep):
+    """(piv, col_off, cols): the Hom system of (M, N) in reduced echelon
+    form, as `_reduce(..., full=True)` leaves it, with its column layout.
+    dim Hom(M, N) is cols - len(piv)."""
     rows, col_off, cols = _hom_system(M, N)
+    return _reduce(rows, M.field.characteristic, True), col_off, cols
+
+
+def _hom_basis(M: Rep, N: Rep, piv, col_off, cols):
+    """The basis of Hom(M, N) read off `_hom_echelon(M, N)`."""
     f = M.field
-    piv = _reduce(rows, f.characteristic, True)
     out = []
     for x in _kernel_vectors(f, piv, cols).values():
         blocks = []
@@ -389,6 +398,15 @@ def hom_space(M: Rep, N: Rep):
         # commuting is what the kernel of the Hom system means
         out.append(RepMap._make(M, N, tuple(blocks)))
     return out
+
+
+def hom_space(M: Rep, N: Rep):
+    """A deterministic basis of Hom(M, N) as a list of RepMaps.
+
+    The basis is the reduced-echelon kernel basis of the Hom system: each
+    map has 1 at its free column and 0 at the other free columns.
+    """
+    return _hom_basis(M, N, *_hom_echelon(M, N))
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
@@ -536,26 +554,40 @@ def free_module(quiver: Quiver, field: Field) -> Rep:
     return direct_sum([projective(quiver, field, v) for v in quiver.vertices()])
 
 
+def _rows_of(m: Mat, rows) -> Mat:
+    """The submatrix of m on the given rows, in their order."""
+    ent = tuple(y for i in rows for y in m.row(i))
+    return Mat._make(m.field, len(rows), m.cols, ent)
+
+
 def _kernel(f: RepMap):
     """The kernel of f as (K, bases): bases[v - 1] spans K_v in the source.
 
     bases[v - 1] is the reduced-echelon kernel basis B_v of f_v, the
     identity on its free rows, so the restriction x of an arrow a: u -> w,
     the solution of B_w x = M_a B_u, is M_a B_u at the free rows of B_w.
+    There B_w x and M_a B_u agree by construction, so invariance is checked
+    on the pivot rows of B_w alone (all rows when K_w = 0, where the check
+    is M_a B_u = 0); an arrow out of K_u = 0 has nothing to check.
     """
     M = f.source
+    fld = M.field
     kers = [f.block(v)._kernel_matrix() for v in M.quiver.vertices()]
     bases = [B for B, _ in kers]
     maps = []
     for a, Ma in zip(M.quiver.arrows, M.maps):
-        moved = Ma.mul(bases[a.source - 1])
-        free = kers[a.target - 1][1]
-        ent = tuple(y for i in free for y in moved.row(i))
-        x = Mat._make(M.field, len(free), moved.cols, ent)
-        if bases[a.target - 1].mul(x) != moved:
+        Bu = bases[a.source - 1]
+        Bw, free = kers[a.target - 1]
+        if not Bu.cols:
+            maps.append(Mat._make(fld, len(free), 0, ()))
+            continue
+        moved = Ma.mul(Bu)
+        x = _rows_of(moved, free)
+        pivots = [i for i in range(Bw.rows) if i not in free]
+        if pivots and _rows_of(Bw, pivots).mul(x) != _rows_of(moved, pivots):
             raise AssertionError("kernel is not an invariant subspace")
         maps.append(x)
-    return Rep(M.quiver, M.field, [B.cols for B in bases], maps), bases
+    return Rep(M.quiver, fld, [B.cols for B in bases], maps), bases
 
 
 def kernel_rep(f: RepMap):
@@ -647,20 +679,28 @@ def _eval_poly_on_endo(e: RepMap, coeffs) -> RepMap:
     return RepMap._make(M, M, tuple(blocks))
 
 
+def _powers(e: RepMap):
+    """The flattened powers 1, e, e^2, ..., e^d of e, d = total dimension,
+    each formed only when it is asked for."""
+    yield identity_map(e.source).flatten()
+    x = e
+    for _ in range(e.source.total_dim):
+        yield x.flatten()
+        x = x.after(e)
+
+
 def _minpoly_of_endo(e: RepMap):
-    """Monic minimal polynomial of an endomorphism, low degree first."""
-    M = e.source
-    f = M.field
-    powers = [identity_map(M)]
-    nxt = e
-    while True:
-        x = coordinates_in_hom_basis([nxt], powers)
-        if x is not None:
-            return [f.neg(c) for c in x.entries] + [f.one]
-        if len(powers) > M.total_dim:
-            raise AssertionError("minimal polynomial search ran past the dimension")
-        powers.append(nxt)
-        nxt = nxt.after(e)
+    """Monic minimal polynomial of an endomorphism, low degree first.
+
+    It is the first linear relation among the powers of e, found by one
+    incremental reduction: each power is reduced against the ones before it
+    (`exactlin._first_relation`), and no power past the minimal degree is
+    formed. The zero module's minimal polynomial is the constant 1.
+    """
+    mp = _first_relation(e.source.field, _powers(e))
+    if mp is None:
+        raise AssertionError("minimal polynomial search ran past the dimension")
+    return mp
 
 
 # over F_p with p below this, a quadratic is factored by trying every root
@@ -876,7 +916,9 @@ def _left_ideal_idempotent(M: Rep, basis, known):
 def _exhaustive_idempotent(M, basis):
     """Search all of End over a small prime field for a splitting idempotent.
 
-    Returns an idempotent RepMap, or True when provably none exists.
+    Returns an idempotent RepMap, or True when provably none exists. Its
+    budget is the p^d combinations of the d basis maps over F_p, which
+    `_certify_or_split` allows only while p^d <= _EXHAUSTIVE_LIMIT = 2^20.
     """
     fld = M.field
     p = fld.characteristic
@@ -921,10 +963,11 @@ def _decompose_into(M: Rep, rng: random.Random, out: list, pending: list):
     """Append the summands of M to out; pending lists parts not yet split."""
     if M.total_dim == 0:
         return
-    basis = hom_space(M, M)
-    if len(basis) == 1:
+    piv, col_off, cols = _hom_echelon(M, M)
+    if cols - len(piv) == 1:
         out.append(M)
         return
+    basis = _hom_basis(M, M, piv, col_off, cols)
     top = 1
     for e in _candidate_endos(basis, rng, M.field):
         mp = _minpoly_of_endo(e)

@@ -43,6 +43,7 @@ from .exceptional import (
 )
 from .perpcat import (
     PerpPresentation,
+    _source_label,
     hom_category_presentation,
     lift_from_perp,
     perp_algebra,
@@ -62,13 +63,6 @@ class FactorDescriptor:
             raise ValueError(
                 f"division ring dimension must be positive, got {self.division_ring_dim}"
             )
-
-
-def _source_label(q: Quiver, x: Rep) -> str:
-    if x.total_dim == 1:
-        v = next(v for v in q.vertices() if x.dim(v) == 1)
-        return f"End(S_{q.label(v)})"
-    return f"End(X) for X = dim {tuple(x.dims)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +190,8 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     transport into its perpendicular category, which they generate as a
     complete sequence again. A peeled member's factor is read off its
     presentation, which recorded dim End when it certified the member
-    exceptional; only the last member left, on one vertex, runs `end_dim`.
+    exceptional, and so is its label; only the last member left, on one
+    vertex, runs `end_dim` and `_source_label`.
     Raises when the input is not a complete exceptional sequence over q (a
     failed transport is the symptom).
     """
@@ -211,10 +206,8 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     pres_list, peeled, (last,) = _peel(members, q.n - 1)
     algebras = (q,) + tuple(pres.algebra_quiver for pres in pres_list)
     ends = [pres.source_end_dim for pres in pres_list] + [end_dim(last)]
-    factors = tuple(
-        FactorDescriptor(d, _source_label(a, x))
-        for a, x, d in zip(algebras, peeled + [last], ends)
-    )
+    labels = [pres.source_label for pres in pres_list] + [_source_label(algebras[-1], last)]
+    factors = tuple(FactorDescriptor(d, s) for d, s in zip(ends, labels))
     return Chain(algebras, factors, tuple(peeled))
 
 

@@ -138,6 +138,27 @@ def kernel_by_solving(f):
     return Rep(M.quiver, fld, [b.cols for b in bases], maps), bases
 
 
+def minpoly_by_solving(e):
+    """The monic minimal polynomial of an endomorphism e, low degree first,
+    the oracle for `repcat._minpoly_of_endo`: each power e^k is solved for
+    in the span of 1, e, ..., e^(k-1) by a fresh elimination. The zero
+    module gets [0, 1]."""
+    from strata.repcat import coordinates_in_hom_basis, identity_map
+
+    M = e.source
+    f = M.field
+    powers = [identity_map(M)]
+    nxt = e
+    while True:
+        x = coordinates_in_hom_basis([nxt], powers)
+        if x is not None:
+            return [f.neg(c) for c in x.entries] + [f.one]
+        if len(powers) > M.total_dim:
+            raise AssertionError("minimal polynomial search ran past the dimension")
+        powers.append(nxt)
+        nxt = nxt.after(e)
+
+
 def cokernel_by_solving(f):
     """The cokernel of a RepMap f as (C, blocks), the oracle for
     `repcat._cokernel`: unit vectors at the rows off the column-space pivots

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from strata.exactlin import GF, QQ, Field, Mat, _cleared, _sparse_rows
+from strata.exactlin import GF, QQ, Field, Mat, _cleared, _first_relation, _sparse_rows
 
 from helpers import random_mat
 
@@ -369,3 +369,24 @@ def test_mul_matches_naive(field, rows, inner, cols, data):
     b = data.draw(_block(field, inner, cols))
     got = Mat(field, rows, inner, a).mul(Mat(field, inner, cols, b))
     assert list(got.entries) == _naive_mul(field, a, b, rows, inner, cols)
+
+
+def test_first_relation_reads_the_relation_and_stops_there():
+    """v2 = 2 v0 - v1/3 gives -2 v0 + v1/3 + v2 = 0 over Q; the vector after
+    it is never requested, and independent vectors give None."""
+    v0, v1 = [Fraction(1), Fraction(0), Fraction(1, 2)], [Fraction(0), Fraction(3), Fraction(1)]
+    v2 = [2 * a - b / 3 for a, b in zip(v0, v1)]
+
+    def stream(*vectors):
+        yield from vectors
+        raise AssertionError("asked past the first relation")
+
+    assert _first_relation(QQ, stream(v0, v1, v2)) == [-2, Fraction(1, 3), 1]
+    assert _first_relation(QQ, iter([v0, v1])) is None
+    # over F_5 the last coefficient is scaled to 1: 4 w0 + 2 w1 + 2 w2 = 0
+    w0, w1 = [1, 0, 2], [0, 1, 1]
+    w2 = [(3 * a + 4 * b) % 5 for a, b in zip(w0, w1)]
+    assert _first_relation(F5, stream(w0, w1, w2)) == [2, 1, 1]
+    # a zero vector is a relation on its own, an empty one too
+    assert _first_relation(F5, stream([0, 0])) == [1]
+    assert _first_relation(QQ, stream([])) == [1]

@@ -163,7 +163,7 @@ UNCHECKED_MAKERS = {
         "RepMap.add",
         "RepMap.scale",
         "identity_map",
-        "hom_space",
+        "_hom_basis",
         "_combo",
         "_eval_poly_on_endo",
     },
@@ -269,8 +269,8 @@ def test_coresolution_certificate_decomposes_nothing():
 # exactlin's elimination and kernel read-off on raw integer rows; outside
 # exactlin only the functions of repcat that eliminate the Hom system may use
 # them, and everything else eliminates through Mat
-ELIMINATION_ENTRY_POINTS = {"_reduce", "_kernel_vectors"}
-HOM_SYSTEM_ELIMINATORS = {"repcat.py": {"_hom_rank", "hom_space", "ext1_space"}}
+ELIMINATION_ENTRY_POINTS = {"_reduce", "_eliminate", "_kernel_vectors"}
+HOM_SYSTEM_ELIMINATORS = {"repcat.py": {"_hom_rank", "_hom_echelon", "_hom_basis", "ext1_space"}}
 
 
 def _entry_point_refs(node, names, scope=()):
@@ -316,12 +316,17 @@ def test_checker_finds_elimination_entry_sites():
             "READ_OFF = exactlin._kernel_vectors\n"
             "def perp(rows):\n    return eliminate(rows, 0, False)\n"
         ),
+        "strat.py": (
+            "from .exactlin import _eliminate\n"
+            "def clear(v, r):\n    _eliminate(v, r, min(r), 0)\n"
+        ),
     }
     assert _elimination_entry_sites(sources) == [
         ("perpcat.py", "<module>"),
         ("perpcat.py", "perp"),
         ("repcat.py", "Rep.rank"),
         ("repcat.py", "hom_space"),
+        ("strat.py", "clear"),
     ]
 
 

@@ -293,8 +293,10 @@ def test_parts_taken_whole_are_rejected(monkeypatch):
 
 
 def test_perp_algebra_records_end_dim():
-    for x in (projective(A3, QQ, 2), simple(A3, QQ, 1), simple(KR, QQ, 1)):
+    labels = ["End(X) for X = dim (0, 1, 1)", "End(S_1)", "End(S_1)"]
+    for x, label in zip((projective(A3, QQ, 2), simple(A3, QQ, 1), simple(KR, QQ, 1)), labels):
         assert perp_algebra(x).source_end_dim == end_dim(x) == 1
+        assert perp_algebra(x).source_label == label
 
 
 def test_perp_algebra_has_one_vertex_fewer():

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -49,6 +50,7 @@ from helpers import (
     dense_hom_matrix,
     interval_rep,
     kernel_by_solving,
+    minpoly_by_solving,
     random_acyclic_quiver,
     random_rep,
 )
@@ -388,6 +390,93 @@ def test_kernel_and_cokernel_match_solving_oracles(field):
     assert bool(seen["fraction"]) == field.is_rational
 
 
+def _noncommuting_map(field, target_dim):
+    """A block family from M = (k, k^2), arrow e_1, to N = (0, k^target_dim)
+    whose vertex-2 block does not commute with the arrow: f_1 = 0 and f_2
+    kills e_2 but not e_1, so K_1 = k is moved by the arrow to e_1, which is
+    not in K_2. With target_dim 1, K_2 = span(e_2) and the failure is at
+    the pivot row of its basis; with target_dim 2, f_2 is invertible and
+    K_2 = 0."""
+    M = Rep(A2, field, (1, 2), [Mat(field, 2, 1, [1, 0])])
+    N = Rep(A2, field, (0, target_dim), [Mat.zeros(field, target_dim, 0)])
+    f2 = Mat(field, target_dim, 2, [1, 0] if target_dim == 1 else [1, 0, 0, 1])
+    return RepMap._make(M, N, (Mat.zeros(field, 0, 1), f2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("target_dim", [1, 2], ids=["pivot-row", "zero-kernel"])
+def test_kernel_invariance_check_can_fail(field, target_dim):
+    """`_kernel` checks invariance only at the pivot rows of the target
+    kernel's basis (all rows when that kernel is 0); both paths still see a
+    block family that is not a morphism."""
+    f = _noncommuting_map(field, target_dim)
+    with pytest.raises(AssertionError, match="kernel is not an invariant subspace"):
+        repcat._kernel(f)
+    with pytest.raises(AssertionError, match="kernel is not an invariant subspace"):
+        kernel_by_solving(f)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_minpoly_matches_solving_oracle(field):
+    """The minimal polynomial read off one incremental reduction over the
+    powers equals the one found by a fresh solve per power, on identity,
+    scalar, nilpotent, Hom-basis and random-combination endomorphisms."""
+    rng = random.Random(37)
+    seen = Counter()
+
+    def scalar():
+        return field.coerce(rng.randint(-3, 3))
+
+    for _ in range(30):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        M = random_rep(rng, q, field)
+        if M.total_dim == 0:
+            continue
+        ends = hom_space(M, M)
+        endos = [identity_map(M), identity_map(M).scale(scalar())] + ends[:3]
+        endos += [repcat._combo(ends, [scalar() for _ in ends]) for _ in range(3)]
+        # on a sum of simples every arrow is zero, so any strictly upper
+        # triangular block family is a nilpotent endomorphism
+        S = direct_sum([simple(q, field, v) for v in q.vertices() for _ in range(M.dim(v))])
+        strict = [
+            Mat(field, d, d, [scalar() if j > i else 0 for i in range(d) for j in range(d)])
+            for d in S.dims
+        ]
+        endos.append(RepMap(S, S, strict))
+        for e in endos:
+            mp = repcat._minpoly_of_endo(e)
+            assert mp == minpoly_by_solving(e)
+            seen["zero vertex"] += 0 in e.source.dims
+            seen["degree > 2"] += len(mp) > 3
+            seen["nilpotent"] += len(mp) > 2 and all(x == 0 for x in mp[:-1])
+            seen["fraction"] += any(getattr(x, "denominator", 1) != 1 for x in mp)
+    assert seen["zero vertex"] and seen["degree > 2"] and seen["nilpotent"]
+    assert bool(seen["fraction"]) == field.is_rational
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_minpoly_of_the_zero_module_is_one(field):
+    """On the zero space the constant 1 already vanishes; the solving
+    oracle, which starts from degree 1, returns t instead."""
+    e = identity_map(zero_rep(A3, field))
+    assert repcat._minpoly_of_endo(e) == [field.one]
+    assert minpoly_by_solving(e) == [field.zero, field.one]
+
+
+def test_minpoly_forms_no_power_past_the_minimal_degree(monkeypatch):
+    """e = diag(1, 2, 3) on k^3 has minimal polynomial of degree 3 over Q;
+    e^4 and later are never built."""
+    q = Quiver(1, [])
+    M = Rep(q, QQ, (3,), [])
+    e = RepMap(M, M, [Mat(QQ, 3, 3, [1, 0, 0, 0, 2, 0, 0, 0, 3])])
+    calls = []
+    after = RepMap.after
+    monkeypatch.setattr(RepMap, "after", lambda self, other: calls.append(1) or after(self, other))
+    assert repcat._minpoly_of_endo(e) == [-6, 11, -6, 1]
+    # e^2 and e^3
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
 def test_combo_matches_scale_add_fold(field):
     rng = random.Random(19)
@@ -607,12 +696,18 @@ def test_factor_poly_falls_back_to_sympy_only_past_small_quadratics(
 
 
 def test_import_and_low_degree_decompose_leave_sympy_unloaded(tmp_path):
+    """Base-changed sums of two and three distinct projectives and simples,
+    and the A_3 tilting module (1,1,1) + (1,1,0) + (1,0,0), split along
+    minimal polynomials of degree at most 2, which are factored in house:
+    the import of sympy (about half a second) never lands in such a call."""
     path = tmp_path / "a3.quiver"
     path.write_text("field Q\nvertices 3\narrow a1 1 2\narrow a2 2 3\n")
     script = f"""
-import contextlib, io, sys
+import contextlib, io, itertools, random, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
 import strata.cli
 from strata import GF, QQ, Mat, Rep, decompose, direct_sum, linear_quiver, projective, simple
+from helpers import conjugate_rep, interval_rep
 assert "sympy" not in sys.modules, "import"
 q = linear_quiver(2)
 for f in (QQ, GF(5)):
@@ -620,6 +715,17 @@ for f in (QQ, GF(5)):
     g = Mat(f, 2, 2, [2, 1, 1, 1])
     m = Rep(q, f, m.dims, [g.mul(m.arrow_map("a1"))])
     assert [p.dims for p in decompose(m)] == [(0, 1), (1, 1)]
+q = linear_quiver(3)
+for f in (QQ, GF(5)):
+    mods = sorted({{m.dims: m for v in q.vertices()
+                   for m in (simple(q, f, v), projective(q, f, v))}}.items())
+    for k in (2, 3):
+        for s, parts in enumerate(itertools.combinations([m for _, m in mods], k)):
+            m = conjugate_rep(random.Random(s), direct_sum(parts))
+            assert sorted(p.dims for p in decompose(m)) == sorted(p.dims for p in parts)
+    t = direct_sum([interval_rep(f, 3, 1, hi) for hi in (3, 2, 1)])
+    for m in (t, conjugate_rep(random.Random(0), t)):
+        assert [p.dims for p in decompose(m)] == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
 assert "sympy" not in sys.modules, "decompose"
 with contextlib.redirect_stdout(io.StringIO()):
     assert strata.cli.main(["jh-verify", {str(path)!r}, "--json"]) == 0
