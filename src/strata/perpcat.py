@@ -44,7 +44,6 @@ from .repcat import (
     RepMap,
     _cokernel,
     _hom_rank,
-    _universal_extension,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
@@ -53,6 +52,7 @@ from .repcat import (
     is_exceptional,
     orthogonal,
     projective,
+    universal_extension,
     zero_rep,
 )
 
@@ -62,17 +62,18 @@ def _bongartz_parts(X: Rep):
 
     Ext^1(X, -) is additive, so the universal extension of X against
     A = (+)_v P_v is the direct sum of the E_v (E_v = P_v when
-    Ext^1(X, P_v) = 0), and c = ext1_dim(X, A). X must be exceptional:
-    the callers certify it once, not once per vertex. When c > 0 each E_v
-    is checked to lie in the perpendicular category of X, which includes
-    the Ext^1(X, E_v) = 0 that `universal_extension` would check.
+    Ext^1(X, P_v) = 0), and c = ext1_dim(X, A). Each E_v comes from the
+    checked `universal_extension`, whose checks add no Hom system: the
+    callers rank (X, X) first, and its Ext^1(X, E_v) = 0 reads the same
+    memoized rank as the check below that, when c > 0, each E_v lies in
+    the perpendicular category of X.
     """
     q = X.quiver
     f = X.field
     c = 0
     parts = []
     for v in q.vertices():
-        cv, E = _universal_extension(X, projective(q, f, v))
+        cv, E = universal_extension(X, projective(q, f, v))
         c += cv
         parts.append(E)
     if c > 0:
@@ -185,6 +186,26 @@ def hom_category_presentation(parts):
     return quiver, tuple(generators)
 
 
+def _check_euler_gram(quiver: Quiver, projectives) -> None:
+    """Require <dim P'_i, dim P'_j> to be the number of paths j ~> i of quiver.
+
+    projectives[j-1] is the image P'_j of P_j of quiver. The embedding is
+    exact, fully faithful and keeps Ext^1 (Geigle-Lenzing 1991), so the
+    ambient Euler form of two of them is dim Hom(P'_i, P'_j), which the
+    path count gives. Raises ValueError naming the first pair that fails.
+    """
+    q = projectives[0].quiver
+    for j in quiver.vertices():
+        counts = quiver.path_counts_from(j)
+        for i in quiver.vertices():
+            e = q.euler_form(projectives[i - 1].dims, projectives[j - 1].dims)
+            if e != counts[i - 1]:
+                raise ValueError(
+                    f"<dim P'_{i}, dim P'_{j}> = {e}, but the presented quiver "
+                    f"has {counts[i - 1]} paths {j} ~> {i}"
+                )
+
+
 def _deleted_vertex(X: Rep):
     """The vertex v with dim X = dim P_v, or None.
 
@@ -251,9 +272,10 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     radical generators read off their Hom category. A Bongartz part E with
     <dim E, dim E> = 1 is taken as indecomposable without decomposing it,
     which is exact because E is rigid; the summand count and the path-count
-    check of the Hom category guard this (see `_complement_summands`).
-    Either way the algebra has exactly n - 1 vertices. Equal inputs get the
-    same presentation object back.
+    check of the Hom category guard this (see `_complement_summands`), and
+    the projectives' Euler form must give its path counts
+    (`_check_euler_gram`). Either way the algebra has exactly n - 1
+    vertices. Equal inputs get the same presentation object back.
     """
     rows, cols, rank = _hom_rank(X, X)
     # Ext^1(X, X) is rows - rank and End(X) is cols - rank, as in is_exceptional
@@ -286,6 +308,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     if presented is None:
         raise AssertionError("Hom category of the Bongartz summands is not hereditary")
     quiver, gens = presented
+    _check_euler_gram(quiver, distinct)
     return PerpPresentation(
         source=X,
         branch="bongartz",

@@ -11,7 +11,10 @@ has kernel Hom(M, N) and cokernel Ext^1(M, N); the path algebra of an
 acyclic quiver is hereditary, so there is nothing past Ext^1. Phi is
 assembled straight from the nonzero entries of the arrow matrices as
 sparse integer rows and eliminated by the same `exactlin._reduce` that
-`Mat` uses; no dense matrix of Phi is built. A cocycle
+`Mat` uses; no dense matrix of Phi is built. The rank of Phi answers Hom
+and Ext^1 dimensions, orthogonality and exceptionality alike, so it is
+memoized per pair (M, N) and kept for the life of the process, as `perpcat`
+keeps `perp_algebra` and `transport_into_perp`. A cocycle
 basis of Ext^1 gives extensions explicitly, and stacking all of them gives
 the universal extension that the mutations of `exceptional` and the
 Bongartz complements of `perpcat` are built from. The kernel and cokernel
@@ -60,7 +63,7 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from .exactlin import (
     Field,
@@ -85,10 +88,10 @@ class Rep(_Frozen):
     """A representation of a fixed quiver over a fixed field.
 
     The hash is computed over every arrow matrix on first use and cached in
-    the `_h` slot, because the memos of `perpcat` look the same modules up
-    many times. `_h` is derived from the four fields, so it takes no part
-    in `==` or `repr`: two equal modules built separately compare equal
-    whether or not either has been hashed yet.
+    the `_h` slot, because `_hom_rank` and the memos of `perpcat` look the
+    same modules up many times. `_h` is derived from the four fields, so it
+    takes no part in `==` or `repr`: two equal modules built separately
+    compare equal whether or not either has been hashed yet.
     """
 
     quiver: Quiver
@@ -371,8 +374,10 @@ def _hom_system(M: Rep, N: Rep):
     return rows, col_off, cols
 
 
+@cache
 def _hom_rank(M: Rep, N: Rep):
-    """(rows, cols, rank) of the Hom system of (M, N)."""
+    """(rows, cols, rank) of the Hom system of (M, N), kept for the life of
+    the process; a mismatched pair raises on every call."""
     rows, _, cols = _hom_system(M, N)
     return len(rows), cols, len(_reduce(rows, M.field.characteristic, False))
 
@@ -516,23 +521,6 @@ def extension_from_cocycle(M: Rep, N: Rep, cocycle) -> Rep:
     return Rep(q, f, dims, maps)
 
 
-def _universal_extension(X: Rep, R: Rep):
-    """(c, M) as `universal_extension` builds them, without its two checks.
-
-    For callers that have certified X exceptional already and check
-    Ext^1(X, M) = 0 themselves if they need it.
-    """
-    cocycles = ext1_space(X, R)
-    c = len(cocycles)
-    if c == 0:
-        return 0, R
-    stacked = {
-        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles])
-        for a in X.quiver.arrows
-    }
-    return c, extension_from_cocycle(direct_sum([X] * c), R, stacked)
-
-
 def universal_extension(X: Rep, R: Rep):
     """The universal extension 0 -> R -> M -> X^c -> 0 with c = ext1_dim(X, R).
 
@@ -543,8 +531,16 @@ def universal_extension(X: Rep, R: Rep):
     """
     if not is_exceptional(X):
         raise ValueError("universal extension needs an exceptional X")
-    c, M = _universal_extension(X, R)
-    if c and ext1_dim(X, M) != 0:
+    cocycles = ext1_space(X, R)
+    c = len(cocycles)
+    if c == 0:
+        return 0, R
+    stacked = {
+        a.name: reduce(Mat.hstack, [z[a.name] for z in cocycles])
+        for a in X.quiver.arrows
+    }
+    M = extension_from_cocycle(direct_sum([X] * c), R, stacked)
+    if ext1_dim(X, M) != 0:
         raise AssertionError("universal extension left extensions behind")
     return c, M
 

@@ -292,6 +292,20 @@ def test_parts_taken_whole_are_rejected(monkeypatch):
     assert failed
 
 
+def test_euler_gram_rejects_a_wrong_presentation():
+    """<dim P'_i, dim P'_j> must be the number of paths j ~> i of Q': a
+    dropped arrow, a doubled arrow and two swapped projectives all fail."""
+    pres = perp_algebra(simple(A3, QQ, 2))
+    assert pres.branch == "bongartz"
+    q, ps = pres.algebra_quiver, pres.projectives_in_ambient
+    perpcat._check_euler_gram(q, ps)
+    (r,) = q.arrows
+    doubled = Quiver(2, (r, Arrow("r2", r.source, r.target)))
+    for wrong_q, wrong_ps in ((Quiver(2, ()), ps), (doubled, ps), (q, ps[::-1])):
+        with pytest.raises(ValueError, match=r"<dim P'_\d, dim P'_\d> = "):
+            perpcat._check_euler_gram(wrong_q, wrong_ps)
+
+
 def test_perp_algebra_records_end_dim():
     labels = ["End(X) for X = dim (0, 1, 1)", "End(S_1)", "End(S_1)"]
     for x, label in zip((projective(A3, QQ, 2), simple(A3, QQ, 1), simple(KR, QQ, 1)), labels):

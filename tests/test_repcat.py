@@ -267,12 +267,15 @@ def test_sparse_hom_system_matches_dense_oracle(field):
         else:
             M, N = random_rep(rng, q, field), random_rep(rng, q, field)
         P = conjugate_rep(rng, projective(q, field, rng.randint(1, q.n)))
-        for X, Y in ((M, N), (N, M), (M, M), (P, P), (P, M)):
+        for k, (X, Y) in enumerate(((M, N), (N, M), (M, M), (P, P), (P, M))):
             A, row_index, col_off = dense_hom_matrix(X, Y)
             rank = A.rank()
             assert repcat._hom_system(X, Y)[0] == _sparse_rows(
                 field, [A.row(r) for r in range(A.rows)]
             )
+            if k == 1:
+                # Ext^1 first, so that it fills the memoized rank for hom_dim
+                assert ext1_dim(X, Y) == A.rows - rank
             assert hom_dim(X, Y) == A.cols - rank
             assert ext1_dim(X, Y) == A.rows - rank
             want = [
@@ -303,6 +306,36 @@ def test_sparse_hom_system_matches_dense_oracle(field):
     assert all(seen[k, b] for k in ("exceptional", "orthogonal") for b in (True, False))
     assert seen["hom"] and seen["ext"]
     assert bool(seen["fraction"]) == field.is_rational
+
+
+def test_one_hom_system_per_pair(monkeypatch):
+    """hom_dim, ext1_dim and orthogonal of a pair, and is_exceptional and
+    end_dim of (X, X), share one memoized rank; a mismatched pair is not
+    memoized and raises on every call."""
+    repcat._hom_rank.cache_clear()
+    built = Counter()
+    system = repcat._hom_system
+    monkeypatch.setattr(
+        repcat, "_hom_system", lambda M, N: built.update([(M, N)]) or system(M, N)
+    )
+    for field in (QQ, GF(5)):
+        M, N = (
+            Rep(K2, field, (1, 1), [Mat(field, 1, 1, (field.one,)),
+                                    Mat(field, 1, 1, (field.coerce(lam),))])
+            for lam in (0, 1)
+        )
+        # Euler form 0, so orthogonal has to rank the system
+        assert K2.euler_form(M.dims, N.dims) == 0
+        assert (hom_dim(M, N), ext1_dim(M, N), orthogonal(M, N)) == (0, 0, True)
+        X = projective(K2, field, 1)
+        assert (is_exceptional(X), end_dim(X)) == (True, 1)
+        assert built == {(M, N): 1, (X, X): 1}
+        built.clear()
+    M, N = simple(A2, QQ, 1), simple(K2, QQ, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different quivers"):
+            hom_dim(M, N)
+    assert built == {(M, N): 2}
 
 
 def test_ext_space_matches_dim_and_realizes():

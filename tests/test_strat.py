@@ -385,6 +385,18 @@ def test_flatten_rejects_bad_cut_generator(parts, message):
         strat._summand_presentation(parts)
 
 
+def test_cut_presentation_checks_the_euler_form(monkeypatch):
+    """The members of a cut must have the Euler form of the path counts of
+    its Hom category, so a presentation that loses its arrow fails."""
+    cut = (projective(A3, QQ, 3), projective(A3, QQ, 2))
+    assert strat._summand_presentation(cut).algebra_quiver.arrows
+    monkeypatch.setattr(
+        strat, "hom_category_presentation", lambda parts: (Quiver(len(parts), ()), ())
+    )
+    with pytest.raises(ValueError, match=r"<dim P'_1, dim P'_2> = 1"):
+        strat._summand_presentation(cut)
+
+
 def test_flatten_checks_each_cut():
     """(S_2, S_3) over A_3 is an exceptional sequence with Ext^1(S_2, S_3) != 0."""
     leaf = Leaf(ONE, FactorDescriptor(1, "End(S_1)"))
