@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .exactlin import QQ, Field, Mat
+from .exactlin import Field, Mat
 from .quiver import Quiver, topological_sort
 from .repcat import (
     Rep,
     RepMap,
     _cokernel,
+    _in_add,
     _kernel,
     decompose,
     direct_sum,
@@ -123,13 +124,12 @@ def _coresolution(T: Rep, distinct):
     where T_0 collects one copy of a distinct summand of T per Hom-basis
     element from A. The certificate holds when u is injective at every
     vertex and T_1 = coker u lies in add T, which needs no decomposition:
-    T_1 is rigid and its dimension vector is sum_d m_d dim d with integers
-    m_d >= 0. The summands d of T are pairwise Ext-orthogonal, so
-    (+)_d d^{m_d} is rigid with the dimension vector of T_1, and a rigid
-    module is determined by its dimension vector (its orbit is open; Kac,
-    1980). The dim d are linearly independent, so one solve finds the only
-    candidate m. Exactness needs no further check: T_1 is built as the
-    cokernel of u.
+    `repcat._in_add` requires T_1 rigid with dimension vector
+    sum_d m_d dim d for integers m_d >= 0. The summands d of the rigid T
+    are pairwise Ext-orthogonal, so (+)_d d^{m_d} is rigid with the
+    dimension vector of T_1, and a rigid module is determined by its
+    dimension vector (Kac, 1980; Happel-Ringel, 1982). Exactness needs no
+    further check: T_1 is built as the cokernel of u.
     """
     q = T.quiver
     A = free_module(q, T.field)
@@ -141,13 +141,7 @@ def _coresolution(T: Rep, distinct):
         return None
     T0 = direct_sum([d for d, _ in maps])
     T1 = _cokernel(RepMap(A, T0, blocks))[0]
-    if ext1_dim(T1, T1) != 0:
-        return None
-    D = Mat.from_rows(QQ, [d.dims for d in distinct]).transpose()
-    m = D.solve(Mat.column(QQ, T1.dims))
-    if m is None or any(x < 0 or x.denominator != 1 for x in m.entries):
-        return None
-    return T0, T1
+    return (T0, T1) if _in_add(T1, distinct) else None
 
 
 @dataclass(frozen=True)

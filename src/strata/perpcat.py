@@ -15,15 +15,21 @@ so the perpendicular category is the modules vanishing at v and vertex
 deletion is restriction: B is the path algebra of the induced subquiver,
 transport restricts to it and lift extends by zero (Geigle-Lenzing 1991).
 Otherwise the Bongartz complement M (the middle term of the universal
-extension of X against A = (+)_v P_v; `repcat` builds both) decomposes into the n - 1
-projectives of B, the quiver of B is read off from rad/rad^2 of the Hom
-category of its summands with an intertwiner for each arrow, and modules
-travel through the Hom functor and the cokernel of a lifted projective
-presentation. M is rigid, so each of its parts E_v has dim End(E_v) equal
-to the Euler form <dim E_v, dim E_v>; a part where that form is 1 is
-indecomposable as it stands and is not decomposed. The count of n - 1
-distinct summands and the Hom category's path-count check, which requires
-dim End = 1 at every vertex, guard that rule.
+extension of X against A = (+)_v P_v; `repcat` builds both) has exactly
+n - 1 distinct summands (M (+) X is tilting), the projectives of B; the
+quiver of B is read off from rad/rad^2 of the Hom category of those
+summands with an intertwiner for each arrow, and modules travel through
+the Hom functor and the cokernel of a lifted projective presentation. M
+is rigid, so each of its parts E_v has dim End(E_v) equal to the Euler
+form <dim E_v, dim E_v>; a part where that form is 1 is indecomposable as
+it stands. The other parts are decomposed only until n - 1 distinct
+summands are known, and each part left over is certified to lie in their
+additive closure without decomposing it: it is rigid and its dimension
+vector is a nonnegative integer combination of theirs, and a rigid module
+is determined by its dimension vector (Kac 1980; Happel-Ringel 1982).
+That certificate needs the summands pairwise Ext-orthogonal, which the
+count of n - 1, the Hom category's path-count check and the Euler form of
+the presented projectives together certify.
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` memoize
@@ -44,6 +50,7 @@ from .repcat import (
     RepMap,
     _cokernel,
     _hom_rank,
+    _in_add,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
@@ -237,25 +244,49 @@ def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
 
 
 def _complement_summands(extensions):
-    """The indecomposable summands of the Bongartz parts, sorted as `decompose` sorts.
+    """The distinct indecomposable summands of the Bongartz parts, sorted as
+    `decompose` sorts.
 
-    Every part E is a summand of the Bongartz complement, which is rigid,
-    so dim End(E) equals the Euler form <dim E, dim E>. A part with
-    <dim E, dim E> = 1 has End(E) = k and is indecomposable as it stands;
-    only the other parts are decomposed. A part wrongly taken whole cannot
-    pass: `perp_algebra` still requires n - 1 distinct summands, and the
-    path-count check of `hom_category_presentation` requires dim End = 1
-    of each.
+    The Bongartz complement M is rigid with exactly n - 1 distinct
+    summands (M (+) X is tilting), so the parts need not all be decomposed.
+    A part E with <dim E, dim E> = 1 has dim End(E) = 1 (E is rigid, so
+    dim End(E) is that Euler form) and is a summand as it stands. The other
+    parts are decomposed, smallest (total_dim, dims) first, only until
+    n - 1 distinct dimension vectors are known. Every part left over must
+    pass `repcat._in_add` against the summands found: it is rigid and
+    dim E = sum_d m_d dim d with integers m_d >= 0, so E = (+)_d d^{m_d},
+    because a rigid module is determined by its dimension vector (Kac,
+    1980; Happel-Ringel, 1982). That needs the found summands pairwise
+    Ext-orthogonal, which `perp_algebra` certifies afterwards: n - 1 of
+    them, dim Hom between them equal to path counts of a quiver
+    (`hom_category_presentation`), and the Euler form equal to the same
+    path counts (`_check_euler_gram`), so every Ext^1 among them vanishes.
+    Raises AssertionError when a part left over fails the certificate.
     """
     q = extensions[0].quiver
-    parts = []
-    for E in extensions:
+    found = {}
+    rest = []
+    for v, E in enumerate(extensions):
         if q.euler_form(E.dims, E.dims) == 1:
-            parts.append(E)
+            found[v] = [E]
         else:
-            parts.extend(decompose(E))
+            rest.append(v)
+    rest.sort(key=lambda v: (extensions[v].total_dim, extensions[v].dims))
+    known = {ps[0].dims for ps in found.values()}
+    while rest and len(known) < q.n - 1:
+        v = rest.pop(0)
+        found[v] = decompose(extensions[v])
+        known.update(p.dims for p in found[v])
+    parts = [p for v in sorted(found) for p in found[v]]
     parts.sort(key=lambda r: (r.total_dim, r.dims))
-    return parts
+    distinct = distinct_summands(parts)
+    for v in rest:
+        if not _in_add(extensions[v], distinct):
+            raise AssertionError(
+                f"Bongartz part of dimension {extensions[v].dims} is not in add "
+                "of the summands found"
+            )
+    return distinct
 
 
 @cache
@@ -269,13 +300,14 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     vector). Then the quiver is q with v deleted (labels inherited) and its
     projectives are extended by zero to q. Otherwise the distinct summands
     of the Bongartz complement are the projectives, with the quiver and the
-    radical generators read off their Hom category. A Bongartz part E with
-    <dim E, dim E> = 1 is taken as indecomposable without decomposing it,
-    which is exact because E is rigid; the summand count and the path-count
-    check of the Hom category guard this (see `_complement_summands`), and
-    the projectives' Euler form must give its path counts
-    (`_check_euler_gram`). Either way the algebra has exactly n - 1
-    vertices. Equal inputs get the same presentation object back.
+    radical generators read off their Hom category. `_complement_summands`
+    decomposes only as many Bongartz parts as it takes to find n - 1
+    distinct summands and certifies the rest in their additive closure;
+    the summand count, the path-count check of the Hom category and the
+    projectives' Euler form (`_check_euler_gram`) then certify the summands
+    pairwise Ext-orthogonal, which that certificate assumes. Either way the
+    algebra has exactly n - 1 vertices. Equal inputs get the same
+    presentation object back.
     """
     rows, cols, rank = _hom_rank(X, X)
     # Ext^1(X, X) is rows - rank and End(X) is cols - rank, as in is_exceptional
@@ -298,7 +330,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             source_label=_source_label(q, X),
         )
     _, extensions = _bongartz_parts(X)
-    distinct = distinct_summands(_complement_summands(extensions))
+    distinct = _complement_summands(extensions)
     if len(distinct) != q.n - 1:
         raise AssertionError(
             f"Bongartz complement has {len(distinct)} distinct summands, "

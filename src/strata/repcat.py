@@ -14,7 +14,8 @@ sparse integer rows and eliminated by the same `exactlin._reduce` that
 `Mat` uses; no dense matrix of Phi is built. The rank of Phi answers Hom
 and Ext^1 dimensions, orthogonality and exceptionality alike, so it is
 memoized per pair (M, N) and kept for the life of the process, as `perpcat`
-keeps `perp_algebra` and `transport_into_perp`. A cocycle
+keeps `perp_algebra` and `transport_into_perp`; a sweep that asks each pair
+once calls the unmemoized `_hom_system_rank` instead. A cocycle
 basis of Ext^1 gives extensions explicitly, and stacking all of them gives
 the universal extension that the mutations of `exceptional` and the
 Bongartz complements of `perpcat` are built from. The kernel and cokernel
@@ -51,6 +52,11 @@ through the discriminant, over a small prime field by root search. sympy
 is imported only for the rest (degree 3 and more, or a quadratic over a
 large prime field), so importing this module does not load it.
 
+A rigid module lies in the additive closure of known pairwise
+Ext-orthogonal summands exactly when its dimension vector is a nonnegative
+integer combination of theirs (`_in_add`), so `perpcat` and the tilting
+certificate of `exceptional` place modules there without decomposing them.
+
 Isomorphism is decided by Krull-Schmidt: decompose both sides and match
 indecomposable summands, which is exact because their endomorphism rings
 are local.
@@ -66,6 +72,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 from .exactlin import (
+    QQ,
     Field,
     Mat,
     _as_index,
@@ -374,12 +381,16 @@ def _hom_system(M: Rep, N: Rep):
     return rows, col_off, cols
 
 
-@cache
-def _hom_rank(M: Rep, N: Rep):
-    """(rows, cols, rank) of the Hom system of (M, N), kept for the life of
-    the process; a mismatched pair raises on every call."""
+def _hom_system_rank(M: Rep, N: Rep):
+    """(rows, cols, rank) of the Hom system of (M, N): dim Hom is
+    cols - rank and dim Ext^1 is rows - rank. Unmemoized, for one-shot
+    sweeps that would only fill the memo."""
     rows, _, cols = _hom_system(M, N)
     return len(rows), cols, len(_reduce(rows, M.field.characteristic, False))
+
+
+# kept for the life of the process; a mismatched pair raises on every call
+_hom_rank = cache(_hom_system_rank)
 
 
 def _hom_echelon(M: Rep, N: Rep):
@@ -1021,6 +1032,27 @@ def distinct_summands(parts):
             seen.add(p.dims)
             out.append(p)
     return out
+
+
+def _in_add(M: Rep, summands) -> bool:
+    """True when M is rigid and dim M = sum_d m_d dim d with integers m_d >= 0.
+
+    For pairwise Ext-orthogonal indecomposable rigid summands d (the
+    summands of one rigid module) this certifies M = (+)_d d^{m_d} without
+    decomposing M, by two theorems. A rigid module over a hereditary
+    algebra is determined by its dimension vector (its orbit is open; Kac,
+    1980, and Happel-Ringel, Tilted algebras, 1982), and (+)_d d^{m_d} is
+    rigid with the dimension vector of M. The dim d are linearly
+    independent (Happel-Ringel, 1982), so one solve finds the only
+    candidate m. The caller vouches for the summands; nothing here checks
+    them.
+    """
+    if ext1_dim(M, M) != 0:
+        return False
+    n = M.quiver.n
+    D = Mat(QQ, n, len(summands), [d.dims[v] for v in range(n) for d in summands])
+    m = D.solve(Mat.column(QQ, M.dims))
+    return m is not None and all(x >= 0 and x.denominator == 1 for x in m.entries)
 
 
 # --- isomorphism testing ---

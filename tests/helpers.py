@@ -224,8 +224,8 @@ def complete_sequences_by_lists(reps, n):
 def bongartz_summands_by_decompose(X):
     """The indecomposable summands of the Bongartz parts of X with every part
     decomposed, sorted as `decompose` sorts: the oracle for
-    `perpcat._complement_summands`, which decomposes only the parts whose
-    Euler form is not 1."""
+    `perpcat._complement_summands`, which decomposes only some of the parts
+    whose Euler form is not 1."""
     from strata.perpcat import _bongartz_parts
     from strata.repcat import decompose
 

@@ -86,6 +86,37 @@ def test_jh_verify_json_schema(tmp_path):
         assert chain["factors"] == [1, 1]
 
 
+def generalized_kronecker(r):
+    arrows = "".join(f"arrow a{i} 1 2\n" for i in range(1, r + 1))
+    return f"field Q\nvertices 2\n{arrows}"
+
+
+def kronecker_roots(r, bound):
+    """The real roots of the r-Kronecker quiver within the bound: (a_k,
+    a_{k+1}) and its reverse, with a_0 = 0, a_1 = 1 and
+    a_{k+1} = r a_k - a_{k-1}."""
+    a = [0, 1]
+    while a[-2] + a[-1] <= bound:
+        a.append(r * a[-1] - a[-2])
+    return {d for k in range(len(a) - 1) for d in ((a[k], a[k + 1]), (a[k + 1], a[k]))
+            if sum(d) <= bound}
+
+
+@pytest.mark.parametrize("r,bound,count", [(3, 12, 5), (2, 9, 9)],
+                         ids=["3-kronecker", "kronecker"])
+def test_jh_verify_generalized_kronecker(tmp_path, r, bound, count):
+    """Exceptional pairs are the neighbours of a chain of the real roots, so
+    the sequences number one less than the roots within the bound."""
+    assert len(kronecker_roots(r, bound)) - 1 == count
+    path = write(tmp_path, "kr.quiver", generalized_kronecker(r))
+    res = run_cli("jh-verify", path, "--bound", str(bound), "--json")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["pass"] is True
+    assert doc["sequence_count"] == count
+    assert doc["warnings"] == []
+
+
 def test_hom_and_ext(tmp_path):
     path = write(tmp_path, "homs.quiver", P1_S1)
     r = run_cli("hom", path)

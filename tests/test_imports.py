@@ -270,7 +270,9 @@ def test_coresolution_certificate_decomposes_nothing():
 # exactlin only the functions of repcat that eliminate the Hom system may use
 # them, and everything else eliminates through Mat
 ELIMINATION_ENTRY_POINTS = {"_reduce", "_eliminate", "_kernel_vectors"}
-HOM_SYSTEM_ELIMINATORS = {"repcat.py": {"_hom_rank", "_hom_echelon", "_hom_basis", "ext1_space"}}
+HOM_SYSTEM_ELIMINATORS = {
+    "repcat.py": {"_hom_system_rank", "_hom_echelon", "_hom_basis", "ext1_space"}
+}
 
 
 def _entry_point_refs(node, names, scope=()):

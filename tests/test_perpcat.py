@@ -11,6 +11,7 @@ from strata.repcat import (
     Rep,
     decompose,
     direct_sum,
+    distinct_summands,
     end_dim,
     ext1_dim,
     free_module,
@@ -259,8 +260,9 @@ EULER_RULE_CASES = [
 @pytest.mark.parametrize("q,field,bound", EULER_RULE_CASES,
                          ids=["A4", "D4-F3", "Kronecker", "D5"])
 def test_euler_form_rule_matches_decomposing_every_part(q, field, bound):
-    """A Bongartz part with <dim E, dim E> = 1 is taken whole; the summands
-    must be those of decomposing every part, in the same order."""
+    """Parts with <dim E, dim E> = 1 taken whole and the rest decomposed only
+    until n - 1 summands are known must give the distinct summands of
+    decomposing every part, in the same order."""
     from strata.exceptional import enumerate_exceptional
 
     checked = 0
@@ -268,28 +270,70 @@ def test_euler_form_rule_matches_decomposing_every_part(q, field, bound):
         if perpcat._deleted_vertex(x) is not None:
             continue
         _, extensions = perpcat._bongartz_parts(x)
-        assert perpcat._complement_summands(extensions) == bongartz_summands_by_decompose(x)
+        got = perpcat._complement_summands(extensions)
+        want = distinct_summands(bongartz_summands_by_decompose(x))
+        assert [p.dims for p in got] == [p.dims for p in want]
         checked += 1
     assert checked
 
 
 def test_parts_taken_whole_are_rejected(monkeypatch):
-    """Were every Bongartz part taken whole, each Kronecker exceptional with
-    a decomposable part must raise, not present a wrong algebra."""
+    """Were every decomposed Bongartz part taken whole, each Kronecker
+    exceptional with no part of Euler form 1 (the only ones that still
+    reach `decompose`) must raise, not present a wrong algebra."""
     from strata.exceptional import enumerate_exceptional
 
-    monkeypatch.setattr(perpcat, "decompose", lambda E: [E])
+    calls = []
+    monkeypatch.setattr(perpcat, "decompose", lambda E: calls.append(E) or [E])
     failed = 0
     for x in enumerate_exceptional(KR, QQ, 7).reps:
         if perpcat._deleted_vertex(x) is not None:
             continue
         _, extensions = perpcat._bongartz_parts(x)
-        if all(KR.euler_form(E.dims, E.dims) == 1 for E in extensions):
+        calls.clear()
+        if any(KR.euler_form(E.dims, E.dims) == 1 for E in extensions):
+            perp_algebra.__wrapped__(x)
+            assert not calls
             continue
         with pytest.raises((AssertionError, ValueError)):
             perp_algebra.__wrapped__(x)
+        assert calls
         failed += 1
-    assert failed
+    assert failed == 4
+
+
+def test_non_rigid_left_over_part_is_rejected():
+    """A part left undecomposed must be rigid, even when its dimension
+    vector is a nonnegative integer combination of the summands found."""
+    p1 = projective(KR, QQ, 1)
+    rigid = direct_sum([p1, p1])
+    non_rigid = direct_sum([kronecker_regular(QQ, 0), p1, simple(KR, QQ, 2)])
+    assert non_rigid.dims == rigid.dims == (2, 4) and ext1_dim(non_rigid, non_rigid)
+    assert perpcat._complement_summands([rigid, p1]) == [p1]
+    with pytest.raises(AssertionError, match="not in add"):
+        perpcat._complement_summands([non_rigid, p1])
+
+
+@pytest.mark.parametrize("q,field,dims", [(KR, QQ, (2, 3)), (D4, GF(3), (0, 1, 1, 1))],
+                         ids=["Kronecker", "D4-F3"])
+def test_dropped_summand_fails_the_add_certificate(monkeypatch, q, field, dims):
+    """With the first summand found dropped before the check, the part left
+    over is no nonnegative integer combination of the others."""
+    from strata.exceptional import enumerate_exceptional
+
+    x = next(r for r in enumerate_exceptional(q, field, sum(dims)).reps if r.dims == dims)
+    perp_algebra.__wrapped__(x)
+    checked = []
+    in_add = perpcat._in_add
+
+    def drop_first(E, summands):
+        checked.append(E)
+        return in_add(E, summands[1:])
+
+    monkeypatch.setattr(perpcat, "_in_add", drop_first)
+    with pytest.raises(AssertionError, match="not in add"):
+        perp_algebra.__wrapped__(x)
+    assert checked
 
 
 def test_euler_gram_rejects_a_wrong_presentation():

@@ -293,6 +293,13 @@ def test_kronecker_demo_two():
     assert report["pass"] is True
 
 
+def test_kronecker_demo_leaves_the_hom_rank_memo_alone():
+    """No pair of the sweep is asked twice, so none is memoized."""
+    before = repcat._hom_rank.cache_info().currsize
+    assert kronecker_demo(7)["pass"] is True
+    assert repcat._hom_rank.cache_info().currsize == before
+
+
 def test_kronecker_demo_rejects_prime_above_cap(monkeypatch):
     """The check comes before any field or module is built."""
 
