@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .exactlin import Field, Mat
-from .quiver import Quiver, topological_sort
+from .quiver import Quiver
 from .repcat import (
     Rep,
     RepMap,
@@ -52,35 +52,6 @@ def is_exceptional_sequence(reps) -> bool:
         for i in range(len(reps))
         for j in range(i + 1, len(reps))
     )
-
-
-def order_into_exceptional_sequence(summands):
-    """Arrange pairwise non-isomorphic exceptionals into a sequence, if possible.
-
-    Puts an edge X -> Y whenever Hom(X, Y) or Ext^1(X, Y) is nonzero (X
-    must then come before Y) and sorts topologically, breaking ties by
-    smallest input index. Returns None when the constraint graph has a
-    cycle; raises when a summand is not exceptional. A topological order
-    leaves no nonzero Hom or Ext^1 from a later member to an earlier one,
-    so the result is an exceptional sequence without a further check.
-    """
-    xs = list(summands)
-    for x in xs:
-        if not is_exceptional(x):
-            raise ValueError(
-                f"summand with dimension vector {x.dims} is not exceptional"
-            )
-    m = len(xs)
-    edges = [
-        (a, b)
-        for a in range(m)
-        for b in range(m)
-        if a != b and not orthogonal(xs[a], xs[b])
-    ]
-    order = topological_sort(m, edges)
-    if len(order) != m:
-        return None
-    return tuple(xs[i] for i in order)
 
 
 def _tilting_summands(T: Rep):

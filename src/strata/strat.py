@@ -14,15 +14,17 @@ member.
 
 Binary stratification trees (StratTree) record nested two-step cuts. A cut
 is an exceptional sequence with a rigid sum and a hereditary Hom category,
-such as a suffix of a complete sequence; flatten_to_chain normalizes any
-tree to a chain by replaying each cut one member at a time, in its order.
+such as a suffix of a complete sequence. stratification_trees yields every
+tree whose cuts are suffixes of a complete sequence, in a fixed order, and
+flatten_to_chain normalizes any tree to a chain by replaying each cut one
+member at a time, in its order. By the Jordan-Hoelder theorem all of them
+have the same factors.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .exactlin import GF, QQ, Field, Mat
 from .quiver import Quiver, kronecker_quiver
@@ -222,21 +224,26 @@ def _forward_ext_free(seq) -> bool:
     )
 
 
+class _NotACut(ValueError):
+    """An exceptional sequence whose sum is not rigid or whose Hom category
+    is not hereditary."""
+
+
 def _summand_presentation(cut: tuple) -> PerpPresentation:
     """The Hom category of a cut, which must be an exceptional sequence.
 
     Its sum must be rigid and the Hom category of its members, in their
-    order, hereditary; vertex j of the returned algebra stands for cut[j-1].
-    The members' Euler form must give the path counts of that algebra
-    (`_check_euler_gram`).
+    order, hereditary, else _NotACut says which fails; vertex j of the
+    returned algebra stands for cut[j-1]. The members' Euler form must give
+    the path counts of that algebra (`_check_euler_gram`).
     """
     if not is_exceptional_sequence(cut):
         raise ValueError("cut is not an exceptional sequence")
     if not _forward_ext_free(cut):
-        raise ValueError("cut is not rigid")
+        raise _NotACut("cut is not rigid")
     presented = hom_category_presentation(cut)
     if presented is None:
-        raise ValueError("cut's Hom category is not hereditary")
+        raise _NotACut("cut's Hom category is not hereditary")
     cq, gens = presented
     _check_euler_gram(cq, cut)
     return PerpPresentation(
@@ -315,45 +322,44 @@ def flatten_to_chain(tree: StratTree) -> Chain:
     return stratify_along_sequence(tree.algebra, seq)
 
 
-def assemble_tree(q: Quiver, sequence, seed: int = 0) -> StratTree:
-    """Build a stratification tree from a complete exceptional sequence.
+def stratification_trees(q: Quiver, sequence) -> Iterator[StratTree]:
+    """Every stratification tree of a complete exceptional sequence.
 
-    Each node cuts a random suffix of the (transported) sequence whose sum
-    is rigid and whose members have a hereditary Hom category; the suffix
-    of length one always qualifies, so the recursion never gets stuck. The
-    cut is the suffix itself, and its j-th member is P_j over its Hom
-    category (Yoneda). A fixed seed gives a fixed tree.
+    Each node cuts a suffix of its (transported) sequence that is a cut:
+    its sum is rigid and its members have a hereditary Hom category, whose
+    P_j is the cut's j-th member (Yoneda). The suffix of length one always
+    qualifies. The left subtree is a tree of the members left, transported
+    into the perpendicular category of the cut; the right subtree is a tree
+    of the projectives (P_1, ..., P_k) of the Hom category. The order is
+    fixed: cut length ascending, then left subtree, then right subtree,
+    each in this order again. The right subtrees of a cut depend only on
+    its Hom quiver, so they are built once and shared by the left ones.
     """
     members = list(sequence)
     if len(members) != q.n or q.n == 0:
         raise ValueError(
             f"need a complete sequence of {q.n} members, got {len(members)}"
         )
-    rng = random.Random(seed)
+    return _trees(q, members)
 
-    def build(quiver, seq_members):
-        n = len(seq_members)
-        if n == 1:
-            x = seq_members[0]
-            return Leaf(
-                quiver, FactorDescriptor(end_dim(x), _source_label(quiver, x))
-            )
-        valid = []
-        for k in range(1, n):
-            tail = seq_members[k:]
-            if not _forward_ext_free(tail):
-                continue
-            presented = hom_category_presentation(tail)
-            if presented is not None:
-                valid.append((k, presented[0]))
-        k, cq = rng.choice(valid)
-        cut = tuple(seq_members[k:])
-        right = build(cq, [projective(cq, cut[0].field, j) for j in cq.vertices()])
-        pres_list, _, head = _peel(seq_members, n - k)
-        left = build(pres_list[-1].algebra_quiver, head)
-        return Node(quiver, cut, left, right)
 
-    return build(q, members)
+def _trees(quiver: Quiver, members: list) -> Iterator[StratTree]:
+    n = len(members)
+    if n == 1:
+        x = members[0]
+        yield Leaf(quiver, FactorDescriptor(end_dim(x), _source_label(quiver, x)))
+        return
+    for k in range(n - 1, 0, -1):
+        cut = tuple(members[k:])
+        try:
+            cq = _summand_presentation(cut).algebra_quiver
+        except _NotACut:
+            continue
+        rights = tuple(_trees(cq, [projective(cq, cut[0].field, j) for j in cq.vertices()]))
+        pres_list, _, head = _peel(members, n - k)
+        for left in _trees(pres_list[-1].algebra_quiver, head):
+            for right in rights:
+                yield Node(quiver, cut, left, right)
 
 
 def verify_jordan_holder(q: Quiver, bound: int, field: Field = QQ) -> dict:
@@ -361,18 +367,26 @@ def verify_jordan_holder(q: Quiver, bound: int, field: Field = QQ) -> dict:
 
     The composition-series statement: every chain has length n and factor
     multiset equal to the endomorphism rings of the n simples. A bound
-    below every complete sequence gives a warning and no pass.
+    below every complete sequence gives a warning and no pass, and so does
+    a sequence whose chain raises ValueError or AssertionError (a broken
+    presentation or transport): its warning reads "sequence i: message",
+    numbering sequences from 1, and it adds no chain.
     """
     seqs = enumerate_complete_exceptional_sequences(q, field, bound)
     expected = sorted(f.division_ring_dim for f in endo_rings_of_simples(q, field))
     chains = []
+    warnings = []
     all_ok = True
-    for s in seqs:
-        chain = stratify_along_sequence(q, s)
+    for i, s in enumerate(seqs, 1):
+        try:
+            chain = stratify_along_sequence(q, s)
+        except (ValueError, AssertionError) as e:
+            warnings.append(f"sequence {i}: {e}")
+            all_ok = False
+            continue
         ok = chain.length == q.n and sorted(chain.factor_dims()) == expected
         all_ok = all_ok and ok
         chains.append(chain.report())
-    warnings = []
     if not seqs:
         warnings.append("no complete exceptional sequence at this bound")
         all_ok = False
@@ -406,11 +420,6 @@ def verify_ringel_tilting(q: Quiver, T: Rep) -> dict:
         "coresolution_ok": coresolution_ok,
         "pass": summand_dims == simple_dims and coresolution_ok,
     }
-
-
-def is_derived_simple(q: Quiver) -> bool:
-    """Only the one-vertex quiver admits no nontrivial stratification step."""
-    return q.n == 1
 
 
 # kronecker_demo runs Hom and Ext on all (p + 1) p ordered pairs, so its

@@ -234,3 +234,35 @@ def bongartz_summands_by_decompose(X):
         (p for E in extensions for p in decompose(E)),
         key=lambda r: (r.total_dim, r.dims),
     )
+
+
+def order_into_exceptional_sequence(summands):
+    """Arrange pairwise non-isomorphic exceptionals into a sequence, if possible.
+
+    Puts an edge X -> Y whenever Hom(X, Y) or Ext^1(X, Y) is nonzero (X
+    must then come before Y) and sorts topologically, breaking ties by
+    smallest input index. Returns None when the constraint graph has a
+    cycle; raises when a summand is not exceptional. A topological order
+    leaves no nonzero Hom or Ext^1 from a later member to an earlier one,
+    so the result is an exceptional sequence without a further check.
+    """
+    from strata.quiver import topological_sort
+    from strata.repcat import is_exceptional, orthogonal
+
+    xs = list(summands)
+    for x in xs:
+        if not is_exceptional(x):
+            raise ValueError(
+                f"summand with dimension vector {x.dims} is not exceptional"
+            )
+    m = len(xs)
+    edges = [
+        (a, b)
+        for a in range(m)
+        for b in range(m)
+        if a != b and not orthogonal(xs[a], xs[b])
+    ]
+    order = topological_sort(m, edges)
+    if len(order) != m:
+        return None
+    return tuple(xs[i] for i in order)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from strata import cli, exceptional, repcat, strat
+from strata import cli, exceptional, perpcat, repcat, strat
 from strata.repcat import UndecidedError
 
 
@@ -424,6 +424,69 @@ def test_failed_coresolution_is_a_failed_check(tmp_path, capsys, monkeypatch):
     assert cli.main(["ringel-check", path, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["coresolution_ok"] is False and doc["pass"] is False
+
+
+def _reverse_gram_projectives(monkeypatch):
+    """Check each Bongartz presentation's Euler form with its projectives
+    reversed, which fails wherever the presented quiver has a path."""
+    real = perpcat._check_euler_gram
+    monkeypatch.setattr(
+        perpcat, "_check_euler_gram", lambda quiver, ps: real(quiver, tuple(reversed(ps)))
+    )
+    # the presentation memo may hold the presentations of earlier tests
+    monkeypatch.setattr(strat, "perp_algebra", perpcat.perp_algebra.__wrapped__)
+
+
+def _assert_on_p2(monkeypatch):
+    """perp_algebra fails an internal check on P_2 = (0, 1, 1, 1) of A_4."""
+    real = strat.perp_algebra
+
+    def broken(X):
+        if X.dims == (0, 1, 1, 1):
+            raise AssertionError("broken presentation of P_2")
+        return real(X)
+
+    monkeypatch.setattr(strat, "perp_algebra", broken)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_reverse_gram_projectives, "<dim P'_"),
+    (_assert_on_p2, "broken presentation of P_2"),
+], ids=["euler-gram", "assertion"])
+def test_broken_chain_is_a_failed_check(tmp_path, capsys, monkeypatch, mutate, message):
+    """A chain that raises ValueError or AssertionError fails jh-verify with
+    exit 1 and one warning naming its sequence; the other chains stay, and
+    the report has the keys of a passing one."""
+    path = write(tmp_path, "a4.quiver", A4)
+    assert cli.main(["jh-verify", path, "--json"]) == 0
+    keys = set(json.loads(capsys.readouterr().out))
+    mutate(monkeypatch)
+    assert cli.main(["jh-verify", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert set(doc) == keys
+    assert doc["warnings"]
+    assert doc["chains"]
+    assert len(doc["chains"]) + len(doc["warnings"]) == doc["sequence_count"] == 125
+    for w in doc["warnings"]:
+        index, text = w.split(": ", 1)
+        assert index.startswith("sequence ") and 1 <= int(index[9:]) <= 125
+        assert text.startswith(message)
+    assert cli.main(["jh-verify", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "warning: sequence " in out
+
+
+def test_undecided_chain_exits_3(tmp_path, capsys, monkeypatch):
+    def undecided(X):
+        raise UndecidedError("no split and no certificate")
+
+    monkeypatch.setattr(strat, "perp_algebra", undecided)
+    path = write(tmp_path, "a4.quiver", A4)
+    assert cli.main(["jh-verify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("undecided:")
 
 
 def test_hash_ignores_comments_and_whitespace(tmp_path):

@@ -23,12 +23,15 @@ from strata.exceptional import (
     is_exceptional_sequence,
     is_tilting_module,
     left_mutation,
-    order_into_exceptional_sequence,
     right_mutation,
     tilting_coresolution,
 )
 
-from helpers import complete_sequences_by_lists, interval_rep
+from helpers import (
+    complete_sequences_by_lists,
+    interval_rep,
+    order_into_exceptional_sequence,
+)
 
 
 A2 = linear_quiver(2)

@@ -375,3 +375,32 @@ def test_checker_finds_second_eliminations():
 def test_kernels_and_cokernels_eliminate_once_per_vertex():
     refs = _second_elimination_refs((PACKAGE / "repcat.py").read_text())
     assert refs == {"_kernel": [], "_cokernel": []}
+
+
+def _absolute_imports(source: str):
+    """Top-level names of the modules source imports with an absolute import."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_checker_finds_absolute_imports():
+    source = (
+        "import os.path as osp\nfrom random import Random\nfrom .repcat import random\n"
+        "def f():\n    import json\n"
+    )
+    assert _absolute_imports(source) == {"os", "random", "json"}
+
+
+def test_only_decompose_draws_at_random():
+    """Stratification trees are enumerated, not drawn; only decompose's
+    candidate draws in repcat still consume a seed."""
+    users = [
+        p.name for p in sorted(PACKAGE.glob("*.py"))
+        if "random" in _absolute_imports(p.read_text())
+    ]
+    assert users == ["repcat.py"]

@@ -8,7 +8,6 @@ from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import direct_sum, projective, simple
 from strata.exceptional import (
     enumerate_complete_exceptional_sequences,
-    order_into_exceptional_sequence,
     tilting_coresolution,
 )
 from strata.perpcat import perp_algebra
@@ -18,18 +17,17 @@ from strata.strat import (
     FactorDescriptor,
     Leaf,
     Node,
-    assemble_tree,
     endo_rings_of_simples,
     flatten_to_chain,
-    is_derived_simple,
     kronecker_demo,
     standard_stratification,
+    stratification_trees,
     stratify_along_sequence,
     verify_jordan_holder,
     verify_ringel_tilting,
 )
 
-from helpers import interval_rep
+from helpers import interval_rep, order_into_exceptional_sequence
 
 
 A2 = linear_quiver(2)
@@ -167,7 +165,11 @@ def test_stratify_rejects_non_sequence():
         stratify_along_sequence(A2, [simple(A2, QQ, 2), simple(A2, QQ, 1)])
 
 
-@pytest.mark.parametrize("build", [stratify_along_sequence, assemble_tree])
+@pytest.mark.parametrize(
+    "build",
+    [stratify_along_sequence, lambda q, s: list(stratification_trees(q, s))],
+    ids=["stratify_along_sequence", "stratification_trees"],
+)
 def test_non_sequence_error_numbers_members_by_position(build):
     with pytest.raises(ValueError, match="member 1 is not left-perpendicular to member 2"):
         build(A2, [simple(A2, QQ, 2), simple(A2, QQ, 1)])
@@ -267,12 +269,6 @@ def test_tilting_checks_decompose_t_once(monkeypatch):
     seen.clear()
     assert verify_ringel_tilting(A3, t)["pass"] is True
     assert sum(M is t for M in seen) == 1
-
-
-def test_is_derived_simple():
-    assert is_derived_simple(ONE)
-    assert not is_derived_simple(A2)
-    assert not is_derived_simple(KR)
 
 
 def test_kronecker_demo_five():
@@ -416,33 +412,39 @@ def test_flatten_checks_each_cut():
 @pytest.mark.parametrize("index", [8, 18, 34, 50, 111])
 def test_assemble_skips_non_hereditary_cuts(index):
     """These A_4 sequences have a rigid suffix whose Hom category has a zero
-    relation; seed 1 used to draw it as a cut and crash."""
-    seq = enumerate_complete_exceptional_sequences(linear_quiver(4), QQ, 4)[index]
-    tree = assemble_tree(linear_quiver(4), seq, seed=1)
-    chain = flatten_to_chain(tree)
-    assert list(chain.factor_dims()) == [1, 1, 1, 1]
-    assert [f.division_ring_dim for f in tree.leaf_factors()] == [1, 1, 1, 1]
+    relation; no tree may cut along it."""
+    seq = enumerate_complete_exceptional_sequences(A4, QQ, 4)[index]
+    trees = list(stratification_trees(A4, seq))
+    assert trees
+    for tree in trees:
+        chain = flatten_to_chain(tree)
+        assert list(chain.factor_dims()) == [1, 1, 1, 1]
+        assert [f.division_ring_dim for f in tree.leaf_factors()] == [1, 1, 1, 1]
+
+
+def _shape(t):
+    if isinstance(t, Leaf):
+        return ("leaf", t.factor.division_ring_dim)
+    return ("node", tuple(x.dims for x in t.cut), _shape(t.left), _shape(t.right))
 
 
 def test_assemble_tree_is_deterministic():
-    seqs = enumerate_complete_exceptional_sequences(A3, QQ, 3)
-
-    def shape(t):
-        if isinstance(t, Leaf):
-            return ("leaf", t.factor.division_ring_dim)
-        return ("node", [x.dims for x in t.cut], shape(t.left), shape(t.right))
-
-    a = assemble_tree(A3, seqs[5], seed=2)
-    b = assemble_tree(A3, seqs[5], seed=2)
-    assert shape(a) == shape(b)
+    """Two runs yield the same trees in the same order, no tree twice, with
+    the top cuts by length ascending."""
+    for s in enumerate_complete_exceptional_sequences(A3, QQ, 3):
+        a = [_shape(t) for t in stratification_trees(A3, s)]
+        b = [_shape(t) for t in stratification_trees(A3, s)]
+        assert a == b
+        assert len(set(a)) == len(a)
+        widths = [len(shape[1]) for shape in a]
+        assert widths == sorted(widths)
 
 
 def test_assemble_and_flatten_all_a3_sequences():
     seqs = enumerate_complete_exceptional_sequences(A3, QQ, 3)
     assert len(seqs) == 16
     for s in seqs:
-        for seed in (0, 3):
-            tree = assemble_tree(A3, s, seed=seed)
+        for tree in stratification_trees(A3, s):
             chain = flatten_to_chain(tree)
             assert chain.length == 3
             assert sorted(chain.factor_dims()) == [1, 1, 1]
@@ -455,10 +457,10 @@ def test_assemble_produces_multi_summand_cuts():
     ivs = [interval_rep(QQ, 3, 1, 1), interval_rep(QQ, 3, 1, 2),
            interval_rep(QQ, 3, 1, 3)]
     tilt = order_into_exceptional_sequence(ivs)
+    trees = list(stratification_trees(A3, tilt))
+    assert {tree.cut for tree in trees} == {tilt[1:], tilt[2:]}
     widths = set()
-    for seed in range(8):
-        tree = assemble_tree(A3, tilt, seed=seed)
-        assert tree.cut in (tilt[1:], tilt[2:])
+    for tree in trees:
         node = tree
         while isinstance(node, Node):
             widths.add(len(node.cut))
@@ -472,9 +474,24 @@ def test_flatten_matches_direct_stratification():
     seqs = enumerate_complete_exceptional_sequences(KR, QQ, 3)
     for s in seqs:
         direct = stratify_along_sequence(KR, s)
-        flat = flatten_to_chain(assemble_tree(KR, s, seed=1))
-        assert sorted(flat.factor_dims()) == sorted(direct.factor_dims())
-        assert flat.length == direct.length
+        for tree in stratification_trees(KR, s):
+            flat = flatten_to_chain(tree)
+            assert sorted(flat.factor_dims()) == sorted(direct.factor_dims())
+            assert flat.length == direct.length
+
+
+@pytest.mark.parametrize("q,field,bound,total", [(A4, QQ, 4, 445), (D4, GF(3), 5, 594),
+                                                 (KR, QQ, 5, 5)],
+                         ids=["A4", "D4-F3", "Kronecker"])
+def test_every_tree_flattens_back_to_its_sequence(q, field, bound, total):
+    """Replaying every tree's cuts, lifts and peels gives the sequence back,
+    dimension vector for dimension vector."""
+    trees = 0
+    for s in enumerate_complete_exceptional_sequences(q, field, bound):
+        for tree in stratification_trees(q, s):
+            trees += 1
+            assert [x.dims for x in strat._flatten_seq(tree, field)] == [x.dims for x in s]
+    assert trees == total
 
 
 def test_chain_report_schema():
