@@ -12,7 +12,10 @@ Enumeration closes the simples under mutation of exceptional pairs, up to a
 total-dimension bound. It is deterministic and complete: by Ringel
 (Exceptional modules are tree modules, 1998) every non-simple exceptional
 module is reached from an exceptional pair of smaller dimension by
-mutations of increasing dimension.
+mutations of increasing dimension. `_closure` keeps one closure per
+(quiver, field) for the life of the process, at the largest bound asked
+for, and answers smaller bounds by filtering it; the sequence enumeration
+and the isotypic Bongartz parts of `perpcat` read it.
 """
 
 from __future__ import annotations
@@ -249,17 +252,41 @@ def enumerate_exceptional(
     return EnumerationResult(tuple(members))
 
 
+# (quiver, field) -> (bound, members) for the largest bound asked so far;
+# kept for the life of the process, like the memos of `repcat` and `perpcat`
+_CLOSURES = {}
+
+
+def _closure(quiver: Quiver, field: Field, bound: int) -> tuple:
+    """`enumerate_exceptional(quiver, field, bound).reps`, served from one
+    memo per (quiver, field).
+
+    The memo keeps the closure at the largest bound computed. A smaller
+    bound is answered by filtering it by total dimension, which gives the
+    same dimension vectors as a fresh closure because the closure is
+    complete up to its bound (the modules may be other representatives of
+    the same isomorphism classes). A larger bound builds the closure again.
+    """
+    held = _CLOSURES.get((quiver, field))
+    if held is None or held[0] < bound:
+        held = bound, enumerate_exceptional(quiver, field, bound).reps
+        _CLOSURES[quiver, field] = held
+    top, reps = held
+    return reps if top == bound else tuple(r for r in reps if r.total_dim <= bound)
+
+
 def enumerate_complete_exceptional_sequences(quiver: Quiver, field: Field, bound: int):
     """All complete exceptional sequences with members from the enumeration.
 
     Depth-first over the listed exceptionals with a precomputed pair table;
     output is lexicographic in enumeration indices, so the order is fixed.
+    The members come from `_closure`, the memo that `perpcat` also reads.
     The table is one bitmask per member: bit j of after[i] is set when
     reps[j] may follow reps[i], that is when it is orthogonal to it. The
     members that may extend a prefix are the AND of its members' masks,
     tried in increasing index order.
     """
-    reps = list(enumerate_exceptional(quiver, field, bound).reps)
+    reps = _closure(quiver, field, bound)
     m = len(reps)
     n = quiver.n
     after = [

@@ -22,19 +22,27 @@ summands with an intertwiner for each arrow, and modules travel through
 the Hom functor and the cokernel of a lifted projective presentation. M
 is rigid, so each of its parts E_v has dim End(E_v) equal to the Euler
 form <dim E_v, dim E_v>; a part where that form is 1 is indecomposable as
-it stands. The other parts are decomposed only until n - 1 distinct
-summands are known, and each part left over is certified to lie in their
-additive closure without decomposing it: it is rigid and its dimension
-vector is a nonnegative integer combination of theirs, and a rigid module
-is determined by its dimension vector (Kac 1980; Happel-Ringel 1982).
-That certificate needs the summands pairwise Ext-orthogonal, which the
-count of n - 1, the Hom category's path-count check and the Euler form of
-the presented projectives together certify.
+it stands. A part of dimension vector m d with m >= 2 and <d, d> = 1 is
+isotypic: one Hom(X, E_v) system certifies E_v = X^m (`repcat._isotypic`)
+for X the summand of dims d found already or, failing that, the
+exceptional module of dims d from the mutation closure of `exceptional`,
+whose budget is the bound |d| = sum of d. The rest are decomposed only
+until n - 1 distinct summands are known, and each part left over is
+certified to lie in their additive closure without decomposing it: it is
+rigid and its dimension vector is a nonnegative integer combination of
+theirs, and a rigid module is determined by its dimension vector (Kac
+1980; Happel-Ringel 1982). That certificate needs the summands pairwise
+Ext-orthogonal, which the count of n - 1, the Hom category's path-count
+check and the Euler form of the presented projectives together certify.
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` memoize
 their results (which are immutable) and keep every one for the life of the
 process. Exceptions are not memoized: a bad input raises on every call.
+The other process-lifetime memos are `repcat._hom_rank`, one Hom-system
+rank per pair of modules, and `exceptional._closure`, one mutation
+closure per (quiver, field) at the largest bound asked for, which the
+sequence enumeration and the isotypic parts here share.
 """
 
 from __future__ import annotations
@@ -42,8 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from math import gcd
 
 from .exactlin import Mat
+from .exceptional import _closure
 from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
@@ -51,6 +61,7 @@ from .repcat import (
     _cokernel,
     _hom_rank,
     _in_add,
+    _isotypic,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
@@ -243,6 +254,34 @@ def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
     return Rep(q, f, dims, maps)
 
 
+def _isotypic_split(E: Rep, known):
+    """[X] * m when dim E = m d with d primitive and <d, d> = 1, else None.
+
+    X is the summand of dims d in known, a {dims: summand} dict, or failing
+    that the exceptional module of dims d from the mutation closure of
+    `exceptional` (`_closure`, bound |d| = sum of d); None also when no
+    exceptional module has dims d. Raises AssertionError when
+    `repcat._isotypic(X, E)` fails: E is rigid, and a rigid module is
+    determined by its dimension vector, so only a broken E is not X^m.
+    """
+    q = E.quiver
+    m = gcd(*E.dims)
+    d = tuple(x // m for x in E.dims)
+    if q.euler_form(d, d) != 1:
+        return None
+    X = known.get(d) or next(
+        (r for r in _closure(q, E.field, sum(d)) if r.dims == d), None
+    )
+    if X is None:
+        return None
+    if not _isotypic(X, E):
+        raise AssertionError(
+            f"Bongartz part of dimension {E.dims} is not {m} copies of the "
+            f"exceptional module of dimension {d}"
+        )
+    return [X] * m
+
+
 def _complement_summands(extensions):
     """The distinct indecomposable summands of the Bongartz parts, sorted as
     `decompose` sorts.
@@ -250,10 +289,13 @@ def _complement_summands(extensions):
     The Bongartz complement M is rigid with exactly n - 1 distinct
     summands (M (+) X is tilting), so the parts need not all be decomposed.
     A part E with <dim E, dim E> = 1 has dim End(E) = 1 (E is rigid, so
-    dim End(E) is that Euler form) and is a summand as it stands. The other
-    parts are decomposed, smallest (total_dim, dims) first, only until
-    n - 1 distinct dimension vectors are known. Every part left over must
-    pass `repcat._in_add` against the summands found: it is rigid and
+    dim End(E) is that Euler form) and is a summand as it stands. Next,
+    each part of dims m d with m >= 2 and <d, d> = 1, where an exceptional
+    X of dims d exists, is certified by `_isotypic_split` to be m copies of
+    X, with one Hom(X, E) system and no decomposition. The other parts are
+    decomposed, smallest (total_dim, dims) first, only until n - 1
+    distinct dimension vectors are known. Every part left over must pass
+    `repcat._in_add` against the summands found: it is rigid and
     dim E = sum_d m_d dim d with integers m_d >= 0, so E = (+)_d d^{m_d},
     because a rigid module is determined by its dimension vector (Kac,
     1980; Happel-Ringel, 1982). That needs the found summands pairwise
@@ -261,22 +303,30 @@ def _complement_summands(extensions):
     them, dim Hom between them equal to path counts of a quiver
     (`hom_category_presentation`), and the Euler form equal to the same
     path counts (`_check_euler_gram`), so every Ext^1 among them vanishes.
-    Raises AssertionError when a part left over fails the certificate.
+    Raises AssertionError when a part fails its certificate.
     """
     q = extensions[0].quiver
     found = {}
+    known = {}
     rest = []
     for v, E in enumerate(extensions):
         if q.euler_form(E.dims, E.dims) == 1:
             found[v] = [E]
+            known.setdefault(E.dims, E)
         else:
             rest.append(v)
     rest.sort(key=lambda v: (extensions[v].total_dim, extensions[v].dims))
-    known = {ps[0].dims for ps in found.values()}
+    for v in list(rest):
+        split = _isotypic_split(extensions[v], known)
+        if split is not None:
+            found[v] = split
+            known.setdefault(split[0].dims, split[0])
+            rest.remove(v)
     while rest and len(known) < q.n - 1:
         v = rest.pop(0)
         found[v] = decompose(extensions[v])
-        known.update(p.dims for p in found[v])
+        for p in found[v]:
+            known.setdefault(p.dims, p)
     parts = [p for v in sorted(found) for p in found[v]]
     parts.sort(key=lambda r: (r.total_dim, r.dims))
     distinct = distinct_summands(parts)
@@ -301,13 +351,14 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     projectives are extended by zero to q. Otherwise the distinct summands
     of the Bongartz complement are the projectives, with the quiver and the
     radical generators read off their Hom category. `_complement_summands`
-    decomposes only as many Bongartz parts as it takes to find n - 1
-    distinct summands and certifies the rest in their additive closure;
-    the summand count, the path-count check of the Hom category and the
-    projectives' Euler form (`_check_euler_gram`) then certify the summands
-    pairwise Ext-orthogonal, which that certificate assumes. Either way the
-    algebra has exactly n - 1 vertices. Equal inputs get the same
-    presentation object back.
+    certifies each isotypic Bongartz part to be X^m by one Hom(X, E)
+    system, decomposes only as many of the other parts as it takes to find
+    n - 1 distinct summands, and certifies the rest in their additive
+    closure; the summand count, the path-count check of the Hom category
+    and the projectives' Euler form (`_check_euler_gram`) then certify the
+    summands pairwise Ext-orthogonal, which that certificate assumes.
+    Either way the algebra has exactly n - 1 vertices. Equal inputs get the
+    same presentation object back.
     """
     rows, cols, rank = _hom_rank(X, X)
     # Ext^1(X, X) is rows - rank and End(X) is cols - rank, as in is_exceptional

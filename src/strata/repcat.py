@@ -56,6 +56,8 @@ A rigid module lies in the additive closure of known pairwise
 Ext-orthogonal summands exactly when its dimension vector is a nonnegative
 integer combination of theirs (`_in_add`), so `perpcat` and the tilting
 certificate of `exceptional` place modules there without decomposing them.
+A module E is shown to be X^m by one Hom(X, E) system (`_isotypic`): its
+m basis maps assemble into a map X^m -> E bijective at every vertex.
 
 Isomorphism is decided by Krull-Schmidt: decompose both sides and match
 indecomposable summands, which is exact because their endomorphism rings
@@ -1053,6 +1055,25 @@ def _in_add(M: Rep, summands) -> bool:
     D = Mat(QQ, n, len(summands), [d.dims[v] for v in range(n) for d in summands])
     m = D.solve(Mat.column(QQ, M.dims))
     return m is not None and all(x >= 0 and x.denominator == 1 for x in m.entries)
+
+
+def _isotypic(X: Rep, E: Rep) -> bool:
+    """True when E = X^m, shown by one Hom(X, E) system.
+
+    A basis f_1, ..., f_r of Hom(X, E) assembles into the morphism
+    [f_1 ... f_r]: X^r -> E. When it is bijective at every vertex it is an
+    isomorphism; its blocks are then square, so dim E = r dim X and r is
+    the m of dim E = m dim X: a basis one map short or long fails. The
+    converse holds when End(X) is the ground field: Hom(X, X^m) has
+    dimension m, and the assembled basis is an invertible scalar matrix
+    times id_X. No rigidity theorem is used and no (E, E) system is built;
+    the cost is one Hom system with m sum_v (dim X_v)^2 unknowns.
+    """
+    maps = hom_space(X, E)
+    return bool(maps) and all(
+        reduce(Mat.hstack, [g.block(v) for g in maps]).is_invertible()
+        for v in X.quiver.vertices()
+    )
 
 
 # --- isomorphism testing ---

@@ -355,6 +355,9 @@ CLI_GOLDENS = [
      "a4d761ec52f1b89def78944e98ccbb6166de102b026a16538b129bfba98eefca"),
     ("jh-verify-kr", "jh-verify", KRONECKER, ["--bound", "5"],
      "ce51b58fb3e28112fc62840fd5b8dfa245bd5fbd5fd7b792b3689ebd22c80d29"),
+    # 15 sequences; every Bongartz part is isotypic, certified by Hom(X, E)
+    ("jh-verify-kr15", "jh-verify", KRONECKER, ["--bound", "15"],
+     "96811ef3072ebd36ed46eb868a955c56684802a5609f13eb6ea25a5542af2094"),
     # 2048 sequences: pins the sequence search and the chains on a larger set
     ("jh-verify-d5", "jh-verify", D5, ["--prime", "3", "--bound", "7"],
      "35d4aefc2ca36e8ff866bf2f0970351b9b3603d038ec938046c73dbe322b801d"),

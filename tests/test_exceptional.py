@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from strata import exceptional
 from strata.exactlin import GF, QQ, Mat
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import (
@@ -160,6 +161,60 @@ def test_enumerate_is_deterministic():
     b = enumerate_exceptional(A3, QQ, 3)
     assert [r.dims for r in a.reps] == [r.dims for r in b.reps]
     assert all(x.maps == y.maps for x, y in zip(a.reps, b.reps))
+
+
+W3 = quiver(3, (1, 2), (1, 2), (2, 3), (2, 3))
+
+
+@pytest.mark.parametrize("q,field,small,big", [
+    (KR, QQ, 5, 15),
+    (D4, GF(3), 4, 7),
+    (W3, QQ, 4, 7),
+], ids=["Kronecker", "D4-F3", "wild"])
+def test_closure_memo_answers_smaller_bounds_by_filtering(monkeypatch, q, field, small, big):
+    """One closure per (quiver, field), at the largest bound asked for: a
+    smaller bound lists the dimension vectors of a fresh enumeration, and a
+    larger one builds the closure again."""
+    monkeypatch.setattr(exceptional, "_CLOSURES", {})
+    builds = []
+    fresh = exceptional.enumerate_exceptional
+
+    def counting(*args):
+        builds.append(args[2])
+        return fresh(*args)
+
+    monkeypatch.setattr(exceptional, "enumerate_exceptional", counting)
+    held = exceptional._closure(q, field, big)
+    assert exceptional._closure(q, field, big) is held
+    for bound in (small, 1, 0):
+        got = exceptional._closure(q, field, bound)
+        assert [r.dims for r in got] == [r.dims for r in fresh(q, field, bound).reps]
+    assert builds == [big]
+    larger = exceptional._closure(q, field, big + 2)
+    assert [r.dims for r in larger] == [r.dims for r in fresh(q, field, big + 2).reps]
+    assert builds == [big, big + 2]
+    assert exceptional._CLOSURES[q, field] == (big + 2, larger)
+
+
+def test_kronecker_jh_verify_builds_the_closure_once(monkeypatch):
+    """The sequence search and every isotypic Bongartz part of one
+    Kronecker jh-verify at bound 5 read one closure."""
+    from strata import perpcat, strat
+
+    monkeypatch.setattr(exceptional, "_CLOSURES", {})
+    perpcat.perp_algebra.cache_clear()
+    perpcat.transport_into_perp.cache_clear()
+    builds = []
+    requests = []
+    fresh = exceptional.enumerate_exceptional
+    closure = perpcat._closure
+    monkeypatch.setattr(exceptional, "enumerate_exceptional",
+                        lambda *a: builds.append(a) or fresh(*a))
+    monkeypatch.setattr(perpcat, "_closure", lambda *a: requests.append(a) or closure(*a))
+    report = strat.verify_jordan_holder(KR, 5)
+    assert report["pass"] and report["sequence_count"] == 5
+    assert builds == [(KR, QQ, 5)]
+    assert requests and all(a[:2] == (KR, QQ) and a[2] <= 5 for a in requests)
 
 
 def test_sequences_a2():

@@ -278,47 +278,58 @@ def test_euler_form_rule_matches_decomposing_every_part(q, field, bound):
 
 
 def test_parts_taken_whole_are_rejected(monkeypatch):
-    """Were every decomposed Bongartz part taken whole, each Kronecker
-    exceptional with no part of Euler form 1 (the only ones that still
-    reach `decompose`) must raise, not present a wrong algebra."""
+    """Were every Bongartz part that the isotypic certificate splits taken
+    whole instead, each non-projective Kronecker exceptional must raise, not
+    present a wrong algebra. Every part there of Euler form other than 1
+    is isotypic, so none reaches `decompose`."""
     from strata.exceptional import enumerate_exceptional
 
-    calls = []
-    monkeypatch.setattr(perpcat, "decompose", lambda E: calls.append(E) or [E])
+    decomposed = []
+    whole = []
+    split = perpcat._isotypic_split
+
+    def taken_whole(E, known):
+        if split(E, known) is None:
+            return None
+        whole.append(E)
+        return [E]
+
+    monkeypatch.setattr(perpcat, "decompose", lambda E: decomposed.append(E) or [E])
+    monkeypatch.setattr(perpcat, "_isotypic_split", taken_whole)
     failed = 0
     for x in enumerate_exceptional(KR, QQ, 7).reps:
         if perpcat._deleted_vertex(x) is not None:
             continue
-        _, extensions = perpcat._bongartz_parts(x)
-        calls.clear()
-        if any(KR.euler_form(E.dims, E.dims) == 1 for E in extensions):
+        whole.clear()
+        with pytest.raises(AssertionError, match="2 distinct summands, want 1"):
             perp_algebra.__wrapped__(x)
-            assert not calls
-            continue
-        with pytest.raises((AssertionError, ValueError)):
-            perp_algebra.__wrapped__(x)
-        assert calls
+        assert whole
         failed += 1
-    assert failed == 4
+    assert failed == 6 and not decomposed
 
 
 def test_non_rigid_left_over_part_is_rejected():
-    """A part left undecomposed must be rigid, even when its dimension
-    vector is a nonnegative integer combination of the summands found."""
+    """A part left undecomposed must be X^m, even when its dimension vector
+    is m dim X: the non-rigid R_0 (+) P_1 (+) S_2 fails the isotypic
+    certificate against P_1."""
     p1 = projective(KR, QQ, 1)
     rigid = direct_sum([p1, p1])
     non_rigid = direct_sum([kronecker_regular(QQ, 0), p1, simple(KR, QQ, 2)])
     assert non_rigid.dims == rigid.dims == (2, 4) and ext1_dim(non_rigid, non_rigid)
     assert perpcat._complement_summands([rigid, p1]) == [p1]
-    with pytest.raises(AssertionError, match="not in add"):
+    with pytest.raises(AssertionError, match="not 2 copies"):
         perpcat._complement_summands([non_rigid, p1])
 
 
-@pytest.mark.parametrize("q,field,dims", [(KR, QQ, (2, 3)), (D4, GF(3), (0, 1, 1, 1))],
+@pytest.mark.parametrize("q,field,dims,isotypic",
+                         [(KR, QQ, (2, 3), True), (D4, GF(3), (0, 1, 1, 1), False)],
                          ids=["Kronecker", "D4-F3"])
-def test_dropped_summand_fails_the_add_certificate(monkeypatch, q, field, dims):
+def test_dropped_summand_fails_the_add_certificate(monkeypatch, q, field, dims, isotypic):
     """With the first summand found dropped before the check, the part left
-    over is no nonnegative integer combination of the others."""
+    over is no nonnegative integer combination of the others. The
+    Kronecker part (2, 4) is isotypic, so there the summand (1, 2) is also
+    hidden from the isotypic certificate, in the summands found and in the
+    mutation closure: the certificate declines, and `_in_add` rejects."""
     from strata.exceptional import enumerate_exceptional
 
     x = next(r for r in enumerate_exceptional(q, field, sum(dims)).reps if r.dims == dims)
@@ -331,9 +342,26 @@ def test_dropped_summand_fails_the_add_certificate(monkeypatch, q, field, dims):
         return in_add(E, summands[1:])
 
     monkeypatch.setattr(perpcat, "_in_add", drop_first)
+    if isotypic:
+        split = perpcat._isotypic_split
+        closure = perpcat._closure
+        declined = []
+
+        def hide_first(E, known):
+            first = next(iter(known))
+            out = split(E, {d: X for d, X in known.items() if d != first})
+            declined.append((first, out))
+            return out
+
+        monkeypatch.setattr(perpcat, "_isotypic_split", hide_first)
+        monkeypatch.setattr(
+            perpcat, "_closure", lambda *a: [r for r in closure(*a) if r.dims != (1, 2)]
+        )
     with pytest.raises(AssertionError, match="not in add"):
         perp_algebra.__wrapped__(x)
     assert checked
+    if isotypic:
+        assert declined == [((1, 2), None)]
 
 
 def test_euler_gram_rejects_a_wrong_presentation():

@@ -611,6 +611,58 @@ def test_add_certificate_needs_rigidity_and_a_nonnegative_integer_combination():
     assert not repcat._in_add(direct_sum([s1, s2]), [p1])
 
 
+def test_isotypic_certificate_accepts_powers_under_a_hostile_base_change():
+    from strata.exceptional import enumerate_exceptional
+
+    rng = random.Random(26)
+    p1 = projective(K2, QQ, 1)
+    x = next(r for r in enumerate_exceptional(K2, QQ, 7).reps if r.dims == (4, 3))
+    for base in (p1, x):
+        cube = conjugate_rep(rng, direct_sum([base] * 3), span=40)
+        assert cube.maps != direct_sum([base] * 3).maps
+        assert repcat._isotypic(base, cube)
+        assert repcat._isotypic(conjugate_rep(rng, base, span=40), cube)
+    assert repcat._isotypic(p1, p1)
+
+
+def test_isotypic_certificate_rejects_a_non_rigid_module_of_the_right_dims():
+    """R_0 (+) P_1 (+) S_2 has dims (2, 4) = 2 dim P_1 and two maps from P_1,
+    but at vertex 2 they miss S_2: the assembly is not bijective there."""
+    p1 = projective(K2, QQ, 1)
+    r0 = Rep(K2, QQ, (1, 1), {"a": Mat(QQ, 1, 1, [1]), "b": Mat(QQ, 1, 1, [0])})
+    non_rigid = direct_sum([r0, p1, simple(K2, QQ, 2)])
+    assert non_rigid.dims == (2, 4) and ext1_dim(non_rigid, non_rigid)
+    assert len(hom_space(p1, non_rigid)) == 2
+    assert not repcat._isotypic(p1, non_rigid)
+
+
+def test_isotypic_certificate_rejects_other_dims():
+    p1, s2 = projective(K2, QQ, 1), simple(K2, QQ, 2)
+    assert not repcat._isotypic(p1, direct_sum([p1, s2]))
+    assert not repcat._isotypic(p1, s2)
+    assert not repcat._isotypic(zero_rep(K2, QQ), zero_rep(K2, QQ))
+
+
+def test_isotypic_certificate_needs_exactly_m_hom_basis_maps(monkeypatch):
+    p1 = projective(K2, QQ, 1)
+    square = direct_sum([p1, p1])
+    assert repcat._isotypic(p1, square)
+    full = repcat.hom_space
+    monkeypatch.setattr(repcat, "hom_space", lambda X, E: full(X, E)[:-1])
+    assert not repcat._isotypic(p1, square)
+    monkeypatch.setattr(repcat, "hom_space", lambda X, E: full(X, E) + full(X, E)[:1])
+    assert not repcat._isotypic(p1, square)
+
+
+def test_isotypic_certificate_needs_a_bijective_assembly(monkeypatch):
+    """m maps that span less than Hom(X, E): the first basis map twice."""
+    p1 = projective(K2, QQ, 1)
+    square = direct_sum([p1, p1])
+    full = repcat.hom_space
+    monkeypatch.setattr(repcat, "hom_space", lambda X, E: full(X, E)[:1] * 2)
+    assert not repcat._isotypic(p1, square)
+
+
 def test_decompose_indecomposable_with_nilpotent_end():
     jordan = Rep(
         K2,
