@@ -1,14 +1,15 @@
 """Command-line interface: parse quiver files, compute, report.
 
 One verb per public operation. Exit status encodes the outcome: 0 for
-success or a passing verification, 1 for a failed mathematical check, 2
-for usage and parse errors (parse messages cite line numbers), 3 when
-`decompose` could not settle a split.
+success or a passing verification, 1 for a failed mathematical check (an
+internal certificate that fails prints `error: ...`), 2 for usage and
+parse errors (parse messages cite line numbers), 3 when `decompose` could
+not settle a split.
 
 Reports embed a hash of the canonicalized input (comments and whitespace
 do not affect it) and echo the seed, and the machine-readable output is
 byte-identical across runs. The seed only drives the candidate draws of
-`decompose` and `bongartz`; enumeration is deterministic.
+the `decompose` verb; every other verb is deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .exceptional import (
     enumerate_complete_exceptional_sequences,
     enumerate_exceptional,
 )
-from .perpcat import bongartz_complement, perp_algebra
+from .perpcat import _bongartz_parts, _complement_summands, perp_algebra
 from .strat import (
     KRONECKER_DEMO_MAX_PRIME,
     endo_rings_of_simples,
@@ -222,14 +223,15 @@ def _run(args):
 
     if verb == "bongartz":
         _need_reps(reps, 1, verb)
-        m = bongartz_complement(reps[0])
-        parts = decompose(m, seed=args.seed)
+        extensions = _bongartz_parts(reps[0])
+        parts = _complement_summands(extensions)
+        dims = tuple(map(sum, zip(*(E.dims for E in extensions))))
         report = {
             **base,
-            "complement_dims": list(m.dims),
+            "complement_dims": list(dims),
             "summands": [list(p.dims) for p in parts],
         }
-        lines = head + [f"complement dim {tuple(m.dims)}"]
+        lines = head + [f"complement dim {dims}"]
         lines += [f"  summand dim {tuple(p.dims)}" for p in parts]
         return report, lines, 0
 
@@ -296,8 +298,8 @@ def main(argv=None) -> int:
     parser.add_argument("--bound", type=int, default=4,
                         help="total-dimension cap for enumeration (default 4)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the candidate draws of decompose and "
-                        "bongartz; echoed in every report (default 0)")
+                        help="seed for the candidate draws of decompose; "
+                        "echoed in every report (default 0)")
     parser.add_argument("--prime", type=int, default=None,
                         help="work over F_p instead of the file's field; p "
                         "must be a prime, so 0 is rejected; "
@@ -316,6 +318,10 @@ def main(argv=None) -> int:
         # ValueError covers ParseError and bad input met during a computation
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        # an internal certificate failed: a failed check, not a usage error
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
     if args.as_json:
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")))

@@ -28,6 +28,7 @@ from .quiver import Quiver
 from .repcat import (
     Rep,
     RepMap,
+    _assembled,
     _cokernel,
     _in_add,
     _kernel,
@@ -110,12 +111,12 @@ def _coresolution(T: Rep, distinct):
     maps = [(d, h) for d in distinct for h in hom_space(A, d)]
     if not maps:
         return None
-    blocks = [reduce(Mat.vstack, [h.block(v) for _, h in maps]) for v in q.vertices()]
+    blocks = _assembled([h for _, h in maps], Mat.vstack)
     if any(b.rank() != b.cols for b in blocks):
         return None
     T0 = direct_sum([d for d, _ in maps])
     T1 = _cokernel(RepMap(A, T0, blocks))[0]
-    return (T0, T1) if _in_add(T1, distinct) else None
+    return (T0, T1) if _in_add(T1, distinct) is not None else None
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def left_mutation(E: Rep, F: Rep) -> Rep:
     h = q.euler_form(E.dims, F.dims)
     if h > 0:
         maps = hom_space(E, F)
-        blocks = [reduce(Mat.hstack, [m.block(v) for m in maps]) for v in q.vertices()]
+        blocks = _assembled(maps, Mat.hstack)
         return _kernel_or_cokernel(RepMap(direct_sum([E] * len(maps)), F, blocks))
     if h < 0:
         return universal_extension(E, F)[1]
@@ -192,7 +193,7 @@ def right_mutation(E: Rep, F: Rep) -> Rep:
     h = q.euler_form(E.dims, F.dims)
     if h > 0:
         maps = hom_space(E, F)
-        blocks = [reduce(Mat.vstack, [m.block(v) for m in maps]) for v in q.vertices()]
+        blocks = _assembled(maps, Mat.vstack)
         return _kernel_or_cokernel(RepMap(E, direct_sum([F] * len(maps)), blocks))
     if h < 0:
         cocycles = ext1_space(E, F)

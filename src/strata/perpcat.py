@@ -19,21 +19,17 @@ extension of X against A = (+)_v P_v; `repcat` builds both) has exactly
 n - 1 distinct summands (M (+) X is tilting), the projectives of B; the
 quiver of B is read off from rad/rad^2 of the Hom category of those
 summands with an intertwiner for each arrow, and modules travel through
-the Hom functor and the cokernel of a lifted projective presentation. M
-is rigid, so each of its parts E_v has dim End(E_v) equal to the Euler
-form <dim E_v, dim E_v>; a part where that form is 1 is indecomposable as
-it stands. A part of dimension vector m d with m >= 2 and <d, d> = 1 is
-isotypic: one Hom(X, E_v) system certifies E_v = X^m (`repcat._isotypic`)
-for X the summand of dims d found already or, failing that, the
-exceptional module of dims d from the mutation closure of `exceptional`,
-whose budget is the bound |d| = sum of d. The rest are decomposed only
-until n - 1 distinct summands are known, and each part left over is
-certified to lie in their additive closure without decomposing it: it is
-rigid and its dimension vector is a nonnegative integer combination of
-theirs, and a rigid module is determined by its dimension vector (Kac
-1980; Happel-Ringel 1982). That certificate needs the summands pairwise
-Ext-orthogonal, which the count of n - 1, the Hom category's path-count
-check and the Euler form of the presented projectives together certify.
+the Hom functor and the cokernel of a lifted projective presentation.
+`_complement_summands` finds the summands of M with multiplicity, and is
+the one route to them: `perp_algebra` keeps one per dimension vector and
+the `bongartz` verb reports them all. M is rigid, so a part E_v of it
+with Euler form <dim E_v, dim E_v> = 1 = dim End(E_v) is indecomposable.
+A part of dims m d with <d, d> = 1 is certified to be X^m by one
+Hom(X, E_v) system (`repcat._isotypic`), X the exceptional module of
+dims d. The rest are decomposed only until n - 1 distinct summands are
+known, and each part left over is placed in their additive closure
+without decomposing it (`repcat._in_add`), because a rigid module is
+determined by its dimension vector (Kac 1980; Happel-Ringel 1982).
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` memoize
@@ -67,7 +63,6 @@ from .repcat import (
     direct_sum,
     distinct_summands,
     hom_space,
-    is_exceptional,
     orthogonal,
     projective,
     universal_extension,
@@ -76,31 +71,30 @@ from .repcat import (
 
 
 def _bongartz_parts(X: Rep):
-    """(c, [E_1, ..., E_n]) with E_v the universal extension of P_v by X.
+    """[E_1, ..., E_n] with E_v the universal extension of P_v by X.
 
     Ext^1(X, -) is additive, so the universal extension of X against
-    A = (+)_v P_v is the direct sum of the E_v (E_v = P_v when
-    Ext^1(X, P_v) = 0), and c = ext1_dim(X, A). Each E_v comes from the
-    checked `universal_extension`, whose checks add no Hom system: the
-    callers rank (X, X) first, and its Ext^1(X, E_v) = 0 reads the same
-    memoized rank as the check below that, when c > 0, each E_v lies in
-    the perpendicular category of X.
+    A = (+)_v P_v is the direct sum of the E_v. Raises ValueError when X
+    is not exceptional or is projective (no extensions against A). Each
+    E_v comes from the checked `universal_extension`, whose checks add no
+    Hom system: the rank of (X, X) that certifies X exceptional is
+    memoized, and its Ext^1(X, E_v) = 0 reads the same memoized rank as
+    the check below that each E_v lies in the perpendicular category of X.
     """
     q = X.quiver
-    f = X.field
-    c = 0
-    parts = []
-    for v in q.vertices():
-        cv, E = universal_extension(X, projective(q, f, v))
-        c += cv
-        parts.append(E)
-    if c > 0:
-        for E in parts:
-            if not orthogonal(X, E):
-                raise AssertionError(
-                    "Bongartz middle term escaped the perpendicular category"
-                )
-    return c, parts
+    universal = [universal_extension(X, projective(q, X.field, v)) for v in q.vertices()]
+    if not any(c for c, _ in universal):
+        raise ValueError(
+            "X is projective (no extensions against the free module); "
+            "use the vertex-deletion branch of perp_algebra"
+        )
+    parts = [E for _, E in universal]
+    for E in parts:
+        if not orthogonal(X, E):
+            raise AssertionError(
+                "Bongartz middle term escaped the perpendicular category"
+            )
+    return parts
 
 
 def bongartz_complement(X: Rep) -> Rep:
@@ -110,15 +104,7 @@ def bongartz_complement(X: Rep) -> Rep:
     defined for non-projective X (a projective X has no extensions against
     A, and its perpendicular category comes from vertex deletion instead).
     """
-    if not is_exceptional(X):
-        raise ValueError("universal extension needs an exceptional X")
-    c, parts = _bongartz_parts(X)
-    if c == 0:
-        raise ValueError(
-            "X is projective (no extensions against the free module); "
-            "use the vertex-deletion branch of perp_algebra"
-        )
-    return direct_sum(parts)
+    return direct_sum(_bongartz_parts(X))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +269,8 @@ def _isotypic_split(E: Rep, known):
 
 
 def _complement_summands(extensions):
-    """The distinct indecomposable summands of the Bongartz parts, sorted as
-    `decompose` sorts.
+    """The indecomposable summands of the Bongartz parts, with multiplicity,
+    sorted as `decompose` sorts.
 
     The Bongartz complement M is rigid with exactly n - 1 distinct
     summands (M (+) X is tilting), so the parts need not all be decomposed.
@@ -297,13 +283,21 @@ def _complement_summands(extensions):
     distinct dimension vectors are known. Every part left over must pass
     `repcat._in_add` against the summands found: it is rigid and
     dim E = sum_d m_d dim d with integers m_d >= 0, so E = (+)_d d^{m_d},
-    because a rigid module is determined by its dimension vector (Kac,
-    1980; Happel-Ringel, 1982). That needs the found summands pairwise
-    Ext-orthogonal, which `perp_algebra` certifies afterwards: n - 1 of
-    them, dim Hom between them equal to path counts of a quiver
-    (`hom_category_presentation`), and the Euler form equal to the same
-    path counts (`_check_euler_gram`), so every Ext^1 among them vanishes.
-    Raises AssertionError when a part fails its certificate.
+    whose copies join the result, because a rigid module is determined by
+    its dimension vector (Kac, 1980; Happel-Ringel, 1982). That needs the
+    found summands pairwise Ext-orthogonal, which `perp_algebra` certifies
+    afterwards: n - 1 of them, dim Hom between them equal to path counts
+    of a quiver (`hom_category_presentation`), and the Euler form equal to
+    the same path counts (`_check_euler_gram`), so every Ext^1 among them
+    vanishes. The copies for the parts left over come last among equal
+    dimension vectors, so `distinct_summands` of the result keeps a found
+    summand.
+
+    Three conditions on the dimension vectors d_i of the summands hold for
+    every rigid module: each is a real root (<d_i, d_i> = dim End = 1),
+    <d_i, d_j> = dim Hom >= 0 for distinct ones (Ext^1 vanishes between
+    them), and they add up to dim M. Raises AssertionError naming the
+    condition, or the certificate, that fails.
     """
     q = extensions[0].quiver
     found = {}
@@ -330,13 +324,49 @@ def _complement_summands(extensions):
     parts = [p for v in sorted(found) for p in found[v]]
     parts.sort(key=lambda r: (r.total_dim, r.dims))
     distinct = distinct_summands(parts)
+    for d in distinct:
+        for e in distinct:
+            form = q.euler_form(d.dims, e.dims)
+            if d is e and form != 1:
+                raise AssertionError(
+                    f"Bongartz summand of dimension {d.dims} is not a real root: "
+                    f"<d, d> = {form}"
+                )
+            if form < 0:
+                raise AssertionError(
+                    f"Bongartz summands of dimension {d.dims} and {e.dims} "
+                    f"have negative Euler form {form}"
+                )
     for v in rest:
-        if not _in_add(extensions[v], distinct):
+        m = _in_add(extensions[v], distinct)
+        if m is None:
             raise AssertionError(
                 f"Bongartz part of dimension {extensions[v].dims} is not in add "
                 "of the summands found"
             )
-    return distinct
+        parts += [d for d, k in zip(distinct, m) for _ in range(k)]
+    parts.sort(key=lambda r: (r.total_dim, r.dims))
+    total = tuple(map(sum, zip(*(p.dims for p in parts))))
+    want = tuple(map(sum, zip(*(E.dims for E in extensions))))
+    if total != want:
+        raise AssertionError(
+            f"Bongartz summands add up to dimension {total}, not to the parts' {want}"
+        )
+    return parts
+
+
+def _hom_presentation(source: Rep, branch: str, parts, **recorded):
+    """The PerpPresentation of the Hom category of parts, in their order,
+    or None when `hom_category_presentation` finds it not hereditary. The
+    parts' Euler form must give the path counts of its quiver
+    (`_check_euler_gram`); recorded holds the fields only `perp_algebra` fills.
+    """
+    presented = hom_category_presentation(parts)
+    if presented is None:
+        return None
+    quiver, gens = presented
+    _check_euler_gram(quiver, parts)
+    return PerpPresentation(source, branch, quiver, tuple(parts), gens, **recorded)
 
 
 @cache
@@ -349,16 +379,13 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     some vertex v (X is exceptional, hence determined by its dimension
     vector). Then the quiver is q with v deleted (labels inherited) and its
     projectives are extended by zero to q. Otherwise the distinct summands
-    of the Bongartz complement are the projectives, with the quiver and the
-    radical generators read off their Hom category. `_complement_summands`
-    certifies each isotypic Bongartz part to be X^m by one Hom(X, E)
-    system, decomposes only as many of the other parts as it takes to find
-    n - 1 distinct summands, and certifies the rest in their additive
-    closure; the summand count, the path-count check of the Hom category
-    and the projectives' Euler form (`_check_euler_gram`) then certify the
-    summands pairwise Ext-orthogonal, which that certificate assumes.
-    Either way the algebra has exactly n - 1 vertices. Equal inputs get the
-    same presentation object back.
+    of the Bongartz complement (`_complement_summands`) are the
+    projectives, with the quiver and the radical generators read off their
+    Hom category; the summand count, the path-count check of the Hom
+    category and the projectives' Euler form (`_check_euler_gram`) certify
+    the summands pairwise Ext-orthogonal, which `_complement_summands`
+    assumes. Either way the algebra has exactly n - 1 vertices. Equal
+    inputs get the same presentation object back.
     """
     rows, cols, rank = _hom_rank(X, X)
     # Ext^1(X, X) is rows - rank and End(X) is cols - rank, as in is_exceptional
@@ -366,6 +393,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
         raise ValueError("perpendicular algebra needs an exceptional module")
     q = X.quiver
     f = X.field
+    recorded = {"source_end_dim": cols - rank, "source_label": _source_label(q, X)}
     v = _deleted_vertex(X)
     if v is not None:
         subq = q.delete_vertex(v)
@@ -377,30 +405,18 @@ def perp_algebra(X: Rep) -> PerpPresentation:
                 _extend_by_zero(projective(subq, f, j), q, v) for j in subq.vertices()
             ),
             radical_generators=(),
-            source_end_dim=cols - rank,
-            source_label=_source_label(q, X),
+            **recorded,
         )
-    _, extensions = _bongartz_parts(X)
-    distinct = _complement_summands(extensions)
+    distinct = distinct_summands(_complement_summands(_bongartz_parts(X)))
     if len(distinct) != q.n - 1:
         raise AssertionError(
             f"Bongartz complement has {len(distinct)} distinct summands, "
             f"want {q.n - 1}"
         )
-    presented = hom_category_presentation(distinct)
-    if presented is None:
+    pres = _hom_presentation(X, "bongartz", distinct, **recorded)
+    if pres is None:
         raise AssertionError("Hom category of the Bongartz summands is not hereditary")
-    quiver, gens = presented
-    _check_euler_gram(quiver, distinct)
-    return PerpPresentation(
-        source=X,
-        branch="bongartz",
-        algebra_quiver=quiver,
-        projectives_in_ambient=tuple(distinct),
-        radical_generators=gens,
-        source_end_dim=cols - rank,
-        source_label=_source_label(q, X),
-    )
+    return pres
 
 
 def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:

@@ -1036,8 +1036,19 @@ def distinct_summands(parts):
     return out
 
 
-def _in_add(M: Rep, summands) -> bool:
-    """True when M is rigid and dim M = sum_d m_d dim d with integers m_d >= 0.
+def _assembled(maps, stack):
+    """The blocks, vertex by vertex, of [f_1 ... f_r]: X^r -> E (stack =
+    Mat.hstack) or [f_1; ...; f_r]: X -> E^r (stack = Mat.vstack) for the
+    maps f_i: X -> E, of which there must be at least one."""
+    return [
+        reduce(stack, [f.block(v) for f in maps])
+        for v in maps[0].source.quiver.vertices()
+    ]
+
+
+def _in_add(M: Rep, summands):
+    """The multiplicities (m_d), parallel to summands, when M is rigid and
+    dim M = sum_d m_d dim d with integers m_d >= 0; else None.
 
     For pairwise Ext-orthogonal indecomposable rigid summands d (the
     summands of one rigid module) this certifies M = (+)_d d^{m_d} without
@@ -1047,14 +1058,16 @@ def _in_add(M: Rep, summands) -> bool:
     rigid with the dimension vector of M. The dim d are linearly
     independent (Happel-Ringel, 1982), so one solve finds the only
     candidate m. The caller vouches for the summands; nothing here checks
-    them.
+    them. With no summands the answer for the zero module is (), not None.
     """
     if ext1_dim(M, M) != 0:
-        return False
+        return None
     n = M.quiver.n
     D = Mat(QQ, n, len(summands), [d.dims[v] for v in range(n) for d in summands])
     m = D.solve(Mat.column(QQ, M.dims))
-    return m is not None and all(x >= 0 and x.denominator == 1 for x in m.entries)
+    if m is None or any(x < 0 or x.denominator != 1 for x in m.entries):
+        return None
+    return tuple(int(x) for x in m.entries)
 
 
 def _isotypic(X: Rep, E: Rep) -> bool:
@@ -1070,10 +1083,7 @@ def _isotypic(X: Rep, E: Rep) -> bool:
     the cost is one Hom system with m sum_v (dim X_v)^2 unknowns.
     """
     maps = hom_space(X, E)
-    return bool(maps) and all(
-        reduce(Mat.hstack, [g.block(v) for g in maps]).is_invertible()
-        for v in X.quiver.vertices()
-    )
+    return bool(maps) and all(b.is_invertible() for b in _assembled(maps, Mat.hstack))
 
 
 # --- isomorphism testing ---

@@ -45,9 +45,8 @@ from .exceptional import (
 )
 from .perpcat import (
     PerpPresentation,
-    _check_euler_gram,
+    _hom_presentation,
     _source_label,
-    hom_category_presentation,
     lift_from_perp,
     perp_algebra,
     transport_into_perp,
@@ -241,18 +240,10 @@ def _summand_presentation(cut: tuple) -> PerpPresentation:
         raise ValueError("cut is not an exceptional sequence")
     if not _forward_ext_free(cut):
         raise _NotACut("cut is not rigid")
-    presented = hom_category_presentation(cut)
-    if presented is None:
+    pres = _hom_presentation(direct_sum(cut), "summands", cut)
+    if pres is None:
         raise _NotACut("cut's Hom category is not hereditary")
-    cq, gens = presented
-    _check_euler_gram(cq, cut)
-    return PerpPresentation(
-        source=direct_sum(cut),
-        branch="summands",
-        algebra_quiver=cq,
-        projectives_in_ambient=cut,
-        radical_generators=gens,
-    )
+    return pres
 
 
 def _peel(seq, k):

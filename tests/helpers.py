@@ -229,9 +229,8 @@ def bongartz_summands_by_decompose(X):
     from strata.perpcat import _bongartz_parts
     from strata.repcat import decompose
 
-    _, extensions = _bongartz_parts(X)
     return sorted(
-        (p for E in extensions for p in decompose(E)),
+        (p for E in _bongartz_parts(X) for p in decompose(E)),
         key=lambda r: (r.total_dim, r.dims),
     )
 

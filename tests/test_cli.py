@@ -331,6 +331,15 @@ dims 1 0 0
 A3_S1 = A3 + "\nrep\ndims 1 0 0\n"
 KRONECKER_21 = KRONECKER + "\nrep\ndims 2 1\nmap a 1 0\nmap b 0 1\n"
 A4_INTERVAL = A4 + "\nrep\ndims 0 1 1 0\nmap b 1\n"
+# the exceptional (5, 6) of the Kronecker quiver, as
+# enumerate_exceptional(kronecker_quiver(), QQ, 11) finds it; its Bongartz
+# complement (36, 45) is 9 copies of (4, 5)
+KRONECKER_56 = KRONECKER + """
+rep
+dims 5 6
+map a 1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 1 0 0 0 0 0 0 0 1 0 0 0 -1 0
+map b 0 0 0 0 0 0 1 0 0 0 -1 0 0 0 0 0 0 0 1 0 0 0 -1 0 0 0 0 0 0 1
+"""
 # the preprojective tilting module (2,3) + (3,4) of the Kronecker quiver, as
 # enumerate_exceptional(kronecker_quiver(), QQ, 7) finds them; its T_1 has
 # dims (30, 40), so Ext^1(T_1, T_1) is a 2400 x 2500 Hom system
@@ -383,6 +392,8 @@ CLI_GOLDENS = [
      "7d03dd8b8eccfc538e6e9a17411c57cab9ea4da89afc04756572f74da582da75"),
     ("bongartz-kr-21", "bongartz", KRONECKER_21, [],
      "2dab71df5bbd951ead7219773d5bd0cb00225c31572859d8097db48f6e3ddfc6"),
+    ("bongartz-kr-56", "bongartz", KRONECKER_56, [],
+     "100964150503f3d58c10a48e4faf769716b3b99bb2c9be83016168fbcefd13bb"),
 ]
 
 
@@ -394,6 +405,70 @@ def test_json_golden(tmp_path, capsys, verb, text, flags, digest):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_bongartz_never_decomposes(tmp_path, capsys, monkeypatch):
+    """The verb reads the summands that perp_algebra certifies: on the
+    Kronecker (5, 6) no module is decomposed, whatever the seed."""
+    seen = []
+    real = repcat.decompose
+
+    def counting(M, *args, **kwargs):
+        seen.append(M.dims)
+        return real(M, *args, **kwargs)
+
+    for module in (cli, exceptional, perpcat, repcat):
+        monkeypatch.setattr(module, "decompose", counting)
+    path = write(tmp_path, "kr56.quiver", KRONECKER_56)
+    for seed in ("0", "1", "7"):
+        assert cli.main(["bongartz", path, "--json", "--seed", seed]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summands"] == [[4, 5]] * 9
+    assert seen == []
+
+
+@pytest.mark.parametrize("text,prime,bound,count", [(A4, None, 4, 6), (D4, 3, 5, 8)],
+                         ids=["A4", "D4-F3"])
+def test_bongartz_matches_decomposing_every_part(tmp_path, capsys, text, prime, bound, count):
+    """Oracle: on every non-projective exceptional the verb's summands,
+    multiplicities included, are those of decomposing every Bongartz part.
+    Projective and non-exceptional inputs are rejected with status 2."""
+    from helpers import bongartz_summands_by_decompose
+
+    flags = [] if prime is None else ["--prime", str(prime)]
+    field, quiver, _, _ = cli._load_input(write(tmp_path, "q.quiver", text), prime)
+    checked = 0
+    for x in exceptional.enumerate_exceptional(quiver, field, bound).reps:
+        path = write(tmp_path, "x.quiver", text + "\n" + cli._canonical_rep(x))
+        code = cli.main(["bongartz", path, "--json", *flags])
+        out, err = capsys.readouterr()
+        if perpcat._deleted_vertex(x) is not None:
+            assert code == 2 and "X is projective" in err
+            continue
+        assert code == 0, err
+        doc = json.loads(out)
+        want = bongartz_summands_by_decompose(x)
+        assert doc["summands"] == [list(p.dims) for p in want], x.dims
+        assert doc["complement_dims"] == list(perpcat.bongartz_complement(x).dims)
+        checked += 1
+    assert checked == count
+    path = write(tmp_path, "s1s1.quiver", text + "\nrep\ndims 2 0 0 0\n")
+    assert cli.main(["bongartz", path, *flags]) == 2
+    assert "needs an exceptional X" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["bongartz", "perp"])
+def test_failed_certificate_is_a_failed_check(tmp_path, capsys, monkeypatch, verb):
+    """An internal AssertionError, here the isotypic certificate failing on
+    the Kronecker (5, 6), is reported as `error: ...` with status 1."""
+    monkeypatch.setattr(perpcat, "_isotypic", lambda X, E: False)
+    # the presentation memo may hold the presentation of an earlier test
+    monkeypatch.setattr(cli, "perp_algebra", perpcat.perp_algebra.__wrapped__)
+    path = write(tmp_path, "kr56.quiver", KRONECKER_56)
+    assert cli.main([verb, path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Bongartz part of dimension (16, 20) is not 4 copies")
 
 
 def test_tilting_check_decomposes_t_once(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from strata.repcat import (
     Rep,
     decompose,
     direct_sum,
-    distinct_summands,
     end_dim,
     ext1_dim,
     free_module,
@@ -34,6 +33,7 @@ from strata.perpcat import (
 from helpers import (
     bongartz_summands_by_decompose,
     conjugate_rep,
+    interval_rep,
     random_acyclic_quiver,
     random_mat,
     random_rep,
@@ -42,6 +42,7 @@ from helpers import (
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+A4 = linear_quiver(4)
 KR = kronecker_quiver()
 D4 = Quiver(4, (Arrow("a", 1, 4), Arrow("b", 2, 4), Arrow("c", 3, 4)))
 
@@ -260,18 +261,18 @@ EULER_RULE_CASES = [
 @pytest.mark.parametrize("q,field,bound", EULER_RULE_CASES,
                          ids=["A4", "D4-F3", "Kronecker", "D5"])
 def test_euler_form_rule_matches_decomposing_every_part(q, field, bound):
-    """Parts with <dim E, dim E> = 1 taken whole and the rest decomposed only
-    until n - 1 summands are known must give the distinct summands of
-    decomposing every part, in the same order."""
+    """Parts with <dim E, dim E> = 1 taken whole, isotypic parts certified,
+    the rest decomposed only until n - 1 summands are known and the parts
+    left over placed in their additive closure must give the summands of
+    decomposing every part, multiplicities included, in the same order."""
     from strata.exceptional import enumerate_exceptional
 
     checked = 0
     for x in enumerate_exceptional(q, field, bound).reps:
         if perpcat._deleted_vertex(x) is not None:
             continue
-        _, extensions = perpcat._bongartz_parts(x)
-        got = perpcat._complement_summands(extensions)
-        want = distinct_summands(bongartz_summands_by_decompose(x))
+        got = perpcat._complement_summands(perpcat._bongartz_parts(x))
+        want = bongartz_summands_by_decompose(x)
         assert [p.dims for p in got] == [p.dims for p in want]
         checked += 1
     assert checked
@@ -281,7 +282,8 @@ def test_parts_taken_whole_are_rejected(monkeypatch):
     """Were every Bongartz part that the isotypic certificate splits taken
     whole instead, each non-projective Kronecker exceptional must raise, not
     present a wrong algebra. Every part there of Euler form other than 1
-    is isotypic, so none reaches `decompose`."""
+    is isotypic, so none reaches `decompose`. A part X^m taken whole has
+    <dim, dim> = m^2, so the real-root invariant rejects it."""
     from strata.exceptional import enumerate_exceptional
 
     decomposed = []
@@ -301,7 +303,7 @@ def test_parts_taken_whole_are_rejected(monkeypatch):
         if perpcat._deleted_vertex(x) is not None:
             continue
         whole.clear()
-        with pytest.raises(AssertionError, match="2 distinct summands, want 1"):
+        with pytest.raises(AssertionError, match="is not a real root"):
             perp_algebra.__wrapped__(x)
         assert whole
         failed += 1
@@ -316,9 +318,60 @@ def test_non_rigid_left_over_part_is_rejected():
     rigid = direct_sum([p1, p1])
     non_rigid = direct_sum([kronecker_regular(QQ, 0), p1, simple(KR, QQ, 2)])
     assert non_rigid.dims == rigid.dims == (2, 4) and ext1_dim(non_rigid, non_rigid)
-    assert perpcat._complement_summands([rigid, p1]) == [p1]
+    assert perpcat._complement_summands([rigid, p1]) == [p1, p1, p1]
     with pytest.raises(AssertionError, match="not 2 copies"):
         perpcat._complement_summands([non_rigid, p1])
+
+
+def _split_p1(p):
+    """P_1 = (1, 1, 1, 1) of A_4 as the real roots (1, 1, 0, 0) and
+    (0, 0, 1, 1), whose Euler form <(1, 1, 0, 0), (0, 0, 1, 1)> is -1."""
+    if p.dims != (1, 1, 1, 1):
+        return [p]
+    return [interval_rep(QQ, 4, 1, 2), interval_rep(QQ, 4, 3, 4)]
+
+
+# (decompose corrupted, the invariant of _complement_summands it breaks)
+COMPLEMENT_CORRUPTIONS = [
+    # drops P_1, a second copy of the parts taken whole
+    (lambda E: decompose(E)[:-1], "add up to dimension"),
+    # merges the two summands of each decomposed part
+    (lambda E: [E], "is not a real root"),
+    (lambda E: [r for p in decompose(E) for r in _split_p1(p)], "negative Euler form"),
+]
+
+
+@pytest.mark.parametrize("corrupt,message", COMPLEMENT_CORRUPTIONS,
+                         ids=["sum", "real-root", "pairwise"])
+def test_complement_invariant_catches_a_corrupted_decompose(monkeypatch, corrupt, message):
+    """The Bongartz parts of the A_4 exceptional (1, 1, 1, 0) are P_1 twice
+    and (1, 1, 2, 1) = (0, 0, 1, 0) + P_1 and (1, 2, 2, 1) = (0, 1, 1, 0) +
+    P_1, which are decomposed. Each corruption breaks one invariant of the
+    summand multiset and nothing before it: without that check
+    `perp_algebra` succeeds or fails another check."""
+    from strata.exceptional import enumerate_exceptional
+
+    x = next(r for r in enumerate_exceptional(A4, QQ, 3).reps if r.dims == (1, 1, 1, 0))
+    perp_algebra.__wrapped__(x)
+    monkeypatch.setattr(perpcat, "decompose", corrupt)
+    with pytest.raises(AssertionError, match=message):
+        perp_algebra.__wrapped__(x)
+
+
+def test_perp_algebra_checks_the_summand_count(monkeypatch):
+    """With the summands of one dimension vector left out, perp_algebra
+    finds n - 2 distinct summands and fails its count."""
+    from strata.exceptional import enumerate_exceptional
+
+    x = next(r for r in enumerate_exceptional(A4, QQ, 3).reps if r.dims == (1, 1, 1, 0))
+    summands = perpcat._complement_summands
+    monkeypatch.setattr(
+        perpcat,
+        "_complement_summands",
+        lambda ext: [p for p in summands(ext) if p.dims != (0, 1, 1, 0)],
+    )
+    with pytest.raises(AssertionError, match="2 distinct summands, want 3"):
+        perp_algebra.__wrapped__(x)
 
 
 @pytest.mark.parametrize("q,field,dims,isotypic",

@@ -602,13 +602,14 @@ def test_decompose_direct_sums():
 
 def test_add_certificate_needs_rigidity_and_a_nonnegative_integer_combination():
     s1, s2, p1 = simple(A2, QQ, 1), simple(A2, QQ, 2), projective(A2, QQ, 1)
-    assert repcat._in_add(direct_sum([p1, p1, s1]), [s1, p1])
-    assert repcat._in_add(zero_rep(A2, QQ), [s1, p1])
+    assert repcat._in_add(direct_sum([p1, p1, s1]), [s1, p1]) == (1, 2)
+    assert repcat._in_add(zero_rep(A2, QQ), [s1, p1]) == (0, 0)
+    assert repcat._in_add(zero_rep(A2, QQ), []) == ()
     # rigid, but (0, 1) = dim P_1 - dim S_1 and (2, 2) is no multiple of (1, 0)
-    assert not repcat._in_add(s2, [s1, p1])
-    assert not repcat._in_add(direct_sum([p1, p1]), [s1])
+    assert repcat._in_add(s2, [s1, p1]) is None
+    assert repcat._in_add(direct_sum([p1, p1]), [s1]) is None
     # dim (1, 1) = dim P_1, but Ext^1(S_1, S_2) != 0
-    assert not repcat._in_add(direct_sum([s1, s2]), [p1])
+    assert repcat._in_add(direct_sum([s1, s2]), [p1]) is None
 
 
 def test_isotypic_certificate_accepts_powers_under_a_hostile_base_change():

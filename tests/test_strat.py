@@ -2,7 +2,7 @@
 
 import pytest
 
-from strata import exceptional, repcat, strat
+from strata import exceptional, perpcat, repcat, strat
 from strata.exactlin import GF, QQ
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import direct_sum, projective, simple
@@ -394,7 +394,7 @@ def test_cut_presentation_checks_the_euler_form(monkeypatch):
     cut = (projective(A3, QQ, 3), projective(A3, QQ, 2))
     assert strat._summand_presentation(cut).algebra_quiver.arrows
     monkeypatch.setattr(
-        strat, "hom_category_presentation", lambda parts: (Quiver(len(parts), ()), ())
+        perpcat, "hom_category_presentation", lambda parts: (Quiver(len(parts), ()), ())
     )
     with pytest.raises(ValueError, match=r"<dim P'_1, dim P'_2> = 1"):
         strat._summand_presentation(cut)
