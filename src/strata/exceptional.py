@@ -29,6 +29,7 @@ from .repcat import (
     Rep,
     RepMap,
     _assembled,
+    _check_summand_dims,
     _cokernel,
     _in_add,
     _kernel,
@@ -61,35 +62,23 @@ def is_exceptional_sequence(reps) -> bool:
 def _tilting_summands(T: Rep):
     """The distinct indecomposable summands of T when T is tilting, else None.
 
-    Every tilting check shares this one decomposition of T.
+    Every tilting check shares this one decomposition of T. The summands
+    of the rigid T must pass `repcat._check_summand_dims`, as the Bongartz
+    summands of `perpcat` do; AssertionError names the condition that fails.
     """
     if T.total_dim == 0:
         return () if T.quiver.n == 0 else None
     if ext1_dim(T, T) != 0:
         return None
-    distinct = distinct_summands(decompose(T))
+    parts = decompose(T)
+    _check_summand_dims(T.quiver, parts, T.dims, "tilting", "T's")
+    distinct = distinct_summands(parts)
     return distinct if len(distinct) == T.quiver.n else None
 
 
 def is_tilting_module(T: Rep) -> bool:
     """Rigid with exactly n pairwise non-isomorphic indecomposable summands."""
     return _tilting_summands(T) is not None
-
-
-def tilting_coresolution(T: Rep) -> tuple[Rep, Rep]:
-    """The terms (T_0, T_1) of the coresolution 0 -> A -> T_0 -> T_1 -> 0.
-
-    The coresolution exists for every tilting T (Happel-Ringel, Tilted
-    algebras, 1982) and certifies it; `_coresolution` builds and checks it,
-    placing T_1 in add T by its rigidity and dimension vector without
-    decomposing it.
-    Raises ValueError when T is not tilting or the certificate fails.
-    """
-    distinct = _tilting_summands(T)
-    terms = None if distinct is None else _coresolution(T, distinct)
-    if terms is None:
-        raise ValueError("T is not tilting, or its coresolution fails the certificate")
-    return terms
 
 
 def _coresolution(T: Rep, distinct):
@@ -127,12 +116,6 @@ class EnumerationResult:
     # The mutation closure is complete up to its bound, so no root is ever
     # left unsettled; the constant stays because bench/spans.py reads it.
     unresolved_roots = ()
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def __iter__(self):
-        return iter(self.reps)
 
 
 def _signed(v):

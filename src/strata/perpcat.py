@@ -22,14 +22,15 @@ summands with an intertwiner for each arrow, and modules travel through
 the Hom functor and the cokernel of a lifted projective presentation.
 `_complement_summands` finds the summands of M with multiplicity, and is
 the one route to them: `perp_algebra` keeps one per dimension vector and
-the `bongartz` verb reports them all. M is rigid, so a part E_v of it
-with Euler form <dim E_v, dim E_v> = 1 = dim End(E_v) is indecomposable.
-A part of dims m d with <d, d> = 1 is certified to be X^m by one
-Hom(X, E_v) system (`repcat._isotypic`), X the exceptional module of
-dims d. The rest are decomposed only until n - 1 distinct summands are
-known, and each part left over is placed in their additive closure
-without decomposing it (`repcat._in_add`), because a rigid module is
-determined by its dimension vector (Kac 1980; Happel-Ringel 1982).
+the `bongartz` verb reports them all. A part E_v of dims m d with
+<d, d> = 1 is X^m, X the exceptional module of dims d: with m = 1 it is
+indecomposable as it stands (M is rigid, so dim End(E_v) is the Euler
+form <dim E_v, dim E_v> = 1), and with m >= 2 one Hom(X, E_v) system
+certifies it (`repcat._isotypic`). The rest are decomposed only until
+n - 1 distinct summands are known, and each part left over is placed in
+their additive closure without decomposing it (`repcat._in_add`),
+because a rigid module is determined by its dimension vector (Kac 1980;
+Happel-Ringel 1982).
 
 B depends on X alone, and a Jordan-Hoelder check peels the same few
 modules over and over, so `perp_algebra` and `transport_into_perp` memoize
@@ -54,6 +55,7 @@ from .quiver import Arrow, Quiver
 from .repcat import (
     Rep,
     RepMap,
+    _check_summand_dims,
     _cokernel,
     _hom_rank,
     _in_add,
@@ -243,18 +245,23 @@ def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
 def _isotypic_split(E: Rep, known):
     """[X] * m when dim E = m d with d primitive and <d, d> = 1, else None.
 
-    X is the summand of dims d in known, a {dims: summand} dict, or failing
-    that the exceptional module of dims d from the mutation closure of
-    `exceptional` (`_closure`, bound |d| = sum of d); None also when no
-    exceptional module has dims d. Raises AssertionError when
-    `repcat._isotypic(X, E)` fails: E is rigid, and a rigid module is
-    determined by its dimension vector, so only a broken E is not X^m.
+    E is rigid, so dim End(E) = <dim E, dim E>. With m = 1 that is 1, and E
+    is a summand as it stands: the answer is [E], from no Hom system and no
+    closure lookup. For m >= 2, X is the summand of dims d in known, a
+    {dims: summand} dict, or failing that the exceptional module of dims d
+    from the mutation closure of `exceptional` (`_closure`, bound
+    |d| = sum of d); None also when no exceptional module has dims d.
+    Raises AssertionError when `repcat._isotypic(X, E)` fails: a rigid
+    module is determined by its dimension vector, so only a broken E is
+    not X^m.
     """
     q = E.quiver
     m = gcd(*E.dims)
     d = tuple(x // m for x in E.dims)
     if q.euler_form(d, d) != 1:
         return None
+    if m == 1:
+        return [E]
     X = known.get(d) or next(
         (r for r in _closure(q, E.field, sum(d)) if r.dims == d), None
     )
@@ -274,48 +281,46 @@ def _complement_summands(extensions):
 
     The Bongartz complement M is rigid with exactly n - 1 distinct
     summands (M (+) X is tilting), so the parts need not all be decomposed.
-    A part E with <dim E, dim E> = 1 has dim End(E) = 1 (E is rigid, so
-    dim End(E) is that Euler form) and is a summand as it stands. Next,
-    each part of dims m d with m >= 2 and <d, d> = 1, where an exceptional
-    X of dims d exists, is certified by `_isotypic_split` to be m copies of
-    X, with one Hom(X, E) system and no decomposition. The other parts are
-    decomposed, smallest (total_dim, dims) first, only until n - 1
-    distinct dimension vectors are known. Every part left over must pass
-    `repcat._in_add` against the summands found: it is rigid and
-    dim E = sum_d m_d dim d with integers m_d >= 0, so E = (+)_d d^{m_d},
-    whose copies join the result, because a rigid module is determined by
-    its dimension vector (Kac, 1980; Happel-Ringel, 1982). That needs the
-    found summands pairwise Ext-orthogonal, which `perp_algebra` certifies
-    afterwards: n - 1 of them, dim Hom between them equal to path counts
-    of a quiver (`hom_category_presentation`), and the Euler form equal to
-    the same path counts (`_check_euler_gram`), so every Ext^1 among them
-    vanishes. The copies for the parts left over come last among equal
-    dimension vectors, so `distinct_summands` of the result keeps a found
-    summand.
+    The parts are visited smallest (total_dim, dims) first, and
+    `_isotypic_split` settles each part of dims m d with <d, d> = 1 where
+    an exceptional X of dims d exists: a part with m = 1 is a summand as it
+    stands, and one with m >= 2 is m copies of X, by one Hom(X, E) system
+    and no decomposition. A part of dims d comes before any of dims m d, so
+    X is that part when there is one. The other parts are decomposed, in
+    the same order, only until n - 1 distinct dimension vectors are known.
+    Every part left over must pass `repcat._in_add` against the summands
+    found: it is rigid and dim E = sum_d m_d dim d with integers m_d >= 0,
+    so E = (+)_d d^{m_d}, whose copies join the result, because a rigid
+    module is determined by its dimension vector (Kac, 1980; Happel-Ringel,
+    1982). That needs the found summands pairwise Ext-orthogonal, which
+    `perp_algebra` certifies afterwards: n - 1 of them, dim Hom between
+    them equal to path counts of a quiver (`hom_category_presentation`),
+    and the Euler form equal to the same path counts (`_check_euler_gram`),
+    so every Ext^1 among them vanishes. The copies for the parts left over
+    come last among equal dimension vectors, so `distinct_summands` of the
+    result keeps a found summand.
 
-    Three conditions on the dimension vectors d_i of the summands hold for
-    every rigid module: each is a real root (<d_i, d_i> = dim End = 1),
-    <d_i, d_j> = dim Hom >= 0 for distinct ones (Ext^1 vanishes between
-    them), and they add up to dim M. Raises AssertionError naming the
-    condition, or the certificate, that fails.
+    Before any part left over is placed, the summands found must pass
+    `repcat._check_summand_dims`: they are real roots, distinct ones pair
+    non-negatively under the Euler form, and they add up to the parts they
+    come from. The copies placed by `_in_add` add up to their part by
+    construction, so the result adds up to dim M. Raises AssertionError
+    naming the condition, or the certificate, that fails.
     """
     q = extensions[0].quiver
     found = {}
     known = {}
     rest = []
-    for v, E in enumerate(extensions):
-        if q.euler_form(E.dims, E.dims) == 1:
-            found[v] = [E]
-            known.setdefault(E.dims, E)
-        else:
-            rest.append(v)
-    rest.sort(key=lambda v: (extensions[v].total_dim, extensions[v].dims))
-    for v in list(rest):
+    order = sorted(
+        range(len(extensions)), key=lambda v: (extensions[v].total_dim, extensions[v].dims)
+    )
+    for v in order:
         split = _isotypic_split(extensions[v], known)
-        if split is not None:
+        if split is None:
+            rest.append(v)
+        else:
             found[v] = split
             known.setdefault(split[0].dims, split[0])
-            rest.remove(v)
     while rest and len(known) < q.n - 1:
         v = rest.pop(0)
         found[v] = decompose(extensions[v])
@@ -323,20 +328,9 @@ def _complement_summands(extensions):
             known.setdefault(p.dims, p)
     parts = [p for v in sorted(found) for p in found[v]]
     parts.sort(key=lambda r: (r.total_dim, r.dims))
+    want = tuple(map(sum, zip(*(extensions[v].dims for v in found))))
+    _check_summand_dims(q, parts, want, "Bongartz", "the parts'")
     distinct = distinct_summands(parts)
-    for d in distinct:
-        for e in distinct:
-            form = q.euler_form(d.dims, e.dims)
-            if d is e and form != 1:
-                raise AssertionError(
-                    f"Bongartz summand of dimension {d.dims} is not a real root: "
-                    f"<d, d> = {form}"
-                )
-            if form < 0:
-                raise AssertionError(
-                    f"Bongartz summands of dimension {d.dims} and {e.dims} "
-                    f"have negative Euler form {form}"
-                )
     for v in rest:
         m = _in_add(extensions[v], distinct)
         if m is None:
@@ -346,12 +340,6 @@ def _complement_summands(extensions):
             )
         parts += [d for d, k in zip(distinct, m) for _ in range(k)]
     parts.sort(key=lambda r: (r.total_dim, r.dims))
-    total = tuple(map(sum, zip(*(p.dims for p in parts))))
-    want = tuple(map(sum, zip(*(E.dims for E in extensions))))
-    if total != want:
-        raise AssertionError(
-            f"Bongartz summands add up to dimension {total}, not to the parts' {want}"
-        )
     return parts
 
 

@@ -16,8 +16,8 @@ Everything after the quiver header, from the first line reading `rep`
 onwards, describes representations; parsing those blocks belongs to the
 representation layer, so `parse_quiver_text` hands them back untouched.
 
-`topological_sort` is the one ordering routine: acyclicity, the vertex
-order of a quiver and the order of an exceptional sequence all come from it.
+`topological_sort` is the one ordering routine: the cycle check and the
+vertex order of a quiver both come from it.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def topological_sort(count: int, edges):
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     return order
-
-
-def is_acyclic(vertex_count: int, arrows) -> bool:
-    edges = [(a.source - 1, a.target - 1) for a in arrows]
-    return len(topological_sort(vertex_count, edges)) == vertex_count
 
 
 def _label_key(label: str):
@@ -194,10 +189,6 @@ class Quiver(_Frozen):
                 if a.source == u:
                     counts[a.target] += counts[u]
         return tuple(counts[1:])
-
-    def path_count_total(self) -> int:
-        """Total number of paths (= dim of the path algebra)."""
-        return sum(sum(self.path_counts_from(v)) for v in self.vertices())
 
     def canonical_text(self, field: Field | None = None) -> str:
         """Normalized text form; used for hashing and golden output."""

@@ -56,6 +56,9 @@ A rigid module lies in the additive closure of known pairwise
 Ext-orthogonal summands exactly when its dimension vector is a nonnegative
 integer combination of theirs (`_in_add`), so `perpcat` and the tilting
 certificate of `exceptional` place modules there without decomposing them.
+The summands they do decompose, of T and of a Bongartz complement, must
+pass three dimension-vector conditions that every rigid module meets
+(`_check_summand_dims`).
 A module E is shown to be X^m by one Hom(X, E) system (`_isotypic`): its
 m basis maps assemble into a map X^m -> E bijective at every vertex.
 
@@ -157,12 +160,6 @@ class Rep(_Frozen):
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def arrow_map(self, name: str) -> Mat:
-        for a, m in zip(self.quiver.arrows, self.maps):
-            if a.name == name:
-                return m
-        raise KeyError(f"no arrow named {name!r}")
 
 
 def zero_rep(quiver: Quiver, field: Field) -> Rep:
@@ -299,27 +296,12 @@ class RepMap(_Frozen):
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
 
-    def is_isomorphism(self) -> bool:
-        if self.source.dims != self.target.dims:
-            return False
-        return all(b.is_invertible() for b in self.blocks)
-
     def after(self, other: "RepMap") -> "RepMap":
         """Composite self o other (apply `other` first)."""
         if other.target != self.source:
             raise ValueError("composition endpoints do not match")
         blocks = tuple(s.mul(o) for s, o in zip(self.blocks, other.blocks))
         return RepMap._make(other.source, self.target, blocks)
-
-    def add(self, other: "RepMap") -> "RepMap":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("adding morphisms with different endpoints")
-        blocks = tuple(a.add(b) for a, b in zip(self.blocks, other.blocks))
-        return RepMap._make(self.source, self.target, blocks)
-
-    def scale(self, c) -> "RepMap":
-        blocks = tuple(b.scale(c) for b in self.blocks)
-        return RepMap._make(self.source, self.target, blocks)
 
     def flatten(self):
         """All block entries in vertex order, row-major; a coordinate vector."""
@@ -599,12 +581,6 @@ def _kernel(f: RepMap):
     return Rep(M.quiver, fld, [B.cols for B in bases], maps), bases
 
 
-def kernel_rep(f: RepMap):
-    """The kernel K of f with its inclusion K -> source, blocks the kernel bases."""
-    K, bases = _kernel(f)
-    return K, RepMap(K, f.source, bases)
-
-
 def _cokernel(f: RepMap):
     """The cokernel of f as (C, blocks): blocks[v - 1] projects the target onto C_v.
 
@@ -624,12 +600,6 @@ def _cokernel(f: RepMap):
         ent = tuple(m.entry(i, j) for i in range(m.rows) for j in sel)
         cmaps.append(Mat._make(N.field, m.rows, len(sel), ent))
     return Rep(q, N.field, [P.rows for P in blocks], cmaps), blocks
-
-
-def cokernel_rep(f: RepMap):
-    """The cokernel C of f with its projection target -> C."""
-    C, blocks = _cokernel(f)
-    return C, RepMap(f.target, C, blocks)
 
 
 def _as_columns(maps) -> Mat:
@@ -1036,6 +1006,35 @@ def distinct_summands(parts):
     return out
 
 
+def _check_summand_dims(q: Quiver, parts, want, name: str, whole: str) -> None:
+    """Require three conditions on the dimension vectors of parts, the
+    indecomposable summands with multiplicity of a rigid module over q of
+    dimension vector want; all three hold for every rigid module.
+
+    Each is a real root (<d, d> = dim End = 1), distinct ones pair
+    non-negatively (Ext^1 vanishes between them, so <d, e> = dim Hom), and
+    they add up to want. Raises AssertionError naming the condition that
+    fails; name and whole word the message ("Bongartz", "the parts'").
+    """
+    dims = [p.dims for p in distinct_summands(parts)]
+    for d in dims:
+        for e in dims:
+            form = q.euler_form(d, e)
+            if d == e and form != 1:
+                raise AssertionError(
+                    f"{name} summand of dimension {d} is not a real root: <d, d> = {form}"
+                )
+            if form < 0:
+                raise AssertionError(
+                    f"{name} summands of dimension {d} and {e} have negative Euler form {form}"
+                )
+    total = tuple(map(sum, zip(*(p.dims for p in parts))))
+    if total != want:
+        raise AssertionError(
+            f"{name} summands add up to dimension {total}, not to {whole} {want}"
+        )
+
+
 def _assembled(maps, stack):
     """The blocks, vertex by vertex, of [f_1 ... f_r]: X^r -> E (stack =
     Mat.hstack) or [f_1; ...; f_r]: X -> E^r (stack = Mat.vstack) for the
@@ -1102,7 +1101,7 @@ def _indec_isomorphic(X: Rep, Y: Rep) -> bool:
     bwd = hom_space(Y, X)
     for f in fwd:
         for g in bwd:
-            if g.after(f).is_isomorphism():
+            if all(b.is_invertible() for b in g.after(f).blocks):
                 return True
     return False
 

@@ -185,6 +185,19 @@ def standard_stratification(q: Quiver, field: Field = QQ) -> Chain:
     return stratify_along_sequence(q, [simple(q, field, v) for v in reversed(order)])
 
 
+def _complete_members(q: Quiver, sequence) -> list:
+    """The members of sequence, which must be q.n >= 1 modules over q."""
+    members = list(sequence)
+    if len(members) != q.n or q.n == 0:
+        raise ValueError(
+            f"need a complete sequence of {q.n} members, got {len(members)}"
+        )
+    for x in members:
+        if x.quiver != q:
+            raise ValueError("sequence member lives over the wrong quiver")
+    return members
+
+
 def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     """The chain of a complete exceptional sequence (X_1, ..., X_n).
 
@@ -197,14 +210,7 @@ def stratify_along_sequence(q: Quiver, sequence) -> Chain:
     Raises when the input is not a complete exceptional sequence over q (a
     failed transport is the symptom).
     """
-    members = list(sequence)
-    if len(members) != q.n or q.n == 0:
-        raise ValueError(
-            f"need a complete sequence of {q.n} members, got {len(members)}"
-        )
-    for x in members:
-        if x.quiver != q:
-            raise ValueError("sequence member lives over the wrong quiver")
+    members = _complete_members(q, sequence)
     pres_list, peeled, (last,) = _peel(members, q.n - 1)
     algebras = (q,) + tuple(pres.algebra_quiver for pres in pres_list)
     ends = [pres.source_end_dim for pres in pres_list] + [end_dim(last)]
@@ -326,12 +332,7 @@ def stratification_trees(q: Quiver, sequence) -> Iterator[StratTree]:
     each in this order again. The right subtrees of a cut depend only on
     its Hom quiver, so they are built once and shared by the left ones.
     """
-    members = list(sequence)
-    if len(members) != q.n or q.n == 0:
-        raise ValueError(
-            f"need a complete sequence of {q.n} members, got {len(members)}"
-        )
-    return _trees(q, members)
+    return _trees(q, _complete_members(q, sequence))
 
 
 def _trees(quiver: Quiver, members: list) -> Iterator[StratTree]:
@@ -435,33 +436,13 @@ def kronecker_demo(p: int) -> dict:
         )
     field = GF(p)
     kq = kronecker_quiver()
-    regs = []
-    names = []
-    for lam in range(p):
-        regs.append(
-            Rep(
-                kq,
-                field,
-                (1, 1),
-                {
-                    "a": Mat(field, 1, 1, (field.one,)),
-                    "b": Mat(field, 1, 1, (field.coerce(lam),)),
-                },
-            )
-        )
-        names.append(f"R_{lam}")
-    regs.append(
-        Rep(
-            kq,
-            field,
-            (1, 1),
-            {
-                "a": Mat(field, 1, 1, (field.zero,)),
-                "b": Mat(field, 1, 1, (field.one,)),
-            },
-        )
-    )
-    names.append("R_inf")
+    # the arrow scalars (a, b) of R_0, ..., R_{p-1}, R_inf
+    scalars = [(field.one, field.coerce(lam)) for lam in range(p)] + [(field.zero, field.one)]
+    regs = [
+        Rep(kq, field, (1, 1), {"a": Mat(field, 1, 1, (a,)), "b": Mat(field, 1, 1, (b,))})
+        for a, b in scalars
+    ]
+    names = [f"R_{lam}" for lam in range(p)] + ["R_inf"]
     count = len(regs)
     cross_hom = []
     cross_ext = []
@@ -475,23 +456,19 @@ def kronecker_demo(p: int) -> dict:
             hom, ext = (self_hom, self_ext) if x is y else (cross_hom, cross_ext)
             hom.append(cols - rank)
             ext.append(rows - rank)
-    ok = (
-        all(h == 0 for h in cross_hom)
-        and all(e == 0 for e in cross_ext)
-        and all(h == 1 for h in self_hom)
-        and all(e == 1 for e in self_ext)
-    )
+    hom_zero = all(h == 0 for h in cross_hom)
+    ext_zero = all(e == 0 for e in cross_ext)
     return {
         "prime": p,
         "regular_count": count,
         "ordered_pairs": count * (count - 1),
         "regulars": names,
-        "pairwise_hom_zero": all(h == 0 for h in cross_hom),
-        "pairwise_ext_zero": all(e == 0 for e in cross_ext),
+        "pairwise_hom_zero": hom_zero,
+        "pairwise_ext_zero": ext_zero,
         "self_hom_dims": self_hom,
         "self_ext_dims": self_ext,
         "any_exceptional": any(e == 0 for e in self_ext),
-        "pass": ok,
+        "pass": hom_zero and ext_zero and set(self_hom) == set(self_ext) == {1},
         "explanation": (
             "Every regular simple has a one-dimensional space of "
             "self-extensions, so none is exceptional and none can serve as "

@@ -3,7 +3,7 @@
 import random
 
 from strata.exactlin import Mat
-from strata.quiver import Arrow, Quiver
+from strata.quiver import Arrow, Quiver, topological_sort
 
 
 def random_mat(rng, field, rows, cols, span=3):
@@ -31,6 +31,17 @@ def random_acyclic_quiver(rng, max_vertices=5, max_extra_arrows=3):
     return Quiver(n, arrows)
 
 
+def is_acyclic(vertex_count, arrows):
+    """True when the arrows on vertices 1..vertex_count form no cycle."""
+    edges = [(a.source - 1, a.target - 1) for a in arrows]
+    return len(topological_sort(vertex_count, edges)) == vertex_count
+
+
+def path_count_total(q):
+    """Total number of paths of q (= dim of its path algebra)."""
+    return sum(sum(q.path_counts_from(v)) for v in q.vertices())
+
+
 def random_rep(rng, q, field, max_dim=3, span=2):
     from strata.repcat import Rep
 
@@ -49,6 +60,14 @@ def random_invertible(rng, field, n, span=2, tries=64):
     return Mat.identity(field, n)
 
 
+def arrow_map(M, name):
+    """The matrix of M on the arrow called name."""
+    for a, m in zip(M.quiver.arrows, M.maps):
+        if a.name == name:
+            return m
+    raise KeyError(f"no arrow named {name!r}")
+
+
 def conjugate_rep(rng, M, span=2):
     """Isomorphic copy of M under random base change at every vertex."""
     from strata.repcat import Rep
@@ -57,7 +76,7 @@ def conjugate_rep(rng, M, span=2):
     g = {v: random_invertible(rng, field, M.dims[v - 1], span) for v in q.vertices()}
     maps = {}
     for a in q.arrows:
-        maps[a.name] = g[a.target].mul(M.arrow_map(a.name)).mul(g[a.source].inverse())
+        maps[a.name] = g[a.target].mul(arrow_map(M, a.name)).mul(g[a.source].inverse())
     return Rep(q, field, M.dims, maps)
 
 
@@ -136,6 +155,21 @@ def kernel_by_solving(f):
             raise AssertionError("kernel is not an invariant subspace")
         maps.append(x)
     return Rep(M.quiver, fld, [b.cols for b in bases], maps), bases
+
+
+def combo_by_folding(maps, coeffs):
+    """sum_i coeffs[i] * maps[i], the oracle for `repcat._combo`: each block
+    scaled and added in turn, and the result built by the checked
+    RepMap(...)."""
+    from strata.repcat import RepMap
+
+    blocks = []
+    for v in maps[0].source.quiver.vertices():
+        total = maps[0].block(v).scale(coeffs[0])
+        for m, c in zip(maps[1:], coeffs[1:]):
+            total = total.add(m.block(v).scale(c))
+        blocks.append(total)
+    return RepMap(maps[0].source, maps[0].target, blocks)
 
 
 def minpoly_by_solving(e):

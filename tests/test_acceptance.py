@@ -34,10 +34,9 @@ from strata import (
     verify_jordan_holder,
     verify_ringel_tilting,
 )
-from strata.quiver import is_acyclic
 from strata.repcat import is_isomorphic
 
-from helpers import random_acyclic_quiver, random_rep
+from helpers import is_acyclic, random_acyclic_quiver, random_rep
 
 
 def _verdict(number, name, body, budget=None):
@@ -114,7 +113,7 @@ def test_4_bongartz_complement_completes_to_tilting():
     def body():
         tested = 0
         for q in _three_quivers():
-            found = enumerate_exceptional(q, QQ, 3)
+            found = enumerate_exceptional(q, QQ, 3).reps
             free = free_module(q, QQ)
             for x in found:
                 if ext1_dim(x, free) == 0:
@@ -130,9 +129,9 @@ def test_4_bongartz_complement_completes_to_tilting():
 def test_5_tilting_endo_rings_match_simples():
     def body():
         q = linear_quiver(3)
-        found = enumerate_exceptional(q, QQ, 3)
+        found = enumerate_exceptional(q, QQ, 3).reps
         tiltings = []
-        for triple in itertools.combinations(list(found), 3):
+        for triple in itertools.combinations(found, 3):
             t = direct_sum(list(triple))
             if is_tilting_module(t):
                 tiltings.append(t)
@@ -148,7 +147,7 @@ def test_5_tilting_endo_rings_match_simples():
 def test_6_perpendicular_reduction_shape_and_simples():
     def body():
         for q in _three_quivers():
-            found = enumerate_exceptional(q, QQ, 3)
+            found = enumerate_exceptional(q, QQ, 3).reps
             free = free_module(q, QQ)
             for x in found:
                 pres = perp_algebra(x)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from strata import cli, exceptional, perpcat, repcat, strat
+from strata.quiver import parse_quiver_text
 from strata.repcat import UndecidedError
 
 
@@ -503,6 +504,48 @@ def test_failed_coresolution_is_a_failed_check(tmp_path, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["coresolution_ok"] is False and doc["pass"] is False
 
+
+
+def _split_110(p):
+    """(1, 1, 0) of A_3 as the simples (1, 0, 0) and (0, 1, 0), whose Euler
+    form <(1, 0, 0), (0, 1, 0)> is -1."""
+    if p.dims != (1, 1, 0):
+        return [p]
+    return [repcat.simple(p.quiver, p.field, 1), repcat.simple(p.quiver, p.field, 2)]
+
+
+# (decompose corrupted, given its true answer and the module; the invariant
+# of the tilting summands it breaks)
+TILTING_CORRUPTIONS = [
+    # drops (1, 1, 1)
+    (lambda parts, T: parts[:-1], "add up to dimension"),
+    (lambda parts, T: [T], "is not a real root"),
+    (lambda parts, T: [r for p in parts for r in _split_110(p)], "negative Euler form"),
+]
+
+
+@pytest.mark.parametrize("corrupt,message", TILTING_CORRUPTIONS,
+                         ids=["sum", "real-root", "pairwise"])
+def test_tilting_summand_invariant_catches_a_corrupted_decompose(
+    tmp_path, capsys, monkeypatch, corrupt, message
+):
+    """T = (1,1,1) + (1,1,0) + (1,0,0) of A_3 is tilting. Each corruption of
+    its decomposition breaks one invariant of the summand multiset, which
+    the library raises as AssertionError and tilting-check reports as a
+    failed check."""
+    path = write(tmp_path, "t.quiver", A3_TILTING)
+    field, q, rest = parse_quiver_text(A3_TILTING)
+    T = repcat.direct_sum(repcat.parse_rep_blocks(field, q, rest))
+    assert exceptional.is_tilting_module(T)
+    real = exceptional.decompose
+    monkeypatch.setattr(
+        exceptional, "decompose", lambda M, *a, **k: corrupt(real(M, *a, **k), M)
+    )
+    with pytest.raises(AssertionError, match=message):
+        exceptional.is_tilting_module(T)
+    assert cli.main(["tilting-check", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
 
 def _reverse_gram_projectives(monkeypatch):
     """Check each Bongartz presentation's Euler form with its projectives

@@ -16,8 +16,8 @@ from strata.repcat import (
     simple,
 )
 from strata.exceptional import (
-    EnumerationResult,
     _coresolution,
+    _tilting_summands,
     enumerate_complete_exceptional_sequences,
     enumerate_exceptional,
     is_exceptional,
@@ -25,7 +25,6 @@ from strata.exceptional import (
     is_tilting_module,
     left_mutation,
     right_mutation,
-    tilting_coresolution,
 )
 
 from helpers import (
@@ -121,7 +120,7 @@ def test_order_into_sequence_rejects_non_exceptional():
 def test_enumerate_a2():
     res = enumerate_exceptional(A2, QQ, 2)
     assert [r.dims for r in res.reps] == [(0, 1), (1, 0), (1, 1)]
-    assert len(res) == 3
+    assert len(res.reps) == 3
 
 
 def test_enumerate_a3_intervals():
@@ -329,16 +328,20 @@ def test_a3_tilting_triples():
         assert ordered is not None and len(ordered) == A3.n
 
 
+def _tilting_coresolution(t):
+    return _coresolution(t, _tilting_summands(t))
+
+
 def test_coresolution_of_a2_tilting():
     t = direct_sum([projective(A2, QQ, 1), simple(A2, QQ, 1)])
-    t0, t1 = tilting_coresolution(t)
+    t0, t1 = _tilting_coresolution(t)
     assert t0.dims == (3, 2)
     assert t1.dims == (2, 0)
 
 
 def test_coresolution_of_free_module():
     a = direct_sum([projective(A2, QQ, v) for v in A2.vertices()])
-    t0, t1 = tilting_coresolution(a)
+    t0, t1 = _tilting_coresolution(a)
     assert tuple(x - y for x, y in zip(t0.dims, t1.dims)) == a.dims
 
 
@@ -350,26 +353,20 @@ def test_coresolution_certificate_can_fail():
     assert _coresolution(t, [projective(A2, QQ, 1)]) is None
     # A embeds and T_1 has dims (10, 12) = 2 (1, 0) + 4 (2, 3), in the cone
     # of the summands' dims, but Ext^1(S_1, X) != 0 leaves T_1 not rigid
-    x = next(r for r in enumerate_exceptional(KR, QQ, 5) if r.dims == (2, 3))
+    x = next(r for r in enumerate_exceptional(KR, QQ, 5).reps if r.dims == (2, 3))
     s1 = simple(KR, QQ, 1)
     assert _coresolution(direct_sum([s1, x]), [s1, x]) is None
 
 
 def test_coresolution_of_kronecker_preprojective_tilting():
-    ex = {r.dims: r for r in enumerate_exceptional(KR, QQ, 5)}
-    t0, t1 = tilting_coresolution(direct_sum([ex[(1, 2)], ex[(2, 3)]]))
+    ex = {r.dims: r for r in enumerate_exceptional(KR, QQ, 5).reps}
+    t0, t1 = _tilting_coresolution(direct_sum([ex[(1, 2)], ex[(2, 3)]]))
     assert t0.dims == (13, 21)
     assert t1.dims == (12, 18)
 
 
 def test_coresolution_rejects_non_tilting():
-    with pytest.raises(ValueError, match="tilting"):
-        tilting_coresolution(simple(A2, QQ, 1))
-
-
-def test_enumeration_result_iterates():
-    res = EnumerationResult((simple(A2, QQ, 1),))
-    assert [r.dims for r in res] == [(1, 0)]
+    assert _tilting_summands(simple(A2, QQ, 1)) is None
 
 
 def vectors_up_to(n, bound):

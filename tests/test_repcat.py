@@ -23,7 +23,6 @@ from strata.quiver import (
 from strata.repcat import (
     Rep,
     RepMap,
-    cokernel_rep,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
@@ -36,7 +35,6 @@ from strata.repcat import (
     identity_map,
     is_exceptional,
     is_isomorphic,
-    kernel_rep,
     orthogonal,
     parse_rep_blocks,
     projective,
@@ -45,7 +43,9 @@ from strata.repcat import (
 )
 
 from helpers import (
+    arrow_map,
     cokernel_by_solving,
+    combo_by_folding,
     conjugate_rep,
     dense_hom_matrix,
     interval_rep,
@@ -147,14 +147,14 @@ def test_simple_and_projective_shapes():
     assert s1.dims == (1, 0)
     p1 = projective(A2, QQ, 1)
     assert p1.dims == (1, 1)
-    assert p1.arrow_map("a1") == Mat(QQ, 1, 1, [1])
+    assert arrow_map(p1, "a1") == Mat(QQ, 1, 1, [1])
     # at a sink the projective is the simple
     assert projective(A2, QQ, 2) == simple(A2, QQ, 2)
     assert projective(A3, QQ, 1).dims == (1, 1, 1)
     pk = projective(K2, QQ, 1)
     assert pk.dims == (1, 2)
-    assert pk.arrow_map("a") == Mat(QQ, 2, 1, [1, 0])
-    assert pk.arrow_map("b") == Mat(QQ, 2, 1, [0, 1])
+    assert arrow_map(pk, "a") == Mat(QQ, 2, 1, [1, 0])
+    assert arrow_map(pk, "b") == Mat(QQ, 2, 1, [0, 1])
 
 
 def test_hom_oracles_a2():
@@ -354,7 +354,7 @@ def test_ext_space_kronecker_middles():
     middles = []
     for z in cocycles:
         e = extension_from_cocycle(k1, k2, z)
-        middles.append((e.arrow_map("a"), e.arrow_map("b")))
+        middles.append((arrow_map(e, "a"), arrow_map(e, "b")))
     assert (Mat(QQ, 1, 1, [1]), Mat(QQ, 1, 1, [0])) in middles
     assert (Mat(QQ, 1, 1, [0]), Mat(QQ, 1, 1, [1])) in middles
 
@@ -369,14 +369,17 @@ def test_zero_cocycle_gives_split_extension():
 def test_kernel_and_cokernel():
     p1, s1, s2 = projective(A2, QQ, 1), simple(A2, QQ, 1), simple(A2, QQ, 2)
     quot = RepMap(p1, s1, [Mat(QQ, 1, 1, [1]), Mat.zeros(QQ, 0, 1)])
-    k, inc = kernel_rep(quot)
+    # the checked RepMap(...) confirms the inclusion and the projection
+    k, bases = repcat._kernel(quot)
+    inc = RepMap(k, p1, bases)
     assert k.dims == (0, 1)
     assert inc.source == k and inc.target == p1
-    c, proj = cokernel_rep(inc)
+    c, blocks = repcat._cokernel(inc)
+    proj = RepMap(p1, c, blocks)
     assert c.dims == (1, 0)
     assert proj.block(1).rank() == 1
     # cokernel of the quotient map is zero
-    cz, _ = cokernel_rep(quot)
+    cz, _ = repcat._cokernel(quot)
     assert cz.total_dim == 0
     assert is_isomorphic(k, s2)
 
@@ -466,7 +469,7 @@ def test_minpoly_matches_solving_oracle(field):
         if M.total_dim == 0:
             continue
         ends = hom_space(M, M)
-        endos = [identity_map(M), identity_map(M).scale(scalar())] + ends[:3]
+        endos = [identity_map(M), repcat._combo([identity_map(M)], [scalar()])] + ends[:3]
         endos += [repcat._combo(ends, [scalar() for _ in ends]) for _ in range(3)]
         # on a sum of simples every arrow is zero, so any strictly upper
         # triangular block family is a nilpotent endomorphism
@@ -520,10 +523,7 @@ def test_combo_matches_scale_add_fold(field):
         if not basis:
             continue
         coeffs = [field.coerce(rng.randint(-3, 3)) for _ in basis]
-        fold = basis[0].scale(coeffs[0])
-        for m, c in zip(basis[1:], coeffs[1:]):
-            fold = fold.add(m.scale(c))
-        assert repcat._combo(basis, coeffs) == fold
+        assert repcat._combo(basis, coeffs) == combo_by_folding(basis, coeffs)
         checked += 1
     assert checked >= 10
 
@@ -554,8 +554,8 @@ def test_unchecked_morphisms_pass_the_public_constructor(field, seed):
         made += [h.after(g) for h in few(out)]
     for maps in (into, ends, out):
         picked = few(maps)
-        made += [f.add(g) for f in picked for g in picked]
-        made += [f.scale(scalar()) for f in picked]
+        made += [repcat._combo([f, g], [field.one, field.one]) for f in picked for g in picked]
+        made += [repcat._combo([f], [scalar()]) for f in picked]
         if maps:
             made.append(repcat._combo(maps, [scalar() for _ in maps]))
     if ends:  # End(S) = 0 only when S = 0
@@ -570,16 +570,13 @@ def test_coordinates_round_trip():
     p1 = projective(K2, QQ, 1)
     m = direct_sum([p1, p1])
     basis = hom_space(m, m)
-    target = basis[0].scale(3).add(basis[-1].scale(-2))
+    target = repcat._combo([basis[0], basis[-1]], [3, -2])
     coords = coordinates_in_hom_basis([target], basis)
     assert coords is not None and (coords.rows, coords.cols) == (len(basis), 1)
     assert coords.entry(0, 0) == 3 and coords.entry(len(basis) - 1, 0) == -2
-    rebuilt = basis[0].scale(coords.entry(0, 0))
-    for i, b in enumerate(basis[1:], start=1):
-        rebuilt = rebuilt.add(b.scale(coords.entry(i, 0)))
-    assert rebuilt == target
+    assert repcat._combo(basis, coords.col(0)) == target
     # several maps at once: column j holds the coordinates of maps[j]
-    maps = [basis[1], target, basis[0].add(basis[1])]
+    maps = [basis[1], target, repcat._combo(basis[:2], [1, 1])]
     coords = coordinates_in_hom_basis(maps, basis)
     assert (coords.rows, coords.cols) == (len(basis), 3)
     assert list(coords.col(0)) == [0, 1] + [0] * (len(basis) - 2)
@@ -804,13 +801,13 @@ import contextlib, io, itertools, random, sys
 sys.path.insert(0, {str(Path(__file__).parent)!r})
 import strata.cli
 from strata import GF, QQ, Mat, Rep, decompose, direct_sum, linear_quiver, projective, simple
-from helpers import conjugate_rep, interval_rep
+from helpers import arrow_map, conjugate_rep, interval_rep
 assert "sympy" not in sys.modules, "import"
 q = linear_quiver(2)
 for f in (QQ, GF(5)):
     m = direct_sum([projective(q, f, 1), simple(q, f, 2)])
     g = Mat(f, 2, 2, [2, 1, 1, 1])
-    m = Rep(q, f, m.dims, [g.mul(m.arrow_map("a1"))])
+    m = Rep(q, f, m.dims, [g.mul(arrow_map(m, "a1"))])
     assert [p.dims for p in decompose(m)] == [(0, 1), (1, 1)]
 q = linear_quiver(3)
 for f in (QQ, GF(5)):
@@ -947,11 +944,11 @@ def test_parse_rep_blocks_fractions_and_mod():
     text = "vertices 2\narrow a 1 2\nrep\ndims 1 1\nmap a 3/2\n"
     field, q, rest = parse_quiver_text(text)
     (rep,) = parse_rep_blocks(field, q, rest)
-    assert rep.arrow_map("a") == Mat(QQ, 1, 1, [field.parse("3/2")])
+    assert arrow_map(rep, "a") == Mat(QQ, 1, 1, [field.parse("3/2")])
     text5 = "field Fp 5\nvertices 2\narrow a 1 2\nrep\ndims 1 1\nmap a 7\n"
     field5, q5, rest5 = parse_quiver_text(text5)
     (rep5,) = parse_rep_blocks(field5, q5, rest5)
-    assert rep5.arrow_map("a").entry(0, 0) == 2
+    assert arrow_map(rep5, "a").entry(0, 0) == 2
 
 
 def test_parse_rep_blocks_errors():

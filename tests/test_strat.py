@@ -7,8 +7,9 @@ from strata.exactlin import GF, QQ
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import direct_sum, projective, simple
 from strata.exceptional import (
+    _coresolution,
+    _tilting_summands,
     enumerate_complete_exceptional_sequences,
-    tilting_coresolution,
 )
 from strata.perpcat import perp_algebra
 from strata.strat import (
@@ -159,6 +160,13 @@ def test_stratify_rejects_wrong_quiver():
         stratify_along_sequence(A2, [simple(A3, QQ, 1), simple(A3, QQ, 2)])
 
 
+def test_trees_reject_an_incomplete_or_foreign_sequence():
+    with pytest.raises(ValueError, match="complete sequence of 2 members, got 1"):
+        stratification_trees(A2, [simple(A2, QQ, 1)])
+    with pytest.raises(ValueError, match="wrong quiver"):
+        stratification_trees(A2, [simple(A3, QQ, 1), simple(A3, QQ, 2)])
+
+
 def test_stratify_rejects_non_sequence():
     """(S_2, S_1) is not exceptional over A_2: Ext^1(S_1, S_2) != 0."""
     with pytest.raises(ValueError, match="perpendicular"):
@@ -264,7 +272,7 @@ def test_tilting_checks_decompose_t_once(monkeypatch):
         return repcat.decompose(M, *args, **kwargs)
 
     monkeypatch.setattr(exceptional, "decompose", counting)
-    tilting_coresolution(t)
+    _coresolution(t, _tilting_summands(t))
     assert sum(M is t for M in seen) == 1
     seen.clear()
     assert verify_ringel_tilting(A3, t)["pass"] is True
