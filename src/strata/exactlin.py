@@ -505,6 +505,9 @@ class Mat(_Frozen):
         """(B, free): the reduced-echelon kernel basis as the columns of an
         n x k matrix B, and its free rows, ascending; B is the identity there."""
         f, n = self.field, self.cols
+        if self.is_zero():
+            # every column is free; no elimination needed
+            return Mat.identity(f, n), tuple(range(n))
         vecs = _kernel_vectors(f, self._echelon(full=True), n)
         ent = tuple(x for row in zip(*vecs.values()) for x in row)
         return Mat._make(f, n, len(vecs), ent), tuple(vecs)

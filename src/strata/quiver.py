@@ -23,6 +23,7 @@ vertex order of a quiver both come from it.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .exactlin import Field, GF, QQ, _Frozen
@@ -138,14 +139,13 @@ class Quiver(_Frozen):
 
         Equals dim Hom(M, N) - dim Ext^1(M, N) for reps with dimension
         vectors d and e; the hereditary Euler form of the path algebra.
+        d and e are sequences (tuples or lists), read in place.
         """
-        d = tuple(d)
-        e = tuple(e)
         if len(d) != self.n or len(e) != self.n:
             raise ValueError(
                 f"dimension vectors must have length {self.n}, got {len(d)} and {len(e)}"
             )
-        total = sum(dv * ev for dv, ev in zip(d, e))
+        total = sum(map(operator.mul, d, e))
         for a in self.arrows:
             total -= d[a.source - 1] * e[a.target - 1]
         return total

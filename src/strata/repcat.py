@@ -31,21 +31,27 @@ construction (Hom kernel vectors, composites, linear combinations,
 identities, polynomials in an endomorphism) without checking them again.
 
 Decomposition splits along coprime factors of minimal polynomials of
-endomorphisms and never guesses. A node of the split is a leaf as soon as
-the reduced Hom system of (M, M) shows dim End = 1; only other nodes read
-a basis of End off that same echelon form. A minimal polynomial is the
-first linear relation among the powers of an endomorphism, found by one
-incremental reduction that stops at the minimal degree. A module is
-reported indecomposable only when its endomorphism ring is shown to be
-local: a nilpotent two-sided ideal R is exhibited with End/R of dimension
-1, or of dimension deg f for an irreducible f whose power f^e is the
-minimal polynomial of some endomorphism theta met in the split search
-(then k[theta] fills End/R, which is a field). When no endomorphism splits
-and no certificate holds, a right identity of a left ideal
-{e : e phi = 0} of End, for phi a unit vector of some M_v or a map from a
-summand split off elsewhere, is a splitting idempotent if one exists, and
-over a small prime field an exhaustive search of at most 2^20 elements
-settles the rest; `decompose` raises UndecidedError otherwise.
+endomorphisms and never guesses. A part of total dimension 1 is a leaf
+with no Hom system built, its End being the field. Any other node of the
+split is a leaf as soon as the reduced Hom system of (M, M) shows
+dim End = 1; only other nodes read a basis of End off that same echelon
+form, and they make its maps on demand: the search tries them in order,
+one at a time, and usually the first one splits the node, so the rest are
+never made. Only when no basis map splits are the seeded random
+combinations and the certificates below handed the full basis. A minimal
+polynomial is the first linear relation among the powers of an
+endomorphism, found by one incremental reduction that stops at the
+minimal degree. A module is reported indecomposable only when its
+endomorphism ring is shown to be local: a nilpotent two-sided ideal R is
+exhibited with End/R of dimension 1, or of dimension deg f for an
+irreducible f whose power f^e is the minimal polynomial of some
+endomorphism theta met in the split search (then k[theta] fills End/R,
+which is a field). When no endomorphism splits and no certificate holds,
+a right identity of a left ideal {e : e phi = 0} of End, for phi a unit
+vector of some M_v or a map from a summand split off elsewhere, is a
+splitting idempotent if one exists, and over a small prime field an
+exhaustive search of at most 2^20 elements settles the rest; `decompose`
+raises UndecidedError otherwise.
 
 Minimal polynomials of degree 1 and 2 are factored here exactly: over Q
 through the discriminant, over a small prime field by root search. sympy
@@ -386,27 +392,25 @@ def _hom_echelon(M: Rep, N: Rep):
 
 
 def _hom_basis(M: Rep, N: Rep, piv, col_off, cols):
-    """The basis of Hom(M, N) read off `_hom_echelon(M, N)`."""
+    """The basis of Hom(M, N) read off `_hom_echelon(M, N)`, a generator:
+    each RepMap is made only when the caller draws it, in the order of
+    its free column."""
     f = M.field
-    out = []
+    shapes = [(N.dim(v), M.dim(v), col_off[v - 1]) for v in M.quiver.vertices()]
     for x in _kernel_vectors(f, piv, cols).values():
-        blocks = []
-        for v in M.quiver.vertices():
-            r, c = N.dim(v), M.dim(v)
-            off = col_off[v - 1]
-            blocks.append(Mat._make(f, r, c, tuple(x[off : off + r * c])))
+        blocks = tuple(Mat._make(f, r, c, tuple(x[off : off + r * c])) for r, c, off in shapes)
         # commuting is what the kernel of the Hom system means
-        out.append(RepMap._make(M, N, tuple(blocks)))
-    return out
+        yield RepMap._make(M, N, blocks)
 
 
 def hom_space(M: Rep, N: Rep):
     """A deterministic basis of Hom(M, N) as a list of RepMaps.
 
     The basis is the reduced-echelon kernel basis of the Hom system: each
-    map has 1 at its free column and 0 at the other free columns.
+    map has 1 at its free column and 0 at the other free columns. It is
+    every map `_hom_basis` yields, in order.
     """
-    return _hom_basis(M, N, *_hom_echelon(M, N))
+    return list(_hom_basis(M, N, *_hom_echelon(M, N)))
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
@@ -547,8 +551,11 @@ def free_module(quiver: Quiver, field: Field) -> Rep:
 
 def _rows_of(m: Mat, rows) -> Mat:
     """The submatrix of m on the given rows, in their order."""
-    ent = tuple(y for i in rows for y in m.row(i))
-    return Mat._make(m.field, len(rows), m.cols, ent)
+    c, e = m.cols, m.entries
+    ent = ()
+    for i in rows:
+        ent += e[i * c : i * c + c]
+    return Mat._make(m.field, len(rows), c, ent)
 
 
 def _kernel(f: RepMap):
@@ -572,7 +579,8 @@ def _kernel(f: RepMap):
         if not Bu.cols:
             maps.append(Mat._make(fld, len(free), 0, ()))
             continue
-        moved = Ma.mul(Bu)
+        # a square B_u is the identity: K_u is all of M_u
+        moved = Ma if Bu.cols == Bu.rows else Ma.mul(Bu)
         x = _rows_of(moved, free)
         pivots = [i for i in range(Bw.rows) if i not in free]
         if pivots and _rows_of(Bw, pivots).mul(x) != _rows_of(moved, pivots):
@@ -777,8 +785,12 @@ def _split_along_endo(M: Rep, e: RepMap, factors):
 _RANDOM_CANDIDATES = 64
 
 
-def _candidate_endos(basis, rng: random.Random, field: Field):
-    yield from basis
+def _candidate_endos(maps, basis: list, rng: random.Random, field: Field):
+    """The maps of a Hom basis as they are drawn, each appended to basis,
+    then random combinations of the full basis."""
+    for m in maps:
+        basis.append(m)
+        yield m
     d = len(basis)
     for _ in range(_RANDOM_CANDIDATES):
         if field.is_rational:
@@ -940,15 +952,20 @@ def _certify_or_split(M, basis, top, known):
 
 def _decompose_into(M: Rep, rng: random.Random, out: list, pending: list):
     """Append the summands of M to out; pending lists parts not yet split."""
-    if M.total_dim == 0:
+    if M.total_dim <= 1:
+        # End of a one-dimensional module is the field
+        if M.total_dim:
+            out.append(M)
         return
     piv, col_off, cols = _hom_echelon(M, M)
     if cols - len(piv) == 1:
         out.append(M)
         return
-    basis = _hom_basis(M, M, piv, col_off, cols)
+    # filled as the search draws the basis maps; complete once it has
+    # tried them all, which it has when no candidate splits M
+    basis = []
     top = 1
-    for e in _candidate_endos(basis, rng, M.field):
+    for e in _candidate_endos(_hom_basis(M, M, piv, col_off, cols), basis, rng, M.field):
         mp = _minpoly_of_endo(e)
         if len(mp) <= 2:
             continue

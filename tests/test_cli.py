@@ -329,6 +329,13 @@ map a1 1
 rep
 dims 1 0 0
 """
+# P_1 + P_2 + S_2 of A_3 under a base change
+A3_DECOMPOSE = A3 + """
+rep
+dims 1 3 2
+map a1 -3/2 3/2 6
+map a2 14/3 -12 4 -4/3 3 -1
+"""
 A3_S1 = A3 + "\nrep\ndims 1 0 0\n"
 KRONECKER_21 = KRONECKER + "\nrep\ndims 2 1\nmap a 1 0\nmap b 0 1\n"
 A4_INTERVAL = A4 + "\nrep\ndims 0 1 1 0\nmap b 1\n"
@@ -371,6 +378,8 @@ CLI_GOLDENS = [
     # 2048 sequences: pins the sequence search and the chains on a larger set
     ("jh-verify-d5", "jh-verify", D5, ["--prime", "3", "--bound", "7"],
      "35d4aefc2ca36e8ff866bf2f0970351b9b3603d038ec938046c73dbe322b801d"),
+    ("decompose-a3", "decompose", A3_DECOMPOSE, [],
+     "05a07b45f28eb90331bcbcf70e3303d112b3b22fa9b26ebca58aaa94ebf21415"),
     ("seq-enum-a4", "seq-enum", A4, [],
      "bf733c8e701cc782dcd3448dbb86e03c9b5a32a2eb668c268912541b1d9fdd4d"),
     ("exc-enum-kr", "exc-enum", KRONECKER, ["--bound", "9"],

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -595,6 +596,96 @@ def test_decompose_direct_sums():
     parts = decompose(direct_sum([p1, p1, p1]))
     assert len(parts) == 3
     assert all(is_isomorphic(r, p1) for r in parts)
+
+
+def _projective_simple_sums(count):
+    """A seeded stream of base-changed sums of 2 or 3 pairwise
+    non-isomorphic projectives and simples, alternating QQ and F_5."""
+    rng = random.Random("decompose-digest")
+    fields = (QQ, GF(5))
+    out = []
+    while len(out) < count:
+        field = fields[len(out) % 2]
+        q = random_acyclic_quiver(rng, 4, 2)
+        candidates = {}
+        for v in q.vertices():
+            for make in (projective, simple):
+                m = make(q, field, v)
+                candidates.setdefault(m.dims, m)
+        if len(candidates) < 2:
+            continue
+        k = min(len(candidates), rng.randint(2, 3))
+        parts = rng.sample(sorted(candidates.values(), key=lambda m: m.dims), k)
+        out.append(conjugate_rep(rng, direct_sum(parts)))
+    return out
+
+
+def test_decompose_representatives_digest():
+    """decompose returns these exact summands, matrices and order included:
+    the split search may do less work but must make the same decisions."""
+    h = hashlib.sha256()
+    for m in _projective_simple_sums(120):
+        for p in decompose(m):
+            h.update(repr((p.dims, [[str(x) for x in a.entries] for a in p.maps])).encode())
+        h.update(b"|")
+    assert h.hexdigest() == "11c44219410e5103daf2b1a0a4df10f92b42f935e14d4c6d7baacdbf1f340f2e"
+
+
+def test_one_dimensional_parts_build_no_hom_system(monkeypatch):
+    """End of a one-dimensional module is the field: a simple is a leaf
+    outright, and S_1 + S_2 reduces the one Hom system of the whole."""
+    real = repcat._hom_echelon
+    seen = []
+
+    def counting(M, N):
+        seen.append(M.dims)
+        return real(M, N)
+
+    monkeypatch.setattr(repcat, "_hom_echelon", counting)
+    for field in (QQ, GF(5)):
+        s1, s2 = simple(A2, field, 1), simple(A2, field, 2)
+        assert decompose(s2) == [s2]
+        assert seen == []
+        assert [p.dims for p in decompose(direct_sum([s1, s2]))] == [(0, 1), (1, 0)]
+        assert seen == [(1, 1)]
+        seen.clear()
+
+
+def test_split_node_makes_only_the_basis_map_it_reads(monkeypatch):
+    """P_1 + P_2 + S_2 of A_3 under a base change (the decompose golden of
+    test_cli) splits at the first basis map of each node of the search, so
+    each of its Hom systems makes one RepMap and no other basis map."""
+    a1 = [Fraction(-3, 2), Fraction(3, 2), 6]
+    a2 = [Fraction(14, 3), -12, 4, Fraction(-4, 3), 3, -1]
+    m = Rep(A3, QQ, (1, 3, 2), {"a1": Mat(QQ, 3, 1, a1), "a2": Mat(QQ, 2, 3, a2)})
+    assert len(hom_space(m, m)) == 5
+    made = []
+    in_basis = [False]
+    real_make = RepMap._make.__func__
+    real_basis = repcat._hom_basis
+
+    def make(cls, *args):
+        if in_basis[0]:
+            made[-1] += 1
+        return real_make(cls, *args)
+
+    def step(f, *args):
+        in_basis[0] = True
+        try:
+            return f(*args)
+        finally:
+            in_basis[0] = False
+
+    def counting_basis(*args):
+        made.append(0)
+        maps = step(lambda: iter(real_basis(*args)))
+        while (x := step(next, maps, None)) is not None:
+            yield x
+
+    monkeypatch.setattr(RepMap, "_make", classmethod(make))
+    monkeypatch.setattr(repcat, "_hom_basis", counting_basis)
+    assert [p.dims for p in decompose(m, seed=1)] == [(0, 1, 0), (0, 1, 1), (1, 1, 1)]
+    assert made == [1, 1]
 
 
 def test_add_certificate_needs_rigidity_and_a_nonnegative_integer_combination():
