@@ -55,7 +55,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """The scalar field: the rationals if characteristic 0, else F_p.
 
@@ -63,6 +63,10 @@ class Field:
     [0, p) over a prime field; `coerce` normalizes anything else. `zero` and
     `one` are attributes made once per Field and shared by every caller,
     which is safe because scalars are immutable.
+
+    Two Fields are equal when their characteristics are, so `Field(0) == QQ`;
+    `==` answers at once when both sides are the same object, which they
+    almost always are, and the hash is the characteristic's.
     """
 
     characteristic: int = 0
@@ -77,6 +81,16 @@ class Field:
         # instance dict slows every other attribute read of the Field
         object.__setattr__(self, "zero", Fraction(0) if p == 0 else 0)
         object.__setattr__(self, "one", Fraction(1) if p == 0 else 1)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
 
     @property
     def is_rational(self) -> bool:
@@ -147,6 +161,9 @@ def GF(p: int) -> Field:
     if not _is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     return Field(p)
+
+
+_numerator = operator.attrgetter("numerator")
 
 
 def _cleared(values):
@@ -324,7 +341,8 @@ class _Frozen:
 
     `dataclass(frozen=True, slots=True)` raises `TypeError` for a name that
     is not a field, so the value types are plain slotted dataclasses that
-    inherit these methods and set their fields with `object.__setattr__`.
+    inherit these methods and set their fields through the slot
+    descriptors that `_slot_writers` returns.
     """
 
     __slots__ = ()
@@ -336,9 +354,35 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+def _slot_writers(cls, *names):
+    """The `__set__` of each named slot of a `_Frozen` class: a write that
+    bypasses the frozen `__setattr__`, at about half the cost of
+    `object.__setattr__`."""
+    return [cls.__dict__[name].__set__ for name in names]
+
+
+def _coerced(field: Field, entries) -> tuple:
+    """The entries as canonical scalars of field, one type test per entry:
+    a Fraction over the rationals and an int over F_p are taken as they
+    are (reduced mod p); anything else goes through `field.coerce`, which
+    raises `TypeError` for a value of no scalar type."""
+    p = field.characteristic
+    if p:
+        return tuple([x % p if type(x) is int else field.coerce(x) for x in entries])
+    return tuple([x if type(x) is Fraction else field.coerce(x) for x in entries])
+
+
+@dataclass(init=False, repr=False, slots=True)
 class Mat(_Frozen):
-    """Immutable matrix with exact entries over a fixed field."""
+    """Immutable matrix with exact entries over a fixed field.
+
+    Equal matrices have the same field, shape and entries; a matrix over QQ
+    and one over F_p are unequal even when their entries compare equal.
+    The hash reads the row count and the entries, over the rationals only
+    their numerators, because a Fraction's own hash costs about as much as
+    the rest of the matrix's: equal matrices hash alike, and matrices that
+    differ only in their field or in denominators may collide.
+    """
 
     field: Field
     rows: int
@@ -346,28 +390,34 @@ class Mat(_Frozen):
     entries: tuple
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
-        rows, cols = _as_index(rows, "matrix rows"), _as_index(cols, "matrix columns")
+        if type(rows) is not int or type(cols) is not int:
+            rows, cols = _as_index(rows, "matrix rows"), _as_index(cols, "matrix columns")
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        ent = tuple(field.coerce(x) for x in entries)
+        ent = _coerced(field, entries)
         if len(ent) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(ent)}"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, ent)
 
     @classmethod
     def _make(cls, field: Field, rows: int, cols: int, entries: tuple) -> "Mat":
         """Internal constructor for a tuple of entries already in canonical form."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        _set_field(m, field)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_entries(m, entries)
         return m
+
+    def __hash__(self):
+        if self.field.characteristic:
+            return hash((self.rows, self.entries))
+        return hash((self.rows, *map(_numerator, self.entries)))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
@@ -416,7 +466,7 @@ class Mat(_Frozen):
         return f"Mat({self.rows}x{self.cols} over {self.field!r}: {body})"
 
     def _check_same_field(self, other: "Mat"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("matrices over different fields")
 
     def add(self, other: "Mat") -> "Mat":
@@ -569,3 +619,8 @@ class Mat(_Frozen):
         if inv is None:
             raise ValueError("matrix is singular")
         return inv
+
+
+_set_field, _set_rows, _set_cols, _set_entries = _slot_writers(
+    Mat, "field", "rows", "cols", "entries"
+)

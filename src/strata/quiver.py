@@ -26,7 +26,7 @@ import heapq
 import operator
 from dataclasses import dataclass, field as dataclass_field
 
-from .exactlin import Field, GF, QQ, _Frozen
+from .exactlin import Field, GF, QQ, _Frozen, _slot_writers
 
 
 class ParseError(ValueError):
@@ -73,18 +73,25 @@ def _label_key(label: str):
     return (0, int(label), "") if label.isdigit() else (1, 0, label)
 
 
-@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
+@dataclass(init=False, repr=False, slots=True)
 class Quiver(_Frozen):
     """A finite acyclic quiver with named arrows and labeled vertices.
 
     The topological order found while rejecting cycles is kept; it is
-    derived from the arrows, so equality and hashing ignore it.
+    derived from the arrows, so equality and hashing ignore it. The hash
+    is computed over the vertex count, arrows and labels on first use and
+    cached in the `_h` slot, because every `Rep` hash reads it; like
+    `_order`, `_h` takes no part in `==` or `repr`. `==` answers at once
+    when both sides are the same object, and otherwise compares the three
+    fields, so separately built quivers with the same arrows and labels
+    are equal.
     """
 
     n: int
     arrows: tuple
     labels: tuple
     _order: tuple = dataclass_field(compare=False)
+    _h: int | None = dataclass_field(default=None, compare=False)
 
     def __init__(self, n: int, arrows=(), labels=None):
         if n < 0:
@@ -113,10 +120,25 @@ class Quiver(_Frozen):
         order = topological_sort(n, [(a.source - 1, a.target - 1) for a in arrows])
         if len(order) != n:
             raise ValueError("quiver has an oriented cycle")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_order", tuple(v + 1 for v in order))
+        _set_n(self, n)
+        _set_arrows(self, arrows)
+        _set_labels(self, labels)
+        _set_order(self, tuple(v + 1 for v in order))
+        _set_h(self, None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return (self.n, self.arrows, self.labels) == (other.n, other.arrows, other.labels)
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            h = hash((self.n, self.arrows, self.labels))
+            _set_h(self, h)
+        return h
 
     def __repr__(self):
         arr = ", ".join(f"{a.name}:{a.source}->{a.target}" for a in self.arrows)
@@ -208,6 +230,11 @@ class Quiver(_Frozen):
             "labels": list(self.labels),
             "arrows": [[a.name, a.source, a.target] for a in self.arrows],
         }
+
+
+_set_n, _set_arrows, _set_labels, _set_order, _set_h = _slot_writers(
+    Quiver, "n", "arrows", "labels", "_order", "_h"
+)
 
 
 def linear_quiver(n: int) -> Quiver:

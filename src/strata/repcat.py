@@ -93,6 +93,7 @@ from .exactlin import (
     _kernel_vectors,
     _make_primitive,
     _reduce,
+    _slot_writers,
 )
 from .quiver import ParseError, Quiver
 
@@ -119,7 +120,7 @@ class Rep(_Frozen):
     _h: int | None = dataclass_field(default=None, compare=False)
 
     def __init__(self, quiver: Quiver, field: Field, dims, maps):
-        dims = tuple(_as_index(d, "dimension") for d in dims)
+        dims = tuple([d if type(d) is int else _as_index(d, "dimension") for d in dims])
         if len(dims) != quiver.n:
             raise ValueError(f"expected {quiver.n} dimensions, got {len(dims)}")
         if any(d < 0 for d in dims):
@@ -136,25 +137,25 @@ class Rep(_Frozen):
                     f"expected {len(quiver.arrows)} arrow matrices, got {len(maps)}"
                 )
         for a, m in zip(quiver.arrows, maps):
-            want = (dims[a.target - 1], dims[a.source - 1])
-            if m.field != field:
+            if m.field is not field and m.field != field:
                 raise ValueError(f"matrix for arrow {a.name} is over the wrong field")
-            if (m.rows, m.cols) != want:
+            rows, cols = dims[a.target - 1], dims[a.source - 1]
+            if m.rows != rows or m.cols != cols:
                 raise ValueError(
                     f"matrix for arrow {a.name} has shape {m.rows}x{m.cols}, "
-                    f"want {want[0]}x{want[1]}"
+                    f"want {rows}x{cols}"
                 )
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_h", None)
+        _set_quiver(self, quiver)
+        _set_field(self, field)
+        _set_dims(self, dims)
+        _set_maps(self, maps)
+        _set_h(self, None)
 
     def __hash__(self):
         h = self._h
         if h is None:
             h = hash((self.quiver, self.field, self.dims, self.maps))
-            object.__setattr__(self, "_h", h)
+            _set_h(self, h)
         return h
 
     def __repr__(self):
@@ -166,6 +167,11 @@ class Rep(_Frozen):
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+
+_set_quiver, _set_field, _set_dims, _set_maps, _set_h = _slot_writers(
+    Rep, "quiver", "field", "dims", "maps", "_h"
+)
 
 
 def zero_rep(quiver: Quiver, field: Field) -> Rep:
@@ -280,17 +286,17 @@ class RepMap(_Frozen):
             rhs = target.maps[ai].mul(blocks[a.source - 1])
             if lhs != rhs:
                 raise ValueError(f"blocks do not commute with arrow {a.name}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "blocks", blocks)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_blocks(self, blocks)
 
     @classmethod
     def _make(cls, source: Rep, target: Rep, blocks: tuple) -> "RepMap":
         """Internal constructor for blocks, a tuple, known to form a morphism."""
         m = object.__new__(cls)
-        object.__setattr__(m, "source", source)
-        object.__setattr__(m, "target", target)
-        object.__setattr__(m, "blocks", blocks)
+        _set_source(m, source)
+        _set_target(m, target)
+        _set_blocks(m, blocks)
         return m
 
     def __repr__(self):
@@ -317,6 +323,9 @@ class RepMap(_Frozen):
         return tuple(out)
 
 
+_set_source, _set_target, _set_blocks = _slot_writers(RepMap, "source", "target", "blocks")
+
+
 def identity_map(M: Rep) -> RepMap:
     return RepMap._make(M, M, tuple(Mat.identity(M.field, d) for d in M.dims))
 
@@ -326,13 +335,19 @@ def _hom_system(M: Rep, N: Rep):
 
     The rows run over the arrows in order and, for a: u -> w, over the
     entries (i, j) of f_w M_a - N_a f_u, i before j; each is a
-    {column: int} dict of its nonzero coefficients. f_v[s, t] is column
-    col_off[v - 1] + s * dim M_v + t of the cols columns. Over the
-    rationals M_a and N_a are cleared of one common denominator and each
-    row is then made primitive, which gives the rows `exactlin._sparse_rows`
-    makes of the dense matrix; over F_p entries are kept mod p.
+    {column: int} dict of its nonzero coefficients, those of f_w before
+    those of f_u. f_v[s, t] is column col_off[v - 1] + s * dim M_v + t of
+    the cols columns. An arrow with dim N_w * dim M_u = 0 has no entries
+    and is skipped before its matrices are read; for the others the
+    nonzero entries of each column of M_a and each row of N_a are listed
+    once per arrow. Over the rationals M_a and N_a are cleared of one
+    common denominator and each row is then made primitive, which gives
+    the rows `exactlin._sparse_rows` makes of the dense matrix; over F_p
+    entries are kept mod p.
     """
-    if M.quiver != N.quiver or M.field != N.field:
+    if (M.quiver is not N.quiver and M.quiver != N.quiver) or (
+        M.field is not N.field and M.field != N.field
+    ):
         raise ValueError("representations live over different quivers or fields")
     p = M.field.characteristic
     md, nd = M.dims, N.dims
@@ -344,27 +359,29 @@ def _hom_system(M: Rep, N: Rep):
     rows = []
     for a, Ma, Na in zip(M.quiver.arrows, M.maps, N.maps):
         u, w = a.source - 1, a.target - 1
-        mu, mw, nu, nw = md[u], md[w], nd[u], nd[w]
+        mu, nw = md[u], nd[w]
+        if not nw * mu:
+            continue
+        mw, nu = md[w], nd[u]
         if p:
-            Ma, Na = Ma.entries, [(-x) % p for x in Na.entries]
+            Ma, Na = Ma.entries, Na.entries
         else:
             ints, _ = _cleared(Ma.entries + Na.entries)
-            Ma, Na = ints[: mw * mu], [-x for x in ints[mw * mu :]]
+            Ma, Na = ints[: mw * mu], ints[mw * mu :]
+        # f_w[i, t] has coefficient M_a[t, j], f_u[s, j] has -N_a[i, s]
+        m_cols = [[(t, x) for t, x in enumerate(Ma[j::mu]) if x] for j in range(mu)]
+        cw, cu = col_off[w], col_off[u]
         for i in range(nw):
-            n_row = Na[i * nu : i * nu + nu]
+            c = cw + i * mw
+            n_row = [
+                (cu + s * mu, (-x) % p if p else -x)
+                for s, x in enumerate(Na[i * nu : i * nu + nu])
+                if x
+            ]
             for j in range(mu):
-                # f_w[i, t] has coefficient M_a[t, j], f_u[s, j] has -N_a[i, s]
-                row = {}
-                c = col_off[w] + i * mw
-                for x in Ma[j::mu]:
-                    if x:
-                        row[c] = x
-                    c += 1
-                c = col_off[u] + j
-                for x in n_row:
-                    if x:
-                        row[c] = x
-                    c += mu
+                row = {c + t: x for t, x in m_cols[j]}
+                for cs, x in n_row:
+                    row[cs + j] = x
                 if not p:
                     _make_primitive(row)
                 rows.append(row)
@@ -785,13 +802,15 @@ def _split_along_endo(M: Rep, e: RepMap, factors):
 _RANDOM_CANDIDATES = 64
 
 
-def _candidate_endos(maps, basis: list, rng: random.Random, field: Field):
+def _candidate_endos(maps, basis: list, make_rng, field: Field):
     """The maps of a Hom basis as they are drawn, each appended to basis,
-    then random combinations of the full basis."""
+    then random combinations of the full basis, drawn from the
+    random.Random that make_rng() returns."""
     for m in maps:
         basis.append(m)
         yield m
     d = len(basis)
+    rng = make_rng()
     for _ in range(_RANDOM_CANDIDATES):
         if field.is_rational:
             coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
@@ -950,8 +969,10 @@ def _certify_or_split(M, basis, top, known):
     return None
 
 
-def _decompose_into(M: Rep, rng: random.Random, out: list, pending: list):
-    """Append the summands of M to out; pending lists parts not yet split."""
+def _decompose_into(M: Rep, make_rng, out: list, pending: list):
+    """Append the summands of M to out; pending lists parts not yet split.
+    make_rng() returns the random.Random that every node of the search
+    draws from."""
     if M.total_dim <= 1:
         # End of a one-dimensional module is the field
         if M.total_dim:
@@ -965,7 +986,7 @@ def _decompose_into(M: Rep, rng: random.Random, out: list, pending: list):
     # tried them all, which it has when no candidate splits M
     basis = []
     top = 1
-    for e in _candidate_endos(_hom_basis(M, M, piv, col_off, cols), basis, rng, M.field):
+    for e in _candidate_endos(_hom_basis(M, M, piv, col_off, cols), basis, make_rng, M.field):
         mp = _minpoly_of_endo(e)
         if len(mp) <= 2:
             continue
@@ -986,7 +1007,7 @@ def _decompose_into(M: Rep, rng: random.Random, out: list, pending: list):
         factors = _factor_poly(M.field, _minpoly_of_endo(e))
     parts = _split_along_endo(M, e, factors)
     for i, part in enumerate(parts):
-        _decompose_into(part, rng, out, parts[i + 1 :] + pending)
+        _decompose_into(part, make_rng, out, parts[i + 1 :] + pending)
 
 
 def decompose(M: Rep, seed: int = 0):
@@ -994,10 +1015,12 @@ def decompose(M: Rep, seed: int = 0):
 
     The output order is deterministic: sorted by total dimension, then by
     dimension vector. Raises UndecidedError instead of guessing when no
-    splitting and no indecomposability certificate is found.
+    splitting and no indecomposability certificate is found. The seeded
+    random.Random is made on the first random draw, which most inputs
+    never reach.
     """
     out = []
-    _decompose_into(M, random.Random(seed), out, [])
+    _decompose_into(M, cache(lambda: random.Random(seed)), out, [])
     out.sort(key=lambda r: (r.total_dim, r.dims))
     return out
 

@@ -299,3 +299,27 @@ def order_into_exceptional_sequence(summands):
     if len(order) != m:
         return None
     return tuple(xs[i] for i in order)
+
+
+def hom_matrix_by_definition(M, N):
+    """Phi: (f_v)_v -> (f_w M_a - N_a f_u)_{a: u -> w} of M and N as a dense
+    Mat, built straight from its definition: column c is Phi of the c-th unit
+    family of blocks, each product and difference taken by `Mat`. Rows run
+    over the arrows in order and over the entries of each f_w M_a - N_a f_u,
+    row-major; f_v[s, t] is column col_off[v - 1] + s * dim M_v + t."""
+    q, f = M.quiver, M.field
+    shapes = [(N.dim(v), M.dim(v)) for v in q.vertices()]
+    columns = []
+    for v, (rows, cols) in enumerate(shapes):
+        for k in range(rows * cols):
+            blocks = [Mat.zeros(f, r, c) for r, c in shapes]
+            unit = [f.one if x == k else f.zero for x in range(rows * cols)]
+            blocks[v] = Mat(f, rows, cols, unit)
+            image = []
+            for a, Ma, Na in zip(q.arrows, M.maps, N.maps):
+                u, w = blocks[a.source - 1], blocks[a.target - 1]
+                image.extend(w.mul(Ma).add(Na.mul(u).scale(-1)).entries)
+            columns.append(image)
+    height = sum(N.dim(a.target) * M.dim(a.source) for a in q.arrows)
+    flat = [x for column in columns for x in column]
+    return Mat(f, len(columns), height, flat).transpose()

@@ -362,6 +362,19 @@ dims 3 4
 map a 1 0 0 0 0 0 0 0 1 0 -1 0
 map b 0 0 0 0 1 0 -1 0 0 0 0 1
 """
+# M = (1,2,0,1,0) and N = (0,1,2,1,0) of D_5 vanish at different vertices:
+# for (M, N) the block of arrow c is empty on the M side and that of arrow d
+# on both sides; Hom is 1 and Ext^1 is 3
+D5_PAIR = D5 + """
+rep
+dims 1 2 0 1 0
+map a 1 -2/3
+
+rep
+dims 0 1 2 1 0
+map b 3 1/2
+map c 1 -1
+"""
 
 # (id, verb, input text, flags, SHA-256 of `--json --seed 1` stdout), pinned
 # so that changes to the machinery under a verb cannot alter its report bytes.
@@ -378,6 +391,10 @@ CLI_GOLDENS = [
     # 2048 sequences: pins the sequence search and the chains on a larger set
     ("jh-verify-d5", "jh-verify", D5, ["--prime", "3", "--bound", "7"],
      "35d4aefc2ca36e8ff866bf2f0970351b9b3603d038ec938046c73dbe322b801d"),
+    ("hom-d5-pair", "hom", D5_PAIR, [],
+     "6d63b2523b3438bd79f38de8dc50ff57a84d1729ebec6a706a743d682048ad44"),
+    ("ext-d5-pair", "ext", D5_PAIR, [],
+     "e4bad5efc0521e500c86cf760b0d76720906cc7acc614d31ec6ce5dbb433f570"),
     ("decompose-a3", "decompose", A3_DECOMPOSE, [],
      "05a07b45f28eb90331bcbcf70e3303d112b3b22fa9b26ebca58aaa94ebf21415"),
     ("seq-enum-a4", "seq-enum", A4, [],

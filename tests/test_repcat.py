@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from strata import repcat
-from strata.exactlin import GF, QQ, Mat, _sparse_rows
+from strata.exactlin import GF, QQ, Field, Mat, _sparse_rows
 from strata.quiver import (
     Arrow,
     ParseError,
@@ -49,6 +49,7 @@ from helpers import (
     combo_by_folding,
     conjugate_rep,
     dense_hom_matrix,
+    hom_matrix_by_definition,
     interval_rep,
     kernel_by_solving,
     minpoly_by_solving,
@@ -141,6 +142,61 @@ def test_rep_hash_is_cached_and_not_compared(field, seed):
     reps = enumerate_exceptional(rng.choice([A3, K2]), field, 4).reps
     x = rng.choice(reps)
     assert perp_algebra(x) is perp_algebra(_rebuilt(x))
+
+
+def test_equal_values_built_apart_compare_and_hash_alike():
+    """Field, Quiver, Mat and Rep answer == at once on identity and
+    otherwise compare values: separately built equal values are equal and
+    hash alike whether or not either was hashed first. A Quiver caches its
+    hash in `_h`, which is in neither == nor repr."""
+    from dataclasses import fields
+
+    assert Field(0) == QQ and QQ == Field(0) and hash(Field(0)) == hash(QQ)
+    assert Field(5) == GF(5) and hash(Field(5)) == hash(GF(5))
+    assert QQ != GF(5) and GF(2) != GF(5) and QQ != 0 and GF(5) != 5
+    arrows = [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)]
+    for hash_first in (True, False):
+        q, r = Quiver(3, arrows), Quiver(3, [Arrow(*a) for a in arrows])
+        assert q._h is None and r._h is None
+        if hash_first:
+            h = hash(q)
+            assert q._h == h and r._h is None
+        assert q == r and r == q and q is not r and repr(q) == repr(r)
+        assert hash(q) == hash(r) == hash((q.n, q.arrows, q.labels))
+        assert "_h" not in repr(q) and str(hash(q)) not in repr(q)
+    assert Quiver(3, arrows, labels="xyz") != q and Quiver(3, arrows[:2]) != q
+    assert [f.name for f in fields(Quiver) if f.compare] == ["n", "arrows", "labels"]
+    half = Fraction(1, 2)
+    for field in (QQ, GF(5)):
+        a = Mat(field, 2, 2, [1, half, -3, 0])
+        b = Mat(Field(field.characteristic), 2, 2, [field.coerce(x) for x in (1, half, -3, 0)])
+        assert a == b and hash(a) == hash(b) and a.entries == b.entries
+        assert a != Mat(field, 2, 2, [1, half, -3, 1]) and a != a.transpose()
+        assert a != Mat(field, 1, 4, a.entries) and a != Mat(field, 4, 1, a.entries)
+    # entries equal as numbers, fields different
+    ints = [1, 2, 0, 4]
+    assert Mat(QQ, 2, 2, ints).entries == Mat(GF(5), 2, 2, ints).entries
+    assert Mat(QQ, 2, 2, ints) != Mat(GF(5), 2, 2, ints)
+    assert Mat(QQ, 1, 2, [half, 1]) != Mat(QQ, 1, 2, [Fraction(1, 3), 1])
+    for field in (QQ, GF(5)):
+        for bad in (1.5, "1", None, [1]):
+            with pytest.raises(TypeError, match="cannot coerce"):
+                Mat(field, 1, 2, [1, bad])
+    with pytest.raises(ValueError, match="must be an integer"):
+        Mat(QQ, 1.5, 1, [1])
+    with pytest.raises(ValueError, match="negative"):
+        Mat(QQ, -1, 0, [])
+    with pytest.raises(ValueError, match="expected 2 entries"):
+        Mat(QQ, 1, 2, [1])
+    q = Quiver(3, arrows)
+    for field in (QQ, GF(5)):
+        x = Rep(q, field, (1, 2, 1), {"a": Mat(field, 2, 1, [1, half]),
+                                       "b": Mat(field, 1, 2, [0, 3]),
+                                       "c": Mat(field, 1, 1, [2])})
+        y = Rep(Quiver(3, arrows), Field(field.characteristic), [1, 2, 1],
+                [Mat(field, m.rows, m.cols, list(m.entries)) for m in x.maps])
+        assert x == y and hash(y) == hash(x) and y.quiver is not x.quiver
+        assert hom_dim(x, y) == hom_dim(y, x) == end_dim(x)
 
 
 def test_simple_and_projective_shapes():
@@ -307,6 +363,42 @@ def test_sparse_hom_system_matches_dense_oracle(field):
     assert all(seen[k, b] for k in ("exceptional", "orthogonal") for b in (True, False))
     assert seen["hom"] and seen["ext"]
     assert bool(seen["fraction"]) == field.is_rational
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_hom_system_matches_phi_from_its_definition(field):
+    """The sparse rows of `_hom_system` span the row space of Phi built from
+    f_w M_a - N_a f_u by matrix products, one row per row of Phi, on pairs
+    with zero-dimensional vertices and arrows whose blocks are empty on one
+    side or both. A quiver or field mismatch raises ValueError."""
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(60):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        M, N = random_rep(rng, q, field, max_dim=2), random_rep(rng, q, field, max_dim=2)
+        for X, Y in ((M, N), (N, M), (M, M)):
+            A = hom_matrix_by_definition(X, Y)
+            rows, col_off, cols = repcat._hom_system(X, Y)
+            S = Mat(field, len(rows), cols,
+                    [row.get(c, 0) for row in rows for c in range(cols)])
+            assert (S.rows, S.cols) == (A.rows, A.cols)
+            rank = A.rank()
+            assert S.rank() == rank == S.vstack(A).rank()
+            assert hom_dim(X, Y) == cols - rank and ext1_dim(X, Y) == len(rows) - rank
+            for a in q.arrows:
+                sides = (Y.dim(a.target) == 0, X.dim(a.source) == 0)
+                seen[sides] += 1
+            seen["zero vertex"] += 0 in X.dims
+    # blocks empty on the N side, the M side, both sides and neither occur
+    assert all(seen[s] for s in ((True, False), (False, True), (True, True), (False, False)))
+    assert seen["zero vertex"]
+    other = GF(3) if field.is_rational else QQ
+    M = projective(A3, field, 1)
+    for N in (projective(A3, other, 1), projective(linear_quiver(2), field, 1)):
+        with pytest.raises(ValueError, match="different quivers or fields"):
+            repcat._hom_system(M, N)
+        with pytest.raises(ValueError, match="different quivers or fields"):
+            hom_dim(N, M)
 
 
 def test_one_hom_system_per_pair(monkeypatch):
@@ -686,6 +778,56 @@ def test_split_node_makes_only_the_basis_map_it_reads(monkeypatch):
     monkeypatch.setattr(repcat, "_hom_basis", counting_basis)
     assert [p.dims for p in decompose(m, seed=1)] == [(0, 1, 0), (0, 1, 1), (1, 1, 1)]
     assert made == [1, 1]
+
+
+def _random_draw_inputs():
+    """Base-changed X^m whose splits come from the seeded random
+    combinations, not from a Hom-basis map: streams s = 632 (QQ, X of dims
+    (1, 2), m = 2) and s = 47 (F_5, X of dims (2, 3), m = 3) of the
+    repeated-summand sweep with random_acyclic_quiver(rng, 3, 2)."""
+    out = []
+    for s, field in ((632, QQ), (47, GF(5))):
+        rng = random.Random(s)
+        q = random_acyclic_quiver(rng, 3, 2)
+        X = random_rep(rng, q, field)
+        out.append(conjugate_rep(rng, direct_sum([X] * rng.randint(2, 3))))
+    return out
+
+
+class _CountingRandom(random.Random):
+    made = []
+
+    def __init__(self, *args):
+        _CountingRandom.made.append(args)
+        super().__init__(*args)
+
+
+def test_decompose_random_draws_digest(monkeypatch):
+    """Where the split search reaches its random combinations it makes one
+    seeded random.Random for the whole search, and decompose returns these
+    exact summands, matrices and order included, for seeds 0 and 1."""
+    monkeypatch.setattr(random, "Random", _CountingRandom)
+    h = hashlib.sha256()
+    for m in _random_draw_inputs():
+        for seed in (0, 1):
+            _CountingRandom.made.clear()
+            for p in decompose(m, seed):
+                h.update(repr((p.dims, [[str(x) for x in a.entries] for a in p.maps])).encode())
+            h.update(b"|")
+            assert _CountingRandom.made == [(seed,)]
+    assert h.hexdigest() == "1b27e151f7be41e79553691fa38311b05ea8af082262a6a5e93cad66ff27a989"
+
+
+def test_decompose_that_never_draws_makes_no_random_generator(monkeypatch):
+    """A search settled by Hom-basis maps, dim End = 1 and one-dimensional
+    parts never draws, so it builds no random.Random."""
+    sums = _projective_simple_sums(12)
+    monkeypatch.setattr(random, "Random", _CountingRandom)
+    _CountingRandom.made.clear()
+    for M in sums:
+        assert len(decompose(M, seed=3)) >= 2
+    assert decompose(simple(A3, QQ, 2)) == [simple(A3, QQ, 2)]
+    assert _CountingRandom.made == []
 
 
 def test_add_certificate_needs_rigidity_and_a_nonnegative_integer_combination():
