@@ -37,9 +37,15 @@ modules over and over, so `perp_algebra` and `transport_into_perp` memoize
 their results (which are immutable) and keep every one for the life of the
 process. Exceptions are not memoized: a bad input raises on every call.
 The other process-lifetime memos are `repcat._hom_rank`, one Hom-system
-rank per pair of modules, and `exceptional._closure`, one mutation
-closure per (quiver, field) at the largest bound asked for, which the
-sequence enumeration and the isotypic parts here share.
+rank per pair of modules; `repcat._hom_space_memo`, one Hom basis per
+pair, which `hom_space` copies into a new list for the Hom categories and
+transports here; `repcat._projectives`, the P_v of one (quiver, field),
+for the Bongartz parts and the vertex-deletion branch; and
+`exceptional._closure`, one mutation closure per (quiver, field) at the
+largest bound asked for, which the sequence enumeration and the isotypic
+parts here share. The vertex-deletion branch records the deleted vertex
+on its presentation, so transport and lift read it instead of searching
+the dimension vectors of the P_v again.
 """
 
 from __future__ import annotations
@@ -60,13 +66,13 @@ from .repcat import (
     _hom_rank,
     _in_add,
     _isotypic,
+    _projectives,
     coordinates_in_hom_basis,
     decompose,
     direct_sum,
     distinct_summands,
     hom_space,
     orthogonal,
-    projective,
     universal_extension,
     zero_rep,
 )
@@ -83,8 +89,7 @@ def _bongartz_parts(X: Rep):
     memoized, and its Ext^1(X, E_v) = 0 reads the same memoized rank as
     the check below that each E_v lies in the perpendicular category of X.
     """
-    q = X.quiver
-    universal = [universal_extension(X, projective(q, X.field, v)) for v in q.vertices()]
+    universal = [universal_extension(X, p) for p in _projectives(X.quiver, X.field)]
     if not any(c for c, _ in universal):
         raise ValueError(
             "X is projective (no extensions against the free module); "
@@ -120,7 +125,9 @@ class PerpPresentation:
     for an arrow a: j -> j' is an ambient intertwiner
     projectives_in_ambient[j'-1] -> projectives_in_ambient[j-1], acting on
     transported modules by precomposition. The "projective" branch needs
-    none: its modules are restrictions, and its tuple is empty.
+    none: its modules are restrictions, and its tuple is empty; it records
+    instead the vertex v deleted (the source is P_v), which the other
+    branches leave None.
 
     source_end_dim is dim End(source), which `perp_algebra` reads off the
     same Hom system that certifies the source exceptional, and
@@ -136,6 +143,7 @@ class PerpPresentation:
     radical_generators: tuple
     source_end_dim: int | None = None
     source_label: str | None = None
+    deleted_vertex: int | None = None
 
 
 def _source_label(q: Quiver, x: Rep) -> str:
@@ -390,9 +398,10 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             branch="projective",
             algebra_quiver=subq,
             projectives_in_ambient=tuple(
-                _extend_by_zero(projective(subq, f, j), q, v) for j in subq.vertices()
+                _extend_by_zero(p, q, v) for p in _projectives(subq, f)
             ),
             radical_generators=(),
+            deleted_vertex=v,
             **recorded,
         )
     distinct = distinct_summands(_complement_summands(_bongartz_parts(X)))
@@ -410,7 +419,7 @@ def perp_algebra(X: Rep) -> PerpPresentation:
 def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
     q = pres.algebra_quiver
     if pres.branch == "projective":
-        return _restrict(Y, _deleted_vertex(pres.source), q)
+        return _restrict(Y, pres.deleted_vertex, q)
     f = Y.field
     bases = [hom_space(pj, Y) for pj in pres.projectives_in_ambient]
     dims = [len(b) for b in bases]
@@ -447,7 +456,7 @@ def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     if Y.quiver != X.quiver or Y.field != X.field:
         raise ValueError("module lives over another quiver or field than the source")
     if pres.branch == "projective":
-        perpendicular = Y.dim(_deleted_vertex(X)) == 0
+        perpendicular = Y.dim(pres.deleted_vertex) == 0
     else:
         perpendicular = orthogonal(X, Y)
     if not perpendicular:
@@ -527,7 +536,7 @@ def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:
     if Z.field != pres.source.field:
         raise ValueError("module lives over another field than the source")
     if pres.branch == "projective":
-        Y = _extend_by_zero(Z, pres.source.quiver, _deleted_vertex(pres.source))
+        Y = _extend_by_zero(Z, pres.source.quiver, pres.deleted_vertex)
     else:
         Y = _cokernel_lift(pres, Z)
     back = _transport_unchecked(pres, Y)

@@ -15,7 +15,12 @@ sparse integer rows and eliminated by the same `exactlin._reduce` that
 and Ext^1 dimensions, orthogonality and exceptionality alike, so it is
 memoized per pair (M, N) and kept for the life of the process, as `perpcat`
 keeps `perp_algebra` and `transport_into_perp`; a sweep that asks each pair
-once calls the unmemoized `_hom_system_rank` instead. A cocycle
+once calls the unmemoized `_hom_system_rank` instead. `hom_space` keeps its
+basis per pair the same way and hands out a new list on every call, while
+`decompose` reads the End systems of its parts off `_hom_echelon`
+unmemoized, so one-off parts never enter the memo. `_projectives` keeps
+(P_1, ..., P_n) per (quiver, field) for `free_module` and `perpcat`;
+`projective` builds a new module on every call. A cocycle
 basis of Ext^1 gives extensions explicitly, and stacking all of them gives
 the universal extension that the mutations of `exceptional` and the
 Bongartz complements of `perpcat` are built from. The kernel and cokernel
@@ -224,6 +229,13 @@ def projective(quiver: Quiver, field: Field, v: int) -> Rep:
     return Rep(quiver, field, dims, maps)
 
 
+@cache
+def _projectives(quiver: Quiver, field: Field) -> tuple:
+    """(P_1, ..., P_n), kept for the life of the process per (quiver, field);
+    `projective` itself builds a new module on every call."""
+    return tuple(projective(quiver, field, v) for v in quiver.vertices())
+
+
 def direct_sum(reps) -> Rep:
     """Direct sum; vertex spaces are concatenated in the given order."""
     reps = list(reps)
@@ -420,14 +432,22 @@ def _hom_basis(M: Rep, N: Rep, piv, col_off, cols):
         yield RepMap._make(M, N, blocks)
 
 
+@cache
+def _hom_space_memo(M: Rep, N: Rep) -> tuple:
+    """Every map `_hom_basis` yields for (M, N), kept for the life of the
+    process; a mismatched pair raises on every call."""
+    return tuple(_hom_basis(M, N, *_hom_echelon(M, N)))
+
+
 def hom_space(M: Rep, N: Rep):
-    """A deterministic basis of Hom(M, N) as a list of RepMaps.
+    """A deterministic basis of Hom(M, N) as a new list of RepMaps.
 
     The basis is the reduced-echelon kernel basis of the Hom system: each
     map has 1 at its free column and 0 at the other free columns. It is
-    every map `_hom_basis` yields, in order.
+    every map `_hom_basis` yields, in order, read from a memo per pair
+    (M, N); `decompose` reads its End systems unmemoized instead.
     """
-    return list(_hom_basis(M, N, *_hom_echelon(M, N)))
+    return list(_hom_space_memo(M, N))
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
@@ -563,7 +583,7 @@ def universal_extension(X: Rep, R: Rep):
 
 def free_module(quiver: Quiver, field: Field) -> Rep:
     """A = P_1 (+) ... (+) P_n, the algebra as a module over itself."""
-    return direct_sum([projective(quiver, field, v) for v in quiver.vertices()])
+    return direct_sum(_projectives(quiver, field))
 
 
 def _rows_of(m: Mat, rows) -> Mat:
@@ -886,7 +906,7 @@ def _annihilator_conditions(M: Rep, basis, known):
             # e_v(w) for the k-th unit vector w is column k of e's block at v
             yield [[b.block(v).entry(i, k) for b in basis] for i in range(M.dim(v))]
     for Y in known:
-        for phi in hom_space(Y, M):
+        for phi in _hom_basis(Y, M, *_hom_echelon(Y, M)):
             yield [list(row) for row in zip(*(b.after(phi).flatten() for b in basis))]
 
 

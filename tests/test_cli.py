@@ -1,5 +1,6 @@
 """End-to-end command-line tests via subprocess."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -622,6 +623,27 @@ def test_broken_chain_is_a_failed_check(tmp_path, capsys, monkeypatch, mutate, m
     assert cli.main(["jh-verify", path]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "warning: sequence " in out
+
+
+def test_wrong_factor_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    """With every peeled member's recorded End one larger, no chain raises,
+    but each chain's factor multiset differs from that of the simples: the
+    factor comparison alone makes jh-verify report FAIL and exit 1."""
+    real = strat.perp_algebra
+
+    def end_plus_one(X):
+        pres = real(X)
+        return dataclasses.replace(pres, source_end_dim=pres.source_end_dim + 1)
+
+    monkeypatch.setattr(strat, "perp_algebra", end_plus_one)
+    path = write(tmp_path, "a3.quiver", A3)
+    assert cli.main(["jh-verify", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and doc["warnings"] == []
+    assert len(doc["chains"]) == doc["sequence_count"] == 16
+    assert all(sorted(c["factors"]) == [1, 2, 2] for c in doc["chains"])
+    assert cli.main(["jh-verify", path]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_undecided_chain_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Universal extensions, Bongartz complements, perpendicular algebras."""
 
+import dataclasses
 import random
 
 import pytest
@@ -523,6 +524,65 @@ def test_transport_rejects_non_perpendicular():
         for pres, y, match in cases:
             with pytest.raises(ValueError, match=match):
                 transport_into_perp(pres, y)
+
+
+def test_transport_contract_rejects_a_corrupted_presentation():
+    """The dimension contract of transport_into_perp fails, instead of a
+    wrong module coming back, on a presentation with its one arrow dropped
+    (Bongartz branch of S_1 of A_3) or with P'_1 swapped for P'_2
+    (vertex-deletion branch of P_3 of A_3)."""
+    bongartz = perp_algebra(simple(A3, QQ, 1))
+    bq = bongartz.algebra_quiver
+    assert len(bq.arrows) == 1
+    dropped = dataclasses.replace(
+        bongartz, algebra_quiver=Quiver(bq.n, (), bq.labels), radical_generators=()
+    )
+    deletion = perp_algebra(projective(A3, QQ, 3))
+    p1, p2 = deletion.projectives_in_ambient
+    swapped = dataclasses.replace(deletion, projectives_in_ambient=(p2, p2))
+    for good, bad, y in (
+        (bongartz, dropped, projective(A3, QQ, 1)),
+        (deletion, swapped, p1),
+    ):
+        assert transport_into_perp(good, y).dims == (1, 1)
+        with pytest.raises(AssertionError, match="transport dimension contract failed"):
+            transport_into_perp(bad, y)
+
+
+def test_transport_rejects_a_hom_basis_missing_a_map(monkeypatch):
+    """Precomposition with a radical generator must land in the span of the
+    target projective's Hom basis. With the last basis map of that target
+    dropped, transporting P_1 + P_1 of A_4 into the perpendicular category
+    of S_1 raises; the presentation is a fresh copy, so the transport memo
+    cannot answer."""
+    pres = perp_algebra(simple(A4, QQ, 1))
+    y = direct_sum([projective(A4, QQ, 1)] * 2)
+    a = pres.algebra_quiver.arrows[0]
+    target = pres.projectives_in_ambient[a.target - 1]
+    full = perpcat.hom_space
+    assert len(full(target, y)) == 2
+    fresh = dataclasses.replace(pres)
+    monkeypatch.setattr(
+        perpcat, "hom_space", lambda P, Y: full(P, Y)[:-1] if P == target else full(P, Y)
+    )
+    with pytest.raises(AssertionError, match="precomposition left the Hom space"):
+        transport_into_perp(fresh, y)
+
+
+@pytest.mark.parametrize("q,field", [(A4, QQ), (A4, GF(3)), (D4, QQ), (D4, GF(3))],
+                         ids=["A4", "A4-F3", "D4", "D4-F3"])
+def test_presentation_records_the_deleted_vertex(q, field):
+    """The vertex-deletion branch records v for P_v, the vertex that
+    `_deleted_vertex` finds; a Bongartz presentation records none."""
+    from strata.exceptional import enumerate_exceptional
+
+    for x in enumerate_exceptional(q, field, 5).reps:
+        pres = perp_algebra(x)
+        v = perpcat._deleted_vertex(x)
+        assert pres.deleted_vertex == v
+        assert (v is None) == (pres.branch == "bongartz")
+    for v in q.vertices():
+        assert perp_algebra(projective(q, field, v)).deleted_vertex == v
 
 
 def test_lift_then_transport_round_trip():

@@ -780,6 +780,44 @@ def test_split_node_makes_only_the_basis_map_it_reads(monkeypatch):
     assert made == [1, 1]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["QQ", "GF2", "GF5"])
+def test_hom_space_memo_hit_is_the_unmemoized_basis(field):
+    """A second hom_space of a pair is a memo hit, a new list each time,
+    equal map for map to the basis read off a fresh Hom echelon; emptying
+    or extending one list leaves the next call intact."""
+    rng = random.Random(23)
+    for _ in range(20):
+        q = random_acyclic_quiver(rng, max_vertices=4)
+        M, N = random_rep(rng, q, field), random_rep(rng, q, field)
+        want = list(repcat._hom_basis(M, N, *repcat._hom_echelon(M, N)))
+        first = hom_space(M, N)
+        hits = repcat._hom_space_memo.cache_info().hits
+        second = hom_space(M, N)
+        assert repcat._hom_space_memo.cache_info().hits == hits + 1
+        assert second is not first
+        assert first == want and second == want
+        first.clear()
+        second.append(identity_map(M))
+        third = hom_space(M, N)
+        assert third is not second and third == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_projectives_memo_is_every_projective(field):
+    """_projectives(q, f) is (P_1, ..., P_n), the same tuple on a second
+    call, and equal quivers built apart share it."""
+    rng = random.Random(29)
+    quivers = [A3, K2, Quiver(4, [Arrow("a", 1, 4), Arrow("b", 2, 4), Arrow("c", 3, 4)])]
+    quivers += [random_acyclic_quiver(rng, max_vertices=5) for _ in range(5)]
+    for q in quivers:
+        got = repcat._projectives(q, field)
+        assert got == tuple(projective(q, field, v) for v in q.vertices())
+        assert repcat._projectives(Quiver(q.n, q.arrows, q.labels), field) is got
+    assert repcat.free_module(A3, field) == direct_sum(
+        [projective(A3, field, v) for v in A3.vertices()]
+    )
+
+
 def _random_draw_inputs():
     """Base-changed X^m whose splits come from the seeded random
     combinations, not from a Hom-basis map: streams s = 632 (QQ, X of dims
