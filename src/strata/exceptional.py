@@ -14,8 +14,14 @@ total-dimension bound. It is deterministic and complete: by Ringel
 module is reached from an exceptional pair of smaller dimension by
 mutations of increasing dimension. `_closure` keeps one closure per
 (quiver, field) for the life of the process, at the largest bound asked
-for, and answers smaller bounds by filtering it; the sequence enumeration
-and the isotypic Bongartz parts of `perpcat` read it.
+for, and answers smaller bounds by filtering it; the sequence enumeration,
+the isotypic Bongartz parts of `perpcat` and the tilting test read it.
+
+Whether T is tilting is decided without decomposing T (`_tilting_dims`):
+T must be rigid, and the closure members that fit under dim T and are
+Ext-orthogonal to T must be n modules with independent dimension vectors
+in which dim T has positive coordinates. Only the `tilting-check` and
+`ringel-check` verbs decompose a tilting T, once, for its summands.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .exactlin import Field, Mat
+from .exactlin import QQ, Field, Mat
 from .quiver import Quiver
 from .repcat import (
     Rep,
@@ -31,12 +37,12 @@ from .repcat import (
     _assembled,
     _check_summand_dims,
     _cokernel,
+    _hom_system_rank,
     _in_add,
     _kernel,
     decompose,
     direct_sum,
     distinct_summands,
-    ext1_dim,
     ext1_space,
     extension_from_cocycle,
     free_module,
@@ -59,26 +65,97 @@ def is_exceptional_sequence(reps) -> bool:
     )
 
 
+def _tilting_dims(T: Rep):
+    """The dimension vectors of T's distinct indecomposable summands when T
+    is tilting, else None; T is not decomposed.
+
+    Over a hereditary algebra T is tilting exactly when
+    (a) Ext^1(T, T) = 0;
+    (b) the set C of exceptional X with dim X <= dim T componentwise and
+        Ext^1(X, T) = 0 = Ext^1(T, X) has exactly n members;
+    (c) their dimension vectors are linearly independent; and
+    (d) dim T has positive coordinates in them.
+    C is read off the mutation closure `_closure(q, k, |dim T|)`, which holds
+    every exceptional module of total dimension at most |dim T| (Ringel,
+    1998). If T is tilting it is maximal rigid (Bongartz), so C lies in
+    add T and holds exactly T's n summands, whose dimension vectors are
+    independent (Happel-Ringel, Tilted algebras, 1982). Conversely every
+    summand of a rigid T is exceptional and lies in C, so dim T is a
+    non-negative integer combination of C; by (c) it is the only
+    combination, so (d) puts every member of C in add T, and T has n
+    summands. A summand X of T has <dim X, dim T> = dim Hom(X, T) >= 1,
+    and likewise <dim T, dim X> >= 1, so members failing either are
+    dropped from C before any elimination.
+    T is a one-off input, so its Hom systems stay out of the rank memo.
+    """
+    q = T.quiver
+    n = q.n
+    if T.total_dim == 0:
+        return () if n == 0 else None
+    rows, _, rank = _hom_system_rank(T, T)
+    if rows != rank:
+        return None
+    t = T.dims
+    C = []
+    for X in _closure(q, T.field, T.total_dim):
+        x = X.dims
+        if (
+            any(a > b for a, b in zip(x, t))
+            or q.euler_form(x, t) < 1
+            or q.euler_form(t, x) < 1
+        ):
+            continue
+        if any(r != k for r, _, k in (_hom_system_rank(X, T), _hom_system_rank(T, X))):
+            continue
+        C.append(x)
+        if len(C) > n:
+            return None
+    if len(C) != n:
+        return None
+    # solve sets free variables to 0, so positive coordinates show (c) too
+    m = Mat(QQ, n, n, [x[v] for v in range(n) for x in C]).solve(Mat.column(QQ, t))
+    return tuple(C) if m is not None and all(c > 0 for c in m.entries) else None
+
+
+def is_tilting_module(T: Rep) -> bool:
+    """Rigid with exactly n pairwise non-isomorphic indecomposable summands.
+
+    Decided by `_tilting_dims` without decomposing T: T is rigid, and the
+    members of the mutation closure that fit under dim T and are
+    Ext-orthogonal to T are n modules with linearly independent dimension
+    vectors, in which dim T has positive coordinates. It rests on Bongartz
+    (a tilting module is maximal rigid), Happel-Ringel (the summands of a
+    rigid module have independent dimension vectors) and Ringel (the
+    closure holds every exceptional module up to its bound). Only
+    `_tilting_summands`, behind the `tilting-check` and `ringel-check`
+    verbs and `strat.verify_ringel_tilting`, decomposes a tilting T, once.
+    """
+    return _tilting_dims(T) is not None
+
+
 def _tilting_summands(T: Rep):
     """The distinct indecomposable summands of T when T is tilting, else None.
 
-    Every tilting check shares this one decomposition of T. The summands
-    of the rigid T must pass `repcat._check_summand_dims`, as the Bongartz
-    summands of `perpcat` do; AssertionError names the condition that fails.
+    The verdict is `_tilting_dims`'s, so a T that is not tilting is never
+    decomposed. A tilting T is decomposed once, for the summands that the
+    coresolution certificate and the endomorphism rings read. They must
+    pass `repcat._check_summand_dims`, as the Bongartz summands of `perpcat`
+    do, and their distinct dimension vectors must be the n that
+    `_tilting_dims` found; AssertionError names the condition that fails.
     """
-    if T.total_dim == 0:
-        return () if T.quiver.n == 0 else None
-    if ext1_dim(T, T) != 0:
+    dims = _tilting_dims(T)
+    if dims is None:
         return None
     parts = decompose(T)
     _check_summand_dims(T.quiver, parts, T.dims, "tilting", "T's")
     distinct = distinct_summands(parts)
-    return distinct if len(distinct) == T.quiver.n else None
-
-
-def is_tilting_module(T: Rep) -> bool:
-    """Rigid with exactly n pairwise non-isomorphic indecomposable summands."""
-    return _tilting_summands(T) is not None
+    found = sorted(d.dims for d in distinct)
+    if found != sorted(dims):
+        raise AssertionError(
+            f"tilting summands have dimensions {found}, "
+            f"not the closure's {sorted(dims)}"
+        )
+    return distinct
 
 
 def _coresolution(T: Rep, distinct):

@@ -330,6 +330,16 @@ map a1 1
 rep
 dims 1 0 0
 """
+# (1,1,1) + (0,0,1) of A_3: rigid, not tilting
+A3_RIGID = A3 + """
+rep
+dims 1 1 1
+map a1 1
+map a2 1
+
+rep
+dims 0 0 1
+"""
 # P_1 + P_2 + S_2 of A_3 under a base change
 A3_DECOMPOSE = A3 + """
 rep
@@ -513,6 +523,22 @@ def test_tilting_check_decomposes_t_once(tmp_path, capsys, monkeypatch):
     assert seen == [(3, 2, 1)]
 
 
+def test_tilting_check_decomposes_a_rigid_non_tilting_t_never(tmp_path, capsys, monkeypatch):
+    """(1,1,1) + (0,0,1) of A_3 is rigid with three closure candidates; the
+    verdict comes from them, so nothing is decomposed."""
+    seen = []
+
+    def counting(M, *args, **kwargs):
+        seen.append(M.dims)
+        return repcat.decompose(M, *args, **kwargs)
+
+    monkeypatch.setattr(exceptional, "decompose", counting)
+    path = write(tmp_path, "t.quiver", A3_RIGID)
+    assert cli.main(["tilting-check", path]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("tilting: no")
+    assert seen == []
+
+
 def test_failed_coresolution_is_a_failed_check(tmp_path, capsys, monkeypatch):
     # drop (1,1,1) from the summands: A no longer maps injectively into add T
     def without_p1(T):
@@ -569,10 +595,32 @@ def test_tilting_summand_invariant_catches_a_corrupted_decompose(
         exceptional, "decompose", lambda M, *a, **k: corrupt(real(M, *a, **k), M)
     )
     with pytest.raises(AssertionError, match=message):
-        exceptional.is_tilting_module(T)
+        exceptional._tilting_summands(T)
     assert cli.main(["tilting-check", path]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_tilting_summands_must_match_the_closure_candidates(tmp_path, capsys, monkeypatch):
+    """A closure verdict whose summand dims are not those that decompose
+    finds, here (0,1,0) for (1,1,0), fails the cross-check in
+    _tilting_summands, and tilting-check and ringel-check report it."""
+    path = write(tmp_path, "t.quiver", A3_TILTING)
+    field, q, rest = parse_quiver_text(A3_TILTING)
+    T = repcat.direct_sum(repcat.parse_rep_blocks(field, q, rest))
+    real = exceptional._tilting_dims
+    assert sorted(real(T)) == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
+    monkeypatch.setattr(
+        exceptional, "_tilting_dims",
+        lambda M: tuple((0, 1, 0) if d == (1, 1, 0) else d for d in real(M)),
+    )
+    message = "not the closure's"
+    with pytest.raises(AssertionError, match=message):
+        exceptional._tilting_summands(T)
+    for verb in ("tilting-check", "ringel-check"):
+        assert cli.main([verb, path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
 
 def _reverse_gram_projectives(monkeypatch):
     """Check each Bongartz presentation's Euler form with its projectives

@@ -1,15 +1,19 @@
 """Exceptional objects, sequences, tilting modules, and their enumeration."""
 
 import itertools
+from fractions import Fraction
+from random import Random
 
 import pytest
 
-from strata import exceptional
+from strata import exceptional, repcat
 from strata.exactlin import GF, QQ, Mat
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import (
     Rep,
+    decompose,
     direct_sum,
+    distinct_summands,
     ext1_dim,
     hom_dim,
     projective,
@@ -29,6 +33,7 @@ from strata.exceptional import (
 
 from helpers import (
     complete_sequences_by_lists,
+    conjugate_rep,
     interval_rep,
     order_into_exceptional_sequence,
 )
@@ -326,6 +331,173 @@ def test_a3_tilting_triples():
     for trip in tiltings:
         ordered = order_into_exceptional_sequence([ivs[t] for t in trip])
         assert ordered is not None and len(ordered) == A3.n
+
+
+# --- the closure criterion of `_tilting_dims`, against decomposing T ---
+
+
+def _decompose_verdict(T):
+    """Tilting by the definition: rigid with n distinct summands."""
+    return ext1_dim(T, T) == 0 and len(distinct_summands(decompose(T))) == T.quiver.n
+
+
+def _candidates(members, T, prune):
+    """C of the criterion, computed here from members (the exceptional
+    modules up to total dimension |dim T|): the X with dim X <= dim T and
+    Ext^1(X, T) = 0 = Ext^1(T, X); with prune, also <dim X, dim T> >= 1
+    and <dim T, dim X> >= 1."""
+    q, t = T.quiver, T.dims
+    return [
+        X.dims
+        for X in members
+        if X.total_dim <= T.total_dim
+        and all(a <= b for a, b in zip(X.dims, t))
+        and not (prune and (q.euler_form(X.dims, t) < 1 or q.euler_form(t, X.dims) < 1))
+        and ext1_dim(X, T) == 0 == ext1_dim(T, X)
+    ]
+
+
+def _columns(C, n):
+    return Mat(QQ, n, len(C), [x[v] for v in range(n) for x in C])
+
+
+def _criterion(T, C):
+    """(a) T rigid, (b) |C| = n, (c) dims of C independent, (d) dim T has
+    positive coordinates in them."""
+    n = T.quiver.n
+    if ext1_dim(T, T) != 0 or len(C) != n:
+        return False
+    D = _columns(C, n)
+    if not D.is_invertible():
+        return False
+    return all(c > 0 for c in D.solve(Mat.column(QQ, T.dims)).entries)
+
+
+# (quiver, closure bound): each bound reaches every exceptional module that
+# fits under a sum, which is a multiset of at most n + 1 members, each at
+# most twice, of total dimension at most 8
+CRITERION_QUIVERS = [
+    (A2, 2),
+    (A3, 3),
+    (quiver(3, (1, 2), (3, 2)), 3),
+    (A4, 4),
+    (D4, 5),
+    (KR, 8),
+]
+
+
+def test_tilting_criterion_matches_decompose_on_closure_sums():
+    """On every sum of closure members in the corpus, is_tilting_module,
+    the criterion recomputed here with and without the Euler-form pruning,
+    and the decompose verdict agree. Some rigid sums that are not tilting
+    still have n or more candidates, so (c) and (d) decide them."""
+    inputs = rigid = tilting = crowded = 0
+    for q, bound in CRITERION_QUIVERS:
+        for field in (QQ, GF(2), GF(5)):
+            members = enumerate_exceptional(q, field, bound).reps
+            for size in range(1, q.n + 2):
+                for combo in itertools.combinations_with_replacement(members, size):
+                    if any(combo.count(x) > 2 for x in combo):
+                        continue
+                    T = direct_sum(list(combo))
+                    if T.total_dim > 8:
+                        continue
+                    want = _decompose_verdict(T)
+                    inputs += 1
+                    tilting += want
+                    assert is_tilting_module(T) is want, (q.describe(), field, T.dims)
+                    if ext1_dim(T, T) != 0:
+                        continue
+                    rigid += 1
+                    for prune in (True, False):
+                        C = _candidates(members, T, prune)
+                        assert _criterion(T, C) is want, (q.describe(), field, T.dims, prune)
+                        crowded += prune and not want and len(C) >= q.n
+    assert (inputs, rigid, tilting, crowded) == (8121, 1824, 165, 135)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "F5"])
+def test_tilting_criterion_on_base_changed_a3_triples(field):
+    """The 20 interval triples of A_3 under a random base change: the
+    closure route and the decompose verdict both find the 5 tilting ones."""
+    rng = Random(33)
+    ivs = {(lo, hi): interval_rep(field, 3, lo, hi)
+           for lo in (1, 2, 3) for hi in range(lo, 4)}
+    found = set()
+    for trip in itertools.combinations(sorted(ivs), 3):
+        T = conjugate_rep(rng, direct_sum([ivs[t] for t in trip]))
+        verdict = is_tilting_module(T)
+        assert verdict is _decompose_verdict(T), trip
+        if verdict:
+            found.add(trip)
+    assert len(found) == 5 and all((1, 3) in trip for trip in found)
+
+
+def _module(q, field, *dims):
+    """The direct sum of the exceptional modules of the given dims."""
+    by_dims = {X.dims: X for X in enumerate_exceptional(q, field, max(map(sum, dims))).reps}
+    return direct_sum([by_dims[d] for d in dims])
+
+
+def test_each_condition_of_the_tilting_criterion_is_needed():
+    """Each input below is rigid and not tilting, and fails exactly one of
+    (b)-(d) on the pruned C, so leaving that condition out accepts it."""
+    def pruned(T):
+        return _candidates(enumerate_exceptional(T.quiver, T.field, T.total_dim).reps,
+                           T, True)
+
+    # (b): S_3 of A_3 is alone in C; its one vector is independent and
+    # dim T is 1 times it
+    T = _module(A3, QQ, (0, 0, 1))
+    C = pruned(T)
+    assert C == [(0, 0, 1)]
+    assert _columns(C, 3).rank() == 1
+    assert not _decompose_verdict(T) and not is_tilting_module(T)
+    # (c): on A_5, C has 5 members but (0,0,0,1,1) + (0,1,1,0,0) =
+    # (0,1,1,1,1), so dim T is also a combination with every coefficient
+    # positive; without (c), "positive coordinates" would accept T
+    A5 = linear_quiver(5)
+    T = _module(A5, QQ, (0, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 1, 1, 1, 1))
+    C = pruned(T)
+    assert C == [(0, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 1, 0, 0),
+                 (0, 1, 1, 1, 1)]
+    assert _columns(C, 5).rank() == 4
+    half = Fraction(1, 2)
+    m = [1, 1, half, half, half]
+    assert tuple(sum(c * x[v] for c, x in zip(m, C)) for v in range(5)) == T.dims
+    assert not _decompose_verdict(T) and not is_tilting_module(T)
+    # (d): (1,1,1) + (0,0,1) of A_3 has three independent candidates, but
+    # (0,1,1) has coordinate 0 in dim T
+    T = _module(A3, QQ, (1, 1, 1), (0, 0, 1))
+    C = pruned(T)
+    assert C == [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    D = _columns(C, 3)
+    assert D.is_invertible()
+    assert D.solve(Mat.column(QQ, T.dims)).entries == (1, 0, 1)
+    assert not _decompose_verdict(T) and not is_tilting_module(T)
+
+
+def test_tilting_verdict_decomposes_nothing_and_leaves_the_memos(monkeypatch):
+    """is_tilting_module reads T's Hom systems unmemoized: once the
+    closure is built, a fresh T adds no entry to the rank or basis memo."""
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("is_tilting_module decomposed")
+
+    monkeypatch.setattr(exceptional, "decompose", no_decompose)
+    monkeypatch.setattr(repcat, "decompose", no_decompose)
+    rng = Random(7)
+    exceptional._closure(A3, QQ, 6)
+    ivs = {(lo, hi): interval_rep(QQ, 3, lo, hi) for lo in (1, 2, 3) for hi in range(lo, 4)}
+    # tilting; rigid with |C| = n and a zero coordinate; not rigid
+    for trip, want in ((((1, 1), (1, 2), (1, 3)), True),
+                       (((1, 3), (3, 3)), False),
+                       (((1, 1), (2, 2)), False)):
+        T = conjugate_rep(rng, direct_sum([ivs[t] for t in trip]))
+        sizes = (repcat._hom_rank.cache_info().currsize,
+                 repcat._hom_space_memo.cache_info().currsize)
+        assert is_tilting_module(T) is want
+        assert (repcat._hom_rank.cache_info().currsize,
+                repcat._hom_space_memo.cache_info().currsize) == sizes
 
 
 def _tilting_coresolution(t):

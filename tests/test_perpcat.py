@@ -10,6 +10,7 @@ from strata.exactlin import GF, QQ, Mat
 from strata.quiver import Arrow, Quiver, kronecker_quiver, linear_quiver
 from strata.repcat import (
     Rep,
+    RepMap,
     decompose,
     direct_sum,
     end_dim,
@@ -17,6 +18,7 @@ from strata.repcat import (
     free_module,
     hom_dim,
     is_isomorphic,
+    orthogonal,
     projective,
     simple,
     universal_extension,
@@ -650,3 +652,39 @@ def test_perp_over_prime_field():
     pres = perp_algebra(simple(A2, GF(5), 1))
     assert pres.algebra_quiver.n == 1
     assert [p.dims for p in pres.projectives_in_ambient] == [(1, 1)]
+
+
+def test_bongartz_parts_reject_a_middle_term_outside_the_perpendicular_category(monkeypatch):
+    """Each Bongartz part must be perpendicular to X. With X added to every
+    universal extension's middle term (Hom(X, X) != 0), _bongartz_parts
+    raises instead of handing the parts on."""
+    x = simple(A3, QQ, 1)
+    real = perpcat.universal_extension
+    assert all(orthogonal(x, E) for E in perpcat._bongartz_parts(x))
+
+    def with_x(X, P):
+        c, E = real(X, P)
+        return c, direct_sum([E, X])
+
+    monkeypatch.setattr(perpcat, "universal_extension", with_x)
+    with pytest.raises(AssertionError, match="escaped the perpendicular category"):
+        perpcat._bongartz_parts(x)
+
+
+def test_lift_round_trip_rejects_a_corrupted_presentation():
+    """Lifting must transport back to the same dimension vector. With the
+    one radical generator of S_1's Bongartz presentation on A_3 replaced by
+    the zero map, the lift of the simple at the arrow's source is that
+    vertex's whole projective (1, 1, 1), which transports back to (1, 1),
+    not (0, 1)."""
+    pres = perp_algebra(simple(A3, QQ, 1))
+    (r,) = pres.radical_generators
+    zero = RepMap(r.source, r.target, [Mat.zeros(QQ, b.rows, b.cols) for b in r.blocks])
+    corrupted = dataclasses.replace(pres, radical_generators=(zero,))
+    a = pres.algebra_quiver.arrows[0]
+    z = simple(pres.algebra_quiver, QQ, a.source)
+    assert z.dims == (0, 1)
+    assert pres.projectives_in_ambient[a.source - 1].dims == (1, 1, 1)
+    assert lift_from_perp(pres, z).dims != (1, 1, 1)
+    with pytest.raises(AssertionError, match="lift round trip changed the dimension vector"):
+        lift_from_perp(corrupted, z)
