@@ -7,19 +7,38 @@ built abstractly: a PerpPresentation records the images of its
 indecomposable projectives inside the ambient category, and modules travel
 in and out through `transport_into_perp` and `lift_from_perp`.
 
-Two branches produce the presentation, chosen by dimension vector: an
-exceptional module is determined by its dimension vector, and the P_v of
-an acyclic quiver have pairwise distinct ones, so X is isomorphic to P_v
-exactly when dim X = dim P_v. Then Hom(P_v, Y) = Y_v and Ext^1(P_v, -) = 0,
-so the perpendicular category is the modules vanishing at v and vertex
-deletion is restriction: B is the path algebra of the induced subquiver,
-transport restricts to it and lift extends by zero (Geigle-Lenzing 1991).
-Otherwise the Bongartz complement M (the middle term of the universal
-extension of X against A = (+)_v P_v; `repcat` builds both) has exactly
-n - 1 distinct summands (M (+) X is tilting), the projectives of B; the
-quiver of B is read off from rad/rad^2 of the Hom category of those
-summands with an intertwiner for each arrow, and modules travel through
-the Hom functor and the cokernel of a lifted projective presentation.
+Three constructions produce the presentation, chosen by dimension vector:
+an exceptional module is determined by its dimension vector, and the P_v
+of an acyclic quiver have pairwise distinct ones, so X is isomorphic to
+P_v exactly when dim X = dim P_v, and to the simple S_v exactly when
+dim X = e_v. `branch` names what the projectives are, not how they were
+found.
+
+- X = P_v (branch "projective"). Hom(P_v, Y) = Y_v and Ext^1(P_v, -) = 0,
+  so the perpendicular category is the modules vanishing at v and vertex
+  deletion is restriction: B is the path algebra of the induced subquiver,
+  transport restricts to it and lift extends by zero (Geigle-Lenzing 1991).
+- X = S_v, v not a sink (branch "bongartz"; at a sink S_v = P_v). The
+  projective resolution 0 -> (+)_{b: v->w} P_w -> P_v -> S_v -> 0 makes
+  Hom(S_v, Y) and Ext^1(S_v, Y) the kernel and cokernel of
+  Y_v -> (+)_b Y_{t(b)}, so the perpendicular category is the modules on
+  which that map is bijective: mod kQ_v for Q_v the quiver q with v
+  contracted, whose arrows are those avoiding v and one arrow u -> w for
+  each pair a: u -> v, b: v -> w (Geigle-Lenzing 1991; Schofield 1991).
+  Transport restricts Y to the other vertices and composes Y_b Y_a for
+  each such pair; lift is coinduction, with Y_v = (+)_b Z_{t(b)}. The
+  projectives are the coinduced projectives of Q_v, numbered and their
+  arrows named as the Hom-category route below would, so they are the
+  distinct Bongartz summands up to isomorphism; no universal extension,
+  no decomposition and no Hom system is built.
+- Any other X (branch "bongartz"). The Bongartz complement M (the middle
+  term of the universal extension of X against A = (+)_v P_v; `repcat`
+  builds both) has exactly n - 1 distinct summands (M (+) X is tilting),
+  the projectives of B; the quiver of B is read off from rad/rad^2 of the
+  Hom category of those summands with an intertwiner for each arrow, and
+  modules travel through the Hom functor and the cokernel of a lifted
+  projective presentation.
+
 `_complement_summands` finds the summands of M with multiplicity, and is
 the one route to them: `perp_algebra` keeps one per dimension vector and
 the `bongartz` verb reports them all. A part E_v of dims m d with
@@ -40,12 +59,12 @@ The other process-lifetime memos are `repcat._hom_rank`, one Hom-system
 rank per pair of modules; `repcat._hom_space_memo`, one Hom basis per
 pair, which `hom_space` copies into a new list for the Hom categories and
 transports here; `repcat._projectives`, the P_v of one (quiver, field),
-for the Bongartz parts and the vertex-deletion branch; and
-`exceptional._closure`, one mutation closure per (quiver, field) at the
-largest bound asked for, which the sequence enumeration and the isotypic
-parts here share. The vertex-deletion branch records the deleted vertex
-on its presentation, so transport and lift read it instead of searching
-the dimension vectors of the P_v again.
+for the Bongartz parts and the vertex-deletion and contraction branches;
+and `exceptional._closure`, one mutation closure per (quiver, field) at
+the largest bound asked for, which the sequence enumeration and the
+isotypic parts here share. The vertex-deletion and contraction
+constructions record their vertex on the presentation, so transport and
+lift dispatch on it instead of searching dimension vectors again.
 """
 
 from __future__ import annotations
@@ -118,16 +137,22 @@ def bongartz_complement(X: Rep) -> Rep:
 class PerpPresentation:
     """The perpendicular category presented inside the ambient one.
 
-    projectives_in_ambient[j-1] is the image of P_j of algebra_quiver. Only
-    the Hom-presented branches ("bongartz", and "summands" for a cut, an
-    exceptional sequence whose members are the P_j in order) carry
-    radical_generators, parallel to algebra_quiver.arrows: the generator
-    for an arrow a: j -> j' is an ambient intertwiner
-    projectives_in_ambient[j'-1] -> projectives_in_ambient[j-1], acting on
-    transported modules by precomposition. The "projective" branch needs
-    none: its modules are restrictions, and its tuple is empty; it records
-    instead the vertex v deleted (the source is P_v), which the other
-    branches leave None.
+    projectives_in_ambient[j-1] is the image of P_j of algebra_quiver.
+    radical_generators are filled only where transport is by the Hom
+    functor (the Bongartz complement of a non-simple X, and "summands" for
+    a cut, an exceptional sequence whose members are the P_j in order).
+    They run parallel to algebra_quiver.arrows: the generator for an arrow
+    a: j -> j' is an ambient intertwiner projectives_in_ambient[j'-1] ->
+    projectives_in_ambient[j-1], acting on transported modules by
+    precomposition. The other two constructions leave the tuple empty and
+    record their vertex instead; transport and lift dispatch on it.
+    deleted_vertex is v when the source is P_v ("projective" branch): its
+    modules are restrictions. contracted_vertex is v when the source is
+    the simple S_v of a vertex that is not a sink: vertex j of
+    algebra_quiver is vertex vertex_map[j-1] of the ambient quiver, and
+    arrow k is the path arrow_words[k] of the ambient quiver, the
+    positions in its arrows of one arrow avoiding v or of a: u -> v then
+    b: v -> w. Each is None (or empty) on the other constructions.
 
     source_end_dim is dim End(source), which `perp_algebra` reads off the
     same Hom system that certifies the source exceptional, and
@@ -144,6 +169,9 @@ class PerpPresentation:
     source_end_dim: int | None = None
     source_label: str | None = None
     deleted_vertex: int | None = None
+    contracted_vertex: int | None = None
+    vertex_map: tuple = ()
+    arrow_words: tuple = ()
 
 
 def _source_label(q: Quiver, x: Rep) -> str:
@@ -247,6 +275,105 @@ def _extend_by_zero(Z: Rep, q: Quiver, v: int) -> Rep:
         else next(kept)
         for a in q.arrows
     ]
+    return Rep(q, f, dims, maps)
+
+
+def _contracted_presentation(X: Rep, v: int, **recorded) -> PerpPresentation:
+    """The presentation of the perpendicular category of X = S_v, v not a
+    sink: mod kQ_v for Q_v the quiver of X with v contracted.
+
+    A path of q between two vertices other than v passes v at most once
+    (q is acyclic), entering by some a and leaving by some b, so it is one
+    path of Q_v; the coinduced P_u of Q_v therefore has dims the path
+    counts of q from u, and at v the sum of those to the heads of the
+    arrows out of v. The vertices are numbered by those dims, sorted by
+    (total_dim, dims) as the Bongartz summands are, and the arrows named
+    r1, r2, ... in (source, target) order, as `hom_category_presentation`
+    names them; arrows with the same ends keep the order of their words.
+    The projectives' Euler form must give the path counts of the result
+    (`_check_euler_gram`).
+    """
+    q, f = X.quiver, X.field
+    arrows = q.arrows
+    outs = [k for k, b in enumerate(arrows) if b.source == v]
+
+    dims = {}
+    for u in q.vertices():
+        if u != v:
+            counts = q.path_counts_from(u)
+            at_v = sum(counts[arrows[k].target - 1] for k in outs)
+            dims[u] = counts[: v - 1] + (at_v,) + counts[v:]
+    vertex_map = tuple(sorted(dims, key=lambda u: (sum(dims[u]), dims[u])))
+    new = {u: j for j, u in enumerate(vertex_map, 1)}
+    words = [(i,) for i, c in enumerate(arrows) if v not in (c.source, c.target)]
+    words += [(i, k) for i, a in enumerate(arrows) if a.target == v for k in outs]
+
+    def ends(word):
+        return new[arrows[word[0]].source], new[arrows[word[-1]].target]
+
+    arrow_words = tuple(sorted(words, key=ends))
+    bq = Quiver(q.n - 1, [Arrow(f"r{k}", *ends(w)) for k, w in enumerate(arrow_words, 1)])
+    projectives = tuple(
+        _coinduce(p, q, v, vertex_map, arrow_words) for p in _projectives(bq, f)
+    )
+    _check_euler_gram(bq, projectives)
+    return PerpPresentation(
+        source=X,
+        branch="bongartz",
+        algebra_quiver=bq,
+        projectives_in_ambient=projectives,
+        radical_generators=(),
+        contracted_vertex=v,
+        vertex_map=vertex_map,
+        arrow_words=arrow_words,
+        **recorded,
+    )
+
+
+def _contract(Y: Rep, pres: PerpPresentation) -> Rep:
+    """Y on the contracted quiver: Y at vertex_map, Y_c or Y_b Y_a per word."""
+    maps = []
+    for word in pres.arrow_words:
+        m = Y.maps[word[0]]
+        for i in word[1:]:
+            m = Y.maps[i].mul(m)
+        maps.append(m)
+    return Rep(pres.algebra_quiver, Y.field, [Y.dim(u) for u in pres.vertex_map], maps)
+
+
+def _coinduce(Z: Rep, q: Quiver, v: int, vertex_map, arrow_words) -> Rep:
+    """Z, a module over q with v contracted, as a module over q.
+
+    Y_u = Z_u for u != v, Y_v = (+)_b Z_{t(b)} over the arrows b out of v
+    in their order, Y_b the projection onto b's summand, Y_a for a: u -> v
+    the stack of the Z_{[ba]}, and Z_c on the arrows c avoiding v. So
+    Y_v -> (+)_b Y_{t(b)} is the identity and `_contract` gives Z back.
+    """
+    f = Z.field
+    slot = {u: j for j, u in enumerate(vertex_map, 1)}
+    arrow_of = {w: k for k, w in enumerate(arrow_words)}
+    dims = [0 if u == v else Z.dim(slot[u]) for u in q.vertices()]
+    offset = {}
+    for k, b in enumerate(q.arrows):
+        if b.source == v:
+            offset[k] = dims[v - 1]
+            dims[v - 1] += dims[b.target - 1]
+    cols = dims[v - 1]
+    maps = []
+    for i, a in enumerate(q.arrows):
+        if i in offset:
+            rows = dims[a.target - 1]
+            ent = [f.zero] * (rows * cols)
+            for r in range(rows):
+                ent[r * cols + offset[i] + r] = f.one
+            maps.append(Mat._make(f, rows, cols, tuple(ent)))
+        elif a.target == v:
+            m = Mat.zeros(f, 0, dims[a.source - 1])
+            for k in offset:
+                m = m.vstack(Z.maps[arrow_of[i, k]])
+            maps.append(m)
+        else:
+            maps.append(Z.maps[arrow_of[(i,)]])
     return Rep(q, f, dims, maps)
 
 
@@ -374,14 +501,16 @@ def perp_algebra(X: Rep) -> PerpPresentation:
     presentation records. X is projective exactly when dim X = dim P_v for
     some vertex v (X is exceptional, hence determined by its dimension
     vector). Then the quiver is q with v deleted (labels inherited) and its
-    projectives are extended by zero to q. Otherwise the distinct summands
-    of the Bongartz complement (`_complement_summands`) are the
-    projectives, with the quiver and the radical generators read off their
-    Hom category; the summand count, the path-count check of the Hom
-    category and the projectives' Euler form (`_check_euler_gram`) certify
-    the summands pairwise Ext-orthogonal, which `_complement_summands`
-    assumes. Either way the algebra has exactly n - 1 vertices. Equal
-    inputs get the same presentation object back.
+    projectives are extended by zero to q. Otherwise, when X is the simple
+    S_v (dims e_v, v not a sink), the quiver is q with v contracted and its
+    projectives are coinduced to q (`_contracted_presentation`). Otherwise
+    the distinct summands of the Bongartz complement
+    (`_complement_summands`) are the projectives, with the quiver and the
+    radical generators read off their Hom category; the summand count, the
+    path-count check of the Hom category and the projectives' Euler form
+    (`_check_euler_gram`) certify the summands pairwise Ext-orthogonal,
+    which `_complement_summands` assumes. In all three cases the algebra
+    has exactly n - 1 vertices. Equal inputs get the same presentation object back.
     """
     rows, cols, rank = _hom_rank(X, X)
     # Ext^1(X, X) is rows - rank and End(X) is cols - rank, as in is_exceptional
@@ -404,6 +533,8 @@ def perp_algebra(X: Rep) -> PerpPresentation:
             deleted_vertex=v,
             **recorded,
         )
+    if X.total_dim == 1:
+        return _contracted_presentation(X, X.dims.index(1) + 1, **recorded)
     distinct = distinct_summands(_complement_summands(_bongartz_parts(X)))
     if len(distinct) != q.n - 1:
         raise AssertionError(
@@ -418,8 +549,10 @@ def perp_algebra(X: Rep) -> PerpPresentation:
 
 def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
     q = pres.algebra_quiver
-    if pres.branch == "projective":
+    if pres.deleted_vertex is not None:
         return _restrict(Y, pres.deleted_vertex, q)
+    if pres.contracted_vertex is not None:
+        return _contract(Y, pres)
     f = Y.field
     bases = [hom_space(pj, Y) for pj in pres.projectives_in_ambient]
     dims = [len(b) for b in bases]
@@ -441,27 +574,39 @@ def _transport_unchecked(pres: PerpPresentation, Y: Rep) -> Rep:
 def transport_into_perp(pres: PerpPresentation, Y: Rep) -> Rep:
     """Re-express a perpendicular module over the perpendicular algebra.
 
-    On the projective branch (X = P_v) Y is perpendicular exactly when
-    Y_v = 0, and the module is its restriction to q with v deleted. On the
-    Hom-presented branches vertex j carries Hom(M_j, Y) and arrows act by
-    precomposition with the radical generators. Either way the dimension
+    For X = P_v, Y is perpendicular exactly when Y_v = 0, and the module is
+    its restriction to q with v deleted. For X = S_v with v contracted it
+    is the restriction to the other vertices, with Y_b Y_a on the arrow of
+    each pair a: u -> v, b: v -> w. On the Hom-presented branches vertex j
+    carries Hom(M_j, Y) and arrows act by precomposition with the radical
+    generators. In every case z_j = dim Hom(M_j, Y) must be the Euler form
+    <dim M_j, dim Y>, because M_j is projective in the perpendicular
+    category, which keeps Ext^1 (Geigle-Lenzing 1991), and the dimension
     bookkeeping of the projective presentation is asserted:
 
         dim Y = sum_j z_j dim M_j - sum_{a: j->j'} z_j dim M_{j'}
 
-    with z_j = dim Hom(M_j, Y). PerpPresentation compares by identity, so
-    the memo hits for the presentations `perp_algebra` hands out again.
+    PerpPresentation compares by identity, so the memo hits for the
+    presentations `perp_algebra` hands out again.
     """
     X = pres.source
     if Y.quiver != X.quiver or Y.field != X.field:
         raise ValueError("module lives over another quiver or field than the source")
-    if pres.branch == "projective":
+    if pres.deleted_vertex is not None:
         perpendicular = Y.dim(pres.deleted_vertex) == 0
     else:
         perpendicular = orthogonal(X, Y)
     if not perpendicular:
         raise ValueError("module is not perpendicular to the source")
     Z = _transport_unchecked(pres, Y)
+    q = X.quiver
+    for j, p in enumerate(pres.projectives_in_ambient, 1):
+        e = q.euler_form(p.dims, Y.dims)
+        if Z.dim(j) != e:
+            raise AssertionError(
+                f"transport Euler check failed at vertex {j}: "
+                f"{Z.dim(j)} != <dim P'_{j}, dim Y> = {e}"
+            )
     total = sum(
         Z.dim(j) * pres.projectives_in_ambient[j - 1].total_dim
         for j in pres.algebra_quiver.vertices()
@@ -522,21 +667,24 @@ def _cokernel_lift(pres: PerpPresentation, Z: Rep) -> Rep:
 def lift_from_perp(pres: PerpPresentation, Z: Rep) -> Rep:
     """Inverse of transport: realize a module of the perpendicular algebra.
 
-    On the projective branch (X = P_v) this is extension by zero. On the
-    Hom-presented branches it is the cokernel of the lifted projective
-    presentation
+    For X = P_v this is extension by zero, and for X = S_v with v
+    contracted it is coinduction (`_coinduce`). On the Hom-presented
+    branches it is the cokernel of the lifted projective presentation
 
         (+)_{a: j->j'} M_{j'} (x) k^{z_j}  ->  (+)_j M_j (x) k^{z_j}  ->  Y
 
     where the map has component r_a into the j-slot and -Z_a (x) id into
-    the j'-slot. Either way transporting Y back must give dim Z again.
+    the j'-slot. In every case transporting Y back must give dim Z again.
     """
     if Z.quiver != pres.algebra_quiver:
         raise ValueError("module lives over the wrong algebra quiver")
     if Z.field != pres.source.field:
         raise ValueError("module lives over another field than the source")
-    if pres.branch == "projective":
-        Y = _extend_by_zero(Z, pres.source.quiver, pres.deleted_vertex)
+    q = pres.source.quiver
+    if pres.deleted_vertex is not None:
+        Y = _extend_by_zero(Z, q, pres.deleted_vertex)
+    elif pres.contracted_vertex is not None:
+        Y = _coinduce(Z, q, pres.contracted_vertex, pres.vertex_map, pres.arrow_words)
     else:
         Y = _cokernel_lift(pres, Z)
     back = _transport_unchecked(pres, Y)

@@ -315,6 +315,14 @@ def test_machine_output_is_byte_identical(tmp_path):
 A4 = "field Q\nvertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\n"
 D4 = "field Q\nvertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n"
 D5 = "field Q\nvertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 3 5\n"
+# D_4 with a centre that has both in- and out-arrows
+D4_MID = "field Q\nvertices 4\narrow a 1 4\narrow b 4 2\narrow c 4 3\n"
+# S_3 of 1 -> 3, 2 -> 3, 3 -> 4, 3 -> 5: contracting vertex 3 leaves 4 arrows
+STAR_S3 = ("field Q\nvertices 5\narrow a 1 3\narrow b 2 3\narrow c 3 4\narrow d 3 5\n"
+           "\nrep\ndims 0 0 1 0 0\n")
+# S_2 of 1 => 2 => 3: its 4 composite arrows make a 4-Kronecker quiver
+DOUBLE_KRONECKER_S2 = ("field Q\nvertices 3\narrow a 1 2\narrow b 1 2\narrow c 2 3\n"
+                       "arrow d 2 3\n\nrep\ndims 0 1 0\n")
 
 # the tilting module (1,1,1) + (1,1,0) + (1,0,0) of A_3
 A3_TILTING = A3 + """
@@ -394,6 +402,8 @@ CLI_GOLDENS = [
      "f1bd5f884d2257187f02c9572367176b23eed945e4efde23bf8eb15d2281668b"),
     ("jh-verify-d4", "jh-verify", D4, ["--prime", "3", "--bound", "5"],
      "a4d761ec52f1b89def78944e98ccbb6166de102b026a16538b129bfba98eefca"),
+    ("jh-verify-d4-mid", "jh-verify", D4_MID, ["--prime", "3", "--bound", "5"],
+     "784b3246d01c92de55b060c6328eadd6fd10aa89e61bc6613bdb74ca6c33a925"),
     ("jh-verify-kr", "jh-verify", KRONECKER, ["--bound", "5"],
      "ce51b58fb3e28112fc62840fd5b8dfa245bd5fbd5fd7b792b3689ebd22c80d29"),
     # 15 sequences; every Bongartz part is isotypic, certified by Hom(X, E)
@@ -426,6 +436,10 @@ CLI_GOLDENS = [
      "43826e630dd8b2963666609b12ec2d459603c5ece95bc8942d1629bc5c5bf2da"),
     ("perp-a4-0110", "perp", A4_INTERVAL, [],
      "be78e7d27ef929c67ba3949d90876dd1e5e47a788a002912262e960f54897b9d"),
+    ("perp-star-s3", "perp", STAR_S3, [],
+     "38e95f0130f95b65692dc9daa4da2487312b67592095b3a3a565ee641ae4824f"),
+    ("perp-kk-s2", "perp", DOUBLE_KRONECKER_S2, [],
+     "af14434e725e1343a2359d1654bddbb6a50a8245843dbe90286f1db5c2ca37f6"),
     ("bongartz-a3-s1", "bongartz", A3_S1, [],
      "7d03dd8b8eccfc538e6e9a17411c57cab9ea4da89afc04756572f74da582da75"),
     ("bongartz-kr-21", "bongartz", KRONECKER_21, [],

@@ -13,6 +13,7 @@ from strata.repcat import (
     RepMap,
     decompose,
     direct_sum,
+    distinct_summands,
     end_dim,
     ext1_dim,
     free_module,
@@ -287,7 +288,9 @@ def test_parts_taken_whole_are_rejected(monkeypatch):
     whole instead, each non-projective Kronecker exceptional must raise, not
     present a wrong algebra. Every part there of Euler form other than 1
     is isotypic, so none reaches `decompose`. A part X^m taken whole has
-    <dim, dim> = m^2, so the real-root invariant rejects it."""
+    <dim, dim> = m^2, so the real-root invariant rejects it. The simple
+    S_1 gets its perpendicular category by contracting vertex 1, so its
+    Bongartz summands are checked on the route of the `bongartz` verb."""
     from strata.exceptional import enumerate_exceptional
 
     decomposed = []
@@ -308,7 +311,10 @@ def test_parts_taken_whole_are_rejected(monkeypatch):
             continue
         whole.clear()
         with pytest.raises(AssertionError, match="is not a real root"):
-            perp_algebra.__wrapped__(x)
+            if x.total_dim == 1:
+                perpcat._complement_summands(perpcat._bongartz_parts(x))
+            else:
+                perp_algebra.__wrapped__(x)
         assert whole
         failed += 1
     assert failed == 6 and not decomposed
@@ -531,22 +537,22 @@ def test_transport_rejects_non_perpendicular():
 def test_transport_contract_rejects_a_corrupted_presentation():
     """The dimension contract of transport_into_perp fails, instead of a
     wrong module coming back, on a presentation with its one arrow dropped
-    (Bongartz branch of S_1 of A_3) or with P'_1 swapped for P'_2
-    (vertex-deletion branch of P_3 of A_3)."""
-    bongartz = perp_algebra(simple(A3, QQ, 1))
+    (Bongartz branch of the A_4 exceptional I_2 = (1, 1, 0, 0)) or with
+    P'_1 swapped for P'_2 (vertex-deletion branch of P_3 of A_3)."""
+    bongartz = perp_algebra(interval_rep(QQ, 4, 1, 2))
     bq = bongartz.algebra_quiver
-    assert len(bq.arrows) == 1
+    assert len(bq.arrows) == 1 and len(bongartz.radical_generators) == 1
     dropped = dataclasses.replace(
         bongartz, algebra_quiver=Quiver(bq.n, (), bq.labels), radical_generators=()
     )
     deletion = perp_algebra(projective(A3, QQ, 3))
     p1, p2 = deletion.projectives_in_ambient
     swapped = dataclasses.replace(deletion, projectives_in_ambient=(p2, p2))
-    for good, bad, y in (
-        (bongartz, dropped, projective(A3, QQ, 1)),
-        (deletion, swapped, p1),
+    for good, bad, y, dims in (
+        (bongartz, dropped, projective(A4, QQ, 1), (1, 0, 1)),
+        (deletion, swapped, p1, (1, 1)),
     ):
-        assert transport_into_perp(good, y).dims == (1, 1)
+        assert transport_into_perp(good, y).dims == dims
         with pytest.raises(AssertionError, match="transport dimension contract failed"):
             transport_into_perp(bad, y)
 
@@ -555,9 +561,10 @@ def test_transport_rejects_a_hom_basis_missing_a_map(monkeypatch):
     """Precomposition with a radical generator must land in the span of the
     target projective's Hom basis. With the last basis map of that target
     dropped, transporting P_1 + P_1 of A_4 into the perpendicular category
-    of S_1 raises; the presentation is a fresh copy, so the transport memo
-    cannot answer."""
-    pres = perp_algebra(simple(A4, QQ, 1))
+    of I_2 = (1, 1, 0, 0) raises; the presentation is a fresh copy, so the
+    transport memo cannot answer."""
+    pres = perp_algebra(interval_rep(QQ, 4, 1, 2))
+    assert len(pres.radical_generators) == 1
     y = direct_sum([projective(A4, QQ, 1)] * 2)
     a = pres.algebra_quiver.arrows[0]
     target = pres.projectives_in_ambient[a.target - 1]
@@ -673,18 +680,142 @@ def test_bongartz_parts_reject_a_middle_term_outside_the_perpendicular_category(
 
 def test_lift_round_trip_rejects_a_corrupted_presentation():
     """Lifting must transport back to the same dimension vector. With the
-    one radical generator of S_1's Bongartz presentation on A_3 replaced by
-    the zero map, the lift of the simple at the arrow's source is that
-    vertex's whole projective (1, 1, 1), which transports back to (1, 1),
-    not (0, 1)."""
-    pres = perp_algebra(simple(A3, QQ, 1))
+    one radical generator of the Bongartz presentation of I_2 = (1, 1, 0, 0)
+    on A_4 replaced by the zero map, the lift of the simple at the arrow's
+    source is that vertex's whole projective (1, 1, 1, 1), which transports
+    back to (1, 0, 1), not (0, 0, 1)."""
+    pres = perp_algebra(interval_rep(QQ, 4, 1, 2))
     (r,) = pres.radical_generators
     zero = RepMap(r.source, r.target, [Mat.zeros(QQ, b.rows, b.cols) for b in r.blocks])
     corrupted = dataclasses.replace(pres, radical_generators=(zero,))
     a = pres.algebra_quiver.arrows[0]
     z = simple(pres.algebra_quiver, QQ, a.source)
-    assert z.dims == (0, 1)
-    assert pres.projectives_in_ambient[a.source - 1].dims == (1, 1, 1)
-    assert lift_from_perp(pres, z).dims != (1, 1, 1)
+    assert z.dims == (0, 0, 1)
+    assert pres.projectives_in_ambient[a.source - 1].dims == (1, 1, 1, 1)
+    assert lift_from_perp(pres, z).dims != (1, 1, 1, 1)
     with pytest.raises(AssertionError, match="lift round trip changed the dimension vector"):
         lift_from_perp(corrupted, z)
+
+
+# (id, quiver) whose non-sink simples the contraction is checked on
+CONTRACTION_QUIVERS = [
+    ("A3", A3),
+    ("A3-alt", Quiver(3, (Arrow("a", 2, 1), Arrow("b", 2, 3)))),
+    ("A4", A4),
+    ("A4-alt", Quiver(4, (Arrow("a", 1, 2), Arrow("b", 3, 2), Arrow("c", 3, 4)))),
+    ("D4", D4),
+    ("D4-mid", Quiver(4, (Arrow("a", 1, 4), Arrow("b", 4, 2), Arrow("c", 4, 3)))),
+    ("Kronecker", KR),
+    ("3-Kronecker", kronecker_quiver(3)),
+    ("double-Kronecker",
+     Quiver(3, (Arrow("a", 1, 2), Arrow("b", 1, 2), Arrow("c", 2, 3), Arrow("d", 2, 3)))),
+]
+CONTRACTION_FIELDS = [QQ, GF(2), GF(3)]
+
+
+def _check_contraction_matches_bongartz(q, field, bound, rng):
+    """The contracted presentation of every non-sink S_v against the
+    Bongartz route: the same algebra quiver and projective dims, equal
+    transported dims for every closure member perpendicular to S_v, and
+    lift then transport giving each transported module and a random module
+    back exactly. Returns the number of closure members transported."""
+    from strata.exceptional import _closure
+
+    closure = _closure(q, field, bound)
+    checked = 0
+    for v in q.vertices():
+        if v in q.sinks():
+            continue
+        x = simple(q, field, v)
+        pres = perp_algebra(x)
+        assert (pres.branch, pres.contracted_vertex, pres.radical_generators) == (
+            "bongartz", v, ())
+        parts = perpcat._complement_summands(perpcat._bongartz_parts(x))
+        old = perpcat._hom_presentation(x, "bongartz", distinct_summands(parts))
+        assert pres.algebra_quiver == old.algebra_quiver, (q, v)
+        assert [p.dims for p in pres.projectives_in_ambient] == [
+            p.dims for p in old.projectives_in_ambient
+        ]
+        bq = pres.algebra_quiver
+        zs = [random_rep(rng, bq, field, max_dim=2)]
+        for y in closure:
+            if orthogonal(x, y):
+                z = transport_into_perp(pres, y)
+                assert z.dims == transport_into_perp(old, y).dims, (q, v, y.dims)
+                zs.append(z)
+        for z in zs:
+            assert transport_into_perp(pres, lift_from_perp(pres, z)) == z
+        checked += len(zs) - 1
+    return checked
+
+
+@pytest.mark.parametrize("field", CONTRACTION_FIELDS, ids=["QQ", "F2", "F3"])
+@pytest.mark.parametrize("q", [c[1] for c in CONTRACTION_QUIVERS],
+                         ids=[c[0] for c in CONTRACTION_QUIVERS])
+def test_contraction_matches_the_bongartz_route(q, field):
+    assert _check_contraction_matches_bongartz(q, field, 6, random.Random(q.n))
+
+
+@pytest.mark.parametrize("field", CONTRACTION_FIELDS, ids=["QQ", "F2", "F3"])
+def test_contraction_matches_the_bongartz_route_on_random_quivers(field):
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(16):
+        q = random_acyclic_quiver(rng, max_vertices=5)
+        checked += _check_contraction_matches_bongartz(q, field, 5, rng)
+    assert checked
+
+
+def test_contraction_builds_no_universal_extension_decomposition_or_hom_space(monkeypatch):
+    """On a non-sink S_v, perp_algebra, transport and lift read the quiver
+    and the arrow matrices alone: no universal extension, no decomposition
+    and no Hom basis is made."""
+    from strata import repcat
+    from strata.exceptional import _closure
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general machinery called on a simple")
+
+    closures = [(q, _closure(q, GF(3), 4)) for _, q in CONTRACTION_QUIVERS]
+    for module in (perpcat, repcat):
+        for name in ("universal_extension", "decompose", "hom_space"):
+            monkeypatch.setattr(module, name, forbidden)
+    for q, members in closures:
+        for v in q.vertices():
+            if v in q.sinks():
+                continue
+            x = simple(q, GF(3), v)
+            pres = perp_algebra.__wrapped__(x)
+            assert pres.contracted_vertex == v
+            for y in members:
+                if orthogonal(x, y):
+                    z = transport_into_perp(pres, y)
+                    assert transport_into_perp(pres, lift_from_perp(pres, z)) == z
+
+
+def test_transport_euler_check_rejects_a_swapped_vertex_map():
+    """dim (TY)_j must be <dim P'_j, dim Y>. On 2 <- 1 -> 3 the perpendicular
+    category of S_1 is mod of two vertices with no arrow, so a presentation
+    with its vertex map swapped still transports (1, 1, 0), to (1, 0)
+    instead of (0, 1), and the dimension contract, which reads total
+    dimensions only, cannot tell."""
+    q = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 1, 3)))
+    pres = perp_algebra(simple(q, QQ, 1))
+    assert pres.vertex_map == (3, 2)
+    swapped = dataclasses.replace(pres, vertex_map=pres.vertex_map[::-1])
+    y = pres.projectives_in_ambient[1]
+    assert y.dims == (1, 1, 0)
+    assert transport_into_perp(pres, y).dims == (0, 1)
+    with pytest.raises(AssertionError, match="transport Euler check failed at vertex 1"):
+        transport_into_perp(swapped, y)
+
+
+def test_contracted_presentation_checks_the_euler_gram(monkeypatch):
+    """The coinduced projectives must pair under the Euler form as the
+    paths of the contracted quiver count: with P_1 and P_2 of A_3 with
+    vertex 2 contracted handed over in the wrong order, perp_algebra
+    raises instead of presenting them."""
+    projectives = perpcat._projectives
+    monkeypatch.setattr(perpcat, "_projectives", lambda q, f: projectives(q, f)[::-1])
+    with pytest.raises(ValueError, match=r"<dim P'_\d, dim P'_\d> = "):
+        perp_algebra.__wrapped__(simple(A3, QQ, 2))
